@@ -1,10 +1,10 @@
 """Reference baselines the transport method is compared against.
 
 All of these produce an update shaped for the target model. zero_pad and
-random ignore activations entirely; the pseudo-inverse pair solves the
-coupling-matching problem directly on the target activations; random_source
-runs a norm-matched random matrix through the alignment maps to isolate the
-effect of alignment from the update's content.
+random ignore activations entirely; the Gram-solve family (pinv, its ridge
+variant and the bias solve) matches the activation coupling directly on the
+target activations. The random_source control, which runs a norm-matched
+random update through the alignment maps, is a method of ``transport``.
 """
 
 from __future__ import annotations
@@ -12,15 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_RCOND, as_matrix, pseudo_inverse, require_finite, tikhonov_solve
-from .transport import ProcrustesMap, cross_covariance, transport_update
+from .linalg import (
+    DEFAULT_RCOND,
+    as_matrix,
+    as_vector,
+    cross_covariance,
+    pseudo_inverse,
+    tikhonov_solve,
+)
 
 __all__ = [
     "zero_pad_update",
     "random_update",
+    "gram_transport",
     "pinv_transport",
     "tikhonov_transport",
-    "random_source_transport",
     "gram_bias_transport",
 ]
 
@@ -57,16 +63,38 @@ def random_update(d_out: int, d_in: int, target_norm: float, seed) -> np.ndarray
     return gauss * (target_norm / norm)
 
 
-def pinv_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Least-squares coupling match via pseudo-inverses of the target Gram matrices.
+def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray:
+    """The one solve against a target Gram matrix.
+
+    Applies the rcond-truncated pseudo-inverse of ``gram`` when rcond is
+    given, else the ridge inverse ``(gram + lam I)^-1``; lam=None resolves to
+    1e-3 times the mean diagonal, an explicit lam must be positive.
+    """
+    if rcond is not None:
+        return pseudo_inverse(gram, rcond) @ rhs
+    if lam is None:
+        # Floored so a degenerate all-zero Gram still yields a positive-definite solve.
+        lam = 1e-3 * max(float(np.mean(np.diag(gram))), 1e-9)
+    elif not float(lam) > 0:
+        raise DimensionError(f"lam must be positive, got {lam}")
+    return tikhonov_solve(gram, rhs, float(lam))
+
+
+def gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, bias_delta=None,
+                   rcond: float | None = None, lam: float | None = None):
+    """Least-squares coupling match on the target activations.
 
     Solves for the target update whose coupling on the calibration rows best
-    matches the source coupling:
+    matches the source coupling, and for the bias delta whose constant output
+    shift best matches the source's:
 
-        new.T = (hin_b.T hin_b)^+ (hin_b.T hin_a) update.T (hout_a.T hout_b) (hout_b.T hout_b)^+
+        new      = G_out^-1 (hout_b.T hout_a) update (hin_a.T hin_b) G_in^-1
+        new_bias = G_out^-1 (hout_b.T hout_a) bias
 
-    The middle product contracts the source coupling against the target
-    activations, so nothing larger than features x features is formed.
+    with G = h_b.T h_b on each side, inverted by one ``_gram_solve`` per side
+    (rcond route when rcond is given, ridge route otherwise). The bias rides
+    the output-side solve as one more right-hand side, and nothing larger than
+    features x features is formed. Returns (new update, new bias delta or None).
     """
     hin_a = as_matrix(hin_a, "hin_a")
     hout_a = as_matrix(hout_a, "hout_a")
@@ -78,19 +106,21 @@ def pinv_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond: float = DEFAUL
             f"update shape {update_a.shape} does not match source activations "
             f"({hout_a.shape[1]}, {hin_a.shape[1]})"
         )
-    gram_in = cross_covariance(hin_b, hin_b)
-    gram_out = cross_covariance(hout_b, hout_b)
-    mid = cross_covariance(hin_b, hin_a) @ update_a.T @ cross_covariance(hout_a, hout_b)
-    new_t = pseudo_inverse(gram_in, rcond) @ mid @ pseudo_inverse(gram_out, rcond)
-    return np.ascontiguousarray(new_t.T)
+    cross_out = cross_covariance(hout_a, hout_b)
+    mid = cross_covariance(hin_b, hin_a) @ update_a.T @ cross_out
+    rhs = _gram_solve(cross_covariance(hin_b, hin_b), mid, rcond, lam).T
+    if bias_delta is not None:
+        b = as_vector(bias_delta, hout_a.shape[1], "bias delta")
+        rhs = np.column_stack([rhs, cross_out.T @ b])
+    out = _gram_solve(cross_covariance(hout_b, hout_b), rhs, rcond, lam)
+    d_in_b = hin_b.shape[1]
+    new_bias = None if bias_delta is None else out[:, d_in_b].copy()
+    return np.ascontiguousarray(out[:, :d_in_b]), new_bias
 
 
-def _resolve_lam(gram, lam) -> float:
-    if lam is not None:
-        return float(lam)
-    # Default ridge: 1e-3 relative to the mean Gram diagonal, floored so a
-    # degenerate all-zero Gram still yields a positive-definite solve.
-    return 1e-3 * max(float(np.mean(np.diag(gram))), 1e-9)
+def pinv_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+    """``gram_transport`` of the update through pseudo-inverses of the target Grams."""
+    return gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond=rcond)[0]
 
 
 def tikhonov_transport(hin_a, hout_a, hin_b, hout_b, update_a, lam: float | None = None) -> np.ndarray:
@@ -99,51 +129,19 @@ def tikhonov_transport(hin_a, hout_a, hin_b, hout_b, update_a, lam: float | None
     lam=None resolves per Gram side to 1e-3 times its mean diagonal; an explicit
     lam is used as given on both sides and must be positive.
     """
-    hin_a = as_matrix(hin_a, "hin_a")
-    hout_a = as_matrix(hout_a, "hout_a")
-    hin_b = as_matrix(hin_b, "hin_b")
-    hout_b = as_matrix(hout_b, "hout_b")
-    update_a = as_matrix(update_a, "update_a")
-    if update_a.shape != (hout_a.shape[1], hin_a.shape[1]):
-        raise DimensionError(
-            f"update shape {update_a.shape} does not match source activations "
-            f"({hout_a.shape[1]}, {hin_a.shape[1]})"
-        )
-    if lam is not None and not float(lam) > 0:
-        raise DimensionError(f"lam must be positive, got {lam}")
-    gram_in = cross_covariance(hin_b, hin_b)
-    gram_out = cross_covariance(hout_b, hout_b)
-    mid = cross_covariance(hin_b, hin_a) @ update_a.T @ cross_covariance(hout_a, hout_b)
-    left = tikhonov_solve(gram_in, mid, _resolve_lam(gram_in, lam))
-    new_t = tikhonov_solve(gram_out, left.T, _resolve_lam(gram_out, lam)).T
-    return np.ascontiguousarray(new_t.T)
+    return gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, lam=lam)[0]
 
 
 def gram_bias_transport(hout_a, hout_b, bias_delta, rcond: float | None = None,
                         lam: float | None = None) -> np.ndarray:
-    """Output-side least-squares analogue for bias deltas.
+    """The bias half of ``gram_transport`` on its own.
 
     Matches the constant output shift induced by the bias delta:
-    ``new = (hout_b.T hout_b)^+ (hout_b.T hout_a) delta`` (ridge-solved when a
-    lam route is requested instead of rcond).
+    ``new = (hout_b.T hout_b)^+ (hout_b.T hout_a) delta`` (ridge-solved when
+    rcond is None).
     """
     hout_a = as_matrix(hout_a, "hout_a")
     hout_b = as_matrix(hout_b, "hout_b")
-    b = np.asarray(bias_delta, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != hout_a.shape[1]:
-        raise DimensionError(
-            f"bias delta shape {b.shape} does not match source activations ({hout_a.shape[1]},)"
-        )
-    require_finite(b, "bias delta")
-    gram = cross_covariance(hout_b, hout_b)
-    rhs = cross_covariance(hout_b, hout_a) @ b
-    if rcond is not None:
-        return pseudo_inverse(gram, rcond) @ rhs
-    return tikhonov_solve(gram, rhs, _resolve_lam(gram, lam))
-
-
-def random_source_transport(pmap: ProcrustesMap, target_norm: float, seed) -> np.ndarray:
-    """Transport a seeded norm-matched random matrix through existing alignment maps."""
-    d_out_src = pmap.out_map.shape[0]
-    d_in_src = pmap.in_map.shape[0]
-    return transport_update(random_update(d_out_src, d_in_src, target_norm, seed), pmap)
+    b = as_vector(bias_delta, hout_a.shape[1], "bias delta")
+    rhs = cross_covariance(hout_a, hout_b).T @ b
+    return _gram_solve(cross_covariance(hout_b, hout_b), rhs, rcond, lam)

@@ -39,6 +39,7 @@ from .harness.experiment import (
     load_config,
     run_experiment,
     write_ablation_csv,
+    write_json,
 )
 from .harness.isometry import build_isometric_target
 from .seqalign import STRATEGIES
@@ -85,27 +86,10 @@ def _resolve_method(token: str) -> str:
     return _METHOD_TOKENS[token]
 
 
-def _resolve_strategy(token: str) -> str:
-    if token not in STRATEGIES:
-        raise ConfigError(
-            f"unknown seq-align strategy {token!r}, valid: {', '.join(STRATEGIES)}"
-        )
-    return token
-
-
-def _emit_json(doc: dict, path: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
-
-
 def cmd_transport(args) -> int:
     cfg = TransportConfig(
         method=_resolve_method(args.method),
-        strategy=_resolve_strategy(args.seq_align),
+        strategy=args.seq_align,
         lam=args.lam, rcond=args.rcond, seed=args.seed,
     )
     theta_a = load_checkpoint(args.source)
@@ -117,12 +101,11 @@ def cmd_transport(args) -> int:
         theta_a = depth_expand(theta_a, theta_b.depth)
         theta_a_ft = depth_expand(theta_a_ft, theta_b.depth)
     out, report = transport_model(
-        theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg,
-        alpha=args.alpha, jobs=args.jobs,
+        theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, alpha=args.alpha,
     )
     save_checkpoint(out, args.output)
     log.info("wrote transported checkpoint to %s", args.output)
-    _emit_json(report, args.report)
+    write_json(report, args.report)
     return 0
 
 
@@ -131,7 +114,7 @@ def cmd_experiment(args) -> int:
     dest = args.output if args.output is not None else (cfg.output_path or "-")
     result = run_experiment(cfg, output_path=dest)
     if dest == "-":
-        _emit_json(result, "-")
+        write_json(result, "-")
     else:
         log.info("wrote experiment result to %s", dest)
     return 0
@@ -139,16 +122,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_ablate_seqalign(args) -> int:
     cfg = load_config(args.config)
-    rows = ablate_seqalign(cfg)
-    if args.output == "-":
-        columns = ("strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc")
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(
-                repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns
-            ) + "\n")
-    else:
-        write_ablation_csv(rows, args.output)
+    write_ablation_csv(ablate_seqalign(cfg), args.output)
+    if args.output != "-":
         log.info("wrote ablation table to %s", args.output)
     return 0
 
@@ -247,7 +222,7 @@ def cmd_inspect(args) -> int:
             "seq_len_a": inputs_a.shape[1], "d_a": inputs_a.shape[2],
             "seq_len_b": inputs_b.shape[1], "d_b": inputs_b.shape[2],
         }
-    _emit_json(doc, "-")
+    write_json(doc, "-")
     return 0
 
 
@@ -278,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random baselines")
     p.add_argument("--depth-expand", action="store_true",
                    help="expand the source stack to the target depth first")
-    p.add_argument("--jobs", type=int, default=1, help="parallel per-layer transport")
     p.add_argument("--output", required=True, help="path for the transported checkpoint")
     p.add_argument("--report", default="-", help="path for the JSON report ('-' = stdout)")
     p.set_defaults(func=cmd_transport)

@@ -28,6 +28,10 @@ class ConvergenceError(TaskportError):
     kind = "svd_no_convergence"
 
 
+class NotPositiveDefiniteError(TaskportError):
+    kind = "not_positive_definite"
+
+
 class FormatError(TaskportError):
     """Malformed binary file. ``kind`` narrows to bad_magic / truncated / bad_format."""
 

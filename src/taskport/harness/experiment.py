@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +39,7 @@ __all__ = [
     "warm_start_experiment",
     "ablate_seqalign",
     "write_ablation_csv",
+    "write_json",
 ]
 
 REGIMES = ("independent", "isometric")
@@ -50,15 +53,42 @@ _PROJ_SOURCE = 10
 _PROJ_TARGET = 11
 _ISOMETRY_OFFSET = 13_000_027
 
+_ABLATION_COLUMNS = ("strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc")
+
 _REQUIRED = object()
 
+# JSON value kinds, keyed by the field annotations they check:
+# (accepted Python types, description for the error message).
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "list": ((list,), "a list"),
+}
 
-def _take(data: dict, key: str, prefix: str, default=_REQUIRED):
+
+def _check(value, name: str, kind: str):
+    types, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config key '{name}' must be {what}, got {value!r}")
+    return value
+
+
+def _take(data: dict, key: str, prefix: str, kind: str | None, default=_REQUIRED):
+    """Pop ``key``, type-checked against ``kind`` unless it is None (sections)."""
     if key in data:
-        return data.pop(key)
+        value = data.pop(key)
+        return value if kind is None else _check(value, prefix + key, kind)
     if default is _REQUIRED:
         raise ConfigError(f"missing config key '{prefix}{key}'")
     return default
+
+
+def _take_list(data: dict, key: str, item_kind: str) -> list:
+    items = _take(data, key, "", "list")
+    return [_check(v, f"{key}[{i}]", item_kind) for i, v in enumerate(items)]
 
 
 def _reject_unknown(data: dict, prefix: str) -> None:
@@ -70,6 +100,18 @@ def _section(data, prefix: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{prefix.rstrip('.')}' must be an object")
     return dict(data)
+
+
+def _fields_from_dict(cls, data, prefix: str):
+    """Build a flat config section, checking each value against its field's annotation."""
+    data = _section(data, prefix)
+    kwargs = {
+        f.name: _take(data, f.name, prefix, f.type,
+                      _REQUIRED if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    }
+    _reject_unknown(data, prefix)
+    return cls(**kwargs)
 
 
 @dataclass
@@ -119,14 +161,7 @@ class TaskConfig:
 
     @classmethod
     def from_dict(cls, data, prefix: str = "task.") -> "TaskConfig":
-        data = _section(data, prefix)
-        kwargs = {f: _take(data, f, prefix, getattr(cls, f)) for f in (
-            "n_classes", "d_raw", "tokens", "noise_sigma", "center_scale",
-            "train_per_class", "val_per_class", "test_per_class",
-            "pretrain_per_class", "pretrain_center_shift", "pretrain_noise_sigma",
-        )}
-        _reject_unknown(data, prefix)
-        return cls(**kwargs)
+        return _fields_from_dict(cls, data, prefix)
 
     def to_dict(self) -> dict:
         return {
@@ -168,12 +203,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data, prefix: str) -> "ModelConfig":
-        data = _section(data, prefix)
-        width = _take(data, "width", prefix)
-        depth = _take(data, "depth", prefix, cls.depth)
-        activation = _take(data, "activation", prefix, cls.activation)
-        _reject_unknown(data, prefix)
-        return cls(width=width, depth=depth, activation=activation)
+        return _fields_from_dict(cls, data, prefix)
 
     def to_dict(self) -> dict:
         return {"width": self.width, "depth": self.depth, "activation": self.activation}
@@ -193,11 +223,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data, prefix: str = "train.") -> "TrainConfig":
-        data = _section(data, prefix)
-        kwargs = {f: _take(data, f, prefix, getattr(cls, f))
-                  for f in ("pretrain_steps", "finetune_steps", "lr")}
-        _reject_unknown(data, prefix)
-        return cls(**kwargs)
+        return _fields_from_dict(cls, data, prefix)
 
     def to_dict(self) -> dict:
         return {"pretrain_steps": self.pretrain_steps,
@@ -212,11 +238,7 @@ class SeedConfig:
 
     @classmethod
     def from_dict(cls, data, prefix: str = "seeds.") -> "SeedConfig":
-        data = _section(data, prefix)
-        kwargs = {f: int(_take(data, f, prefix, getattr(cls, f)))
-                  for f in ("data", "init", "calib")}
-        _reject_unknown(data, prefix)
-        return cls(**kwargs)
+        return _fields_from_dict(cls, data, prefix)
 
     def to_dict(self) -> dict:
         return {"data": self.data, "init": self.init, "calib": self.calib}
@@ -291,21 +313,21 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
         data = _section(data, "")
-        task = TaskConfig.from_dict(_take(data, "task", ""))
-        source_model = ModelConfig.from_dict(_take(data, "source_model", ""), "source_model.")
-        target_model = ModelConfig.from_dict(_take(data, "target_model", ""), "target_model.")
-        regime = _take(data, "regime", "")
-        batches_b = int(_take(data, "batches_B", ""))
-        batch_size = int(_take(data, "batch_size", "", cls.batch_size))
-        methods = _take(data, "methods", "")
-        seq_align = _take(data, "seq_align", "")
-        alpha_grid = _take(data, "alpha_grid", "")
-        seeds = SeedConfig.from_dict(_take(data, "seeds", ""))
-        train = _take(data, "train", "", None)
+        task = TaskConfig.from_dict(_take(data, "task", "", None))
+        source_model = ModelConfig.from_dict(_take(data, "source_model", "", None), "source_model.")
+        target_model = ModelConfig.from_dict(_take(data, "target_model", "", None), "target_model.")
+        regime = _take(data, "regime", "", "str")
+        batches_b = _take(data, "batches_B", "", "int")
+        batch_size = _take(data, "batch_size", "", "int", cls.batch_size)
+        methods = _take_list(data, "methods", "str")
+        seq_align = _take(data, "seq_align", "", "str")
+        alpha_grid = _take_list(data, "alpha_grid", "float")
+        seeds = SeedConfig.from_dict(_take(data, "seeds", "", None))
+        train = _take(data, "train", "", None, None)
         train = TrainConfig() if train is None else TrainConfig.from_dict(train)
-        rcond = float(_take(data, "rcond", "", cls.rcond))
-        lam = _take(data, "lambda", "", None)
-        output_path = _take(data, "output_path", "")
+        rcond = float(_take(data, "rcond", "", "float", cls.rcond))
+        lam = _take(data, "lambda", "", "float | None", None)
+        output_path = _take(data, "output_path", "", "str | None")
         _reject_unknown(data, "")
         return cls(
             task=task, source_model=source_model, target_model=target_model,
@@ -471,18 +493,24 @@ def _summarize_layers(layers: list) -> dict:
     return {k: agg(k) for k in ("in_residual", "out_residual", "bilinear_residual")}
 
 
-def evaluate_method(prep: PreparedExperiment, method: str, strategy: str | None = None) -> dict:
-    """Transport with one method, pick alpha on val, and score on test."""
+def _transport(prep: PreparedExperiment, method: str, strategy: str | None = None):
+    """The prepared source update, transported onto the prepared target with one method."""
     cfg = prep.config
     tcfg = TransportConfig(
         method=method, strategy=cfg.seq_align if strategy is None else strategy,
         lam=cfg.lam, rcond=cfg.rcond, seed=cfg.seeds.calib,
     )
     with _stage(f"transport:{method}"):
-        update_b, report = transport_task_vector(
+        return transport_task_vector(
             prep.theta_a, prep.theta_a_ft, prep.theta_b,
             prep.calib_a, prep.calib_b, tcfg,
         )
+
+
+def evaluate_method(prep: PreparedExperiment, method: str, strategy: str | None = None) -> dict:
+    """Transport with one method, pick alpha on val, and score on test."""
+    cfg = prep.config
+    update_b, report = _transport(prep, method, strategy)
     with _stage(f"evaluate:{method}"):
         n_classes = cfg.task.n_classes
         best_alpha, val_acc = alpha_search(
@@ -531,9 +559,7 @@ def run_experiment(cfg_or_path, output_path=None) -> dict:
     }
     target = output_path if output_path is not None else cfg.output_path
     if target is not None and target != "-":
-        with open(target, "w") as f:
-            json.dump(result, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(result, target)
     return result
 
 
@@ -545,15 +571,7 @@ def warm_start_experiment(cfg: ExperimentConfig, steps: int = 150,
     alpha the warm start used.
     """
     prep = prepare_experiment(cfg)
-    tcfg = TransportConfig(
-        method=method, strategy=cfg.seq_align, lam=cfg.lam,
-        rcond=cfg.rcond, seed=cfg.seeds.calib,
-    )
-    with _stage(f"transport:{method}"):
-        update_b, _ = transport_task_vector(
-            prep.theta_a, prep.theta_a_ft, prep.theta_b,
-            prep.calib_a, prep.calib_b, tcfg,
-        )
+    update_b, _ = _transport(prep, method)
     n_classes = cfg.task.n_classes
     best_alpha, _ = alpha_search(
         prep.theta_b, update_b, prep.val_b, prep.val_labels,
@@ -578,22 +596,33 @@ def ablate_seqalign(cfg: ExperimentConfig, method: str = "theseus") -> list:
     rows = []
     for strategy in STRATEGIES:
         res = evaluate_method(prep, method, strategy=strategy)
-        rows.append({
-            "strategy": strategy,
-            "accuracy_before": res["accuracy_before"],
-            "accuracy_after": res["accuracy_after"],
-            "best_alpha": res["best_alpha"],
-            "delta_acc": res["delta_acc"],
-        })
+        rows.append({"strategy": strategy, **{c: res[c] for c in _ABLATION_COLUMNS[1:]}})
     return rows
 
 
-def write_ablation_csv(rows: list, path) -> None:
-    columns = ("strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc")
+@contextlib.contextmanager
+def _output(path):
+    """Text stream writing to ``path``, or to stdout when path is '-'."""
+    if path == "-":
+        yield sys.stdout
+        return
     with open(path, "w", newline="") as f:
+        yield f
+
+
+def write_json(doc: dict, path) -> None:
+    """The one JSON writer: sorted keys, 2-space indent, trailing newline ('-' = stdout)."""
+    with _output(path) as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_ablation_csv(rows: list, path) -> None:
+    """The one ablation CSV writer ('-' = stdout); floats are written with repr."""
+    with _output(path) as f:
         writer = csv.writer(f)
-        writer.writerow(columns)
+        writer.writerow(_ABLATION_COLUMNS)
         for row in rows:
             writer.writerow([
-                repr(v) if isinstance(v, float) else v for v in (row[c] for c in columns)
+                repr(v) if isinstance(v, float) else v for v in (row[c] for c in _ABLATION_COLUMNS)
             ])

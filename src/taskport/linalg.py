@@ -1,5 +1,5 @@
-"""Dense float64 linear algebra: deterministic SVD, pseudo-inverse, ridge solve,
-seeded orthonormal sampling.
+"""Dense float64 linear algebra: cross-covariances, deterministic SVD,
+pseudo-inverse, ridge solve, seeded orthonormal sampling.
 
 All functions take and return plain 2-D ``numpy.float64`` arrays (C order) and
 never modify their inputs. Entries must be finite; NaN/Inf anywhere is an error,
@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NonFiniteError
+from .errors import ConvergenceError, DimensionError, NonFiniteError, NotPositiveDefiniteError
 
 __all__ = [
     "DEFAULT_RCOND",
     "SvdResult",
     "as_matrix",
+    "as_vector",
     "require_finite",
+    "cross_covariance",
     "svd",
     "pseudo_inverse",
     "tikhonov_solve",
@@ -45,6 +47,25 @@ def as_matrix(a, name="matrix"):
         raise DimensionError(f"{name} must have at least one row and one column, got shape {out.shape}")
     require_finite(out, name)
     return out
+
+
+def as_vector(a, length: int, name="vector"):
+    """Coerce to a finite 1-D float64 array of the given length."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.shape != (length,):
+        raise DimensionError(f"{name} has shape {out.shape}, expected ({length},)")
+    return require_finite(out, name)
+
+
+def cross_covariance(h_a, h_b) -> np.ndarray:
+    """``h_a.T @ h_b`` for row-paired activation matrices."""
+    h_a = as_matrix(h_a, "h_a")
+    h_b = as_matrix(h_b, "h_b")
+    if h_a.shape[0] != h_b.shape[0]:
+        raise DimensionError(
+            f"cross-covariance needs row-paired inputs, got {h_a.shape[0]} vs {h_b.shape[0]} rows"
+        )
+    return h_a.T @ h_b
 
 
 @dataclass(frozen=True)
@@ -99,9 +120,11 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
 def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:
     """Solve ``(gram + lam * I) x = rhs`` for symmetric PSD ``gram`` and ``lam > 0``.
 
-    Uses a Cholesky factorization of the shifted matrix, so an indefinite input
-    fails loudly instead of returning garbage. ``rhs`` may be a vector or a
-    matrix of stacked right-hand sides; the output has the same shape.
+    Uses a Cholesky factorization of the shifted matrix, so an indefinite input,
+    or a lam too small to lift a singular gram, fails loudly with
+    NotPositiveDefiniteError instead of returning garbage. ``rhs`` may be a
+    vector or a matrix of stacked right-hand sides; the output has the same
+    shape.
     """
     gram = as_matrix(gram, "gram")
     n = gram.shape[0]
@@ -119,7 +142,9 @@ def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"gram + lam*I is not positive definite (lam={lam}): {exc}") from exc
+        raise NotPositiveDefiniteError(
+            f"gram + lam*I is not positive definite (lam={lam}): {exc}"
+        ) from exc
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 

@@ -9,6 +9,7 @@ pre-nonlinearity value.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -293,7 +294,8 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+        # Python ints, so huge header dims cannot wrap before take() checks the length.
+        count = math.prod(shape)
         raw = self.take(8 * count)
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 

@@ -9,25 +9,26 @@ conjugates the source update with those maps:
 
     new_update = out_map.T @ source_update @ in_map
 
-with maps stored source -> target as (d_src, d_dst) row-orthonormal matrices.
-Conjugation with row-orthonormal maps preserves the Frobenius norm of the
-update exactly; ``transport_update`` asserts both the output shape and that
-identity. When the source side is wider than the target side the Procrustes
-roles are swapped internally and the transposed map is applied (the norm
-identity no longer holds in that direction, by necessity).
+with each map applied source -> target as a (d_src, d_dst) matrix. A side
+whose source is no wider than its target is solved directly; its map has
+orthonormal rows and conjugation keeps the update's Frobenius norm exactly. A
+side whose source is wider is solved with the Procrustes roles swapped and
+flagged ``*_swapped``; its map is applied transposed, has orthonormal columns,
+and can only shrink the norm. ``transport_update`` asserts the norm identity on
+every unswapped side and that no swapped side grows the norm.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import baselines
 from .errors import ConfigError, DepthMismatchError, DimensionError, TaskportError
-from .linalg import as_matrix, require_finite, svd, DEFAULT_RCOND
+from .linalg import DEFAULT_RCOND, as_matrix, as_vector, cross_covariance, require_finite, svd
 from .model import (
     ActivationRecord,
     Checkpoint,
@@ -53,8 +54,6 @@ __all__ = [
     "transport_model",
 ]
 
-METHODS = ("theseus", "pinv", "pinv_tikhonov", "zero_pad", "random", "random_source")
-
 # Above this many calibration rows the coupling residual is evaluated through
 # feature-space Gram matrices instead of materializing the rows x rows coupling.
 NAIVE_RESIDUAL_MAX_ROWS = 512
@@ -62,25 +61,30 @@ NAIVE_RESIDUAL_MAX_ROWS = 512
 
 @dataclass(frozen=True)
 class ProcrustesMap:
-    """Orthonormal alignment maps for one layer, stored source -> target.
+    """Orthonormal alignment maps for one layer, stored as solved.
 
-    ``in_map`` is (d_in_src, d_in_dst), ``out_map`` is (d_out_src, d_out_dst);
-    both have orthonormal rows (so the source side must not be wider). The
-    residuals are the Frobenius misfits ``|h_src @ map - h_dst|`` at the optimum.
+    Every map has orthonormal rows. On an unswapped side it is stored source
+    -> target: ``in_map`` is (d_in_src, d_in_dst), ``out_map`` is
+    (d_out_src, d_out_dst). A side flagged ``in_swapped``/``out_swapped`` has
+    a wider source, was solved target -> source, is stored (d_dst, d_src) and
+    is applied transposed. The residuals are the Frobenius misfits of the
+    solved alignment at the optimum.
     """
 
     in_map: np.ndarray
     out_map: np.ndarray
     in_residual: float = 0.0
     out_residual: float = 0.0
+    in_swapped: bool = False
+    out_swapped: bool = False
 
     def __post_init__(self):
         for name, m in (("in_map", self.in_map), ("out_map", self.out_map)):
             m = as_matrix(m, name)
             if m.shape[0] > m.shape[1]:
                 raise DimensionError(
-                    f"{name} is {m.shape[0]}x{m.shape[1]}; maps are stored source -> target "
-                    f"with the source side no wider than the target side"
+                    f"{name} is {m.shape[0]}x{m.shape[1]}; maps are stored as solved, "
+                    f"narrow side first (source -> target unless the side is swapped)"
                 )
             gram = m @ m.T
             if not np.allclose(gram, np.eye(m.shape[0]), atol=1e-8):
@@ -125,17 +129,6 @@ class TransportConfig:
         }
 
 
-def cross_covariance(h_a, h_b) -> np.ndarray:
-    """``h_a.T @ h_b`` for row-paired activation matrices."""
-    h_a = as_matrix(h_a, "h_a")
-    h_b = as_matrix(h_b, "h_b")
-    if h_a.shape[0] != h_b.shape[0]:
-        raise DimensionError(
-            f"cross-covariance needs row-paired inputs, got {h_a.shape[0]} vs {h_b.shape[0]} rows"
-        )
-    return h_a.T @ h_b
-
-
 def procrustes_align(h_src, h_dst) -> tuple[np.ndarray, float]:
     """Best row-orthonormal map t minimizing ``|h_src @ t - h_dst|``.
 
@@ -156,53 +149,68 @@ def procrustes_align(h_src, h_dst) -> tuple[np.ndarray, float]:
 
 
 def procrustes_maps(hin_a, hin_b, hout_a, hout_b) -> ProcrustesMap:
-    """Alignment maps for both sides of a layer from paired calibration activations."""
-    in_map, in_residual = procrustes_align(hin_a, hin_b)
-    out_map, out_residual = procrustes_align(hout_a, hout_b)
-    return ProcrustesMap(
-        in_map=in_map, out_map=out_map, in_residual=in_residual, out_residual=out_residual
-    )
+    """Alignment maps for both sides of a layer from paired calibration activations.
+
+    A side whose source activations are wider than the target's is solved with
+    the roles swapped and flagged, so every map comes out row-orthonormal.
+    """
+    sides = {}
+    for side, h_src, h_dst in (("in", hin_a, hin_b), ("out", hout_a, hout_b)):
+        swapped = np.shape(h_src)[-1] > np.shape(h_dst)[-1]
+        t, residual = procrustes_align(h_dst, h_src) if swapped else procrustes_align(h_src, h_dst)
+        sides.update({f"{side}_map": t, f"{side}_residual": residual, f"{side}_swapped": swapped})
+    return ProcrustesMap(**sides)
+
+
+def _applied(m: np.ndarray, swapped: bool) -> np.ndarray:
+    """A stored map in the source -> target orientation conjugation applies."""
+    return m.T if swapped else m
+
+
+def _check_norm(side: str, before, after, swapped: bool) -> None:
+    """Orthonormal rows keep the Frobenius norm to 1e-10 relative; the
+    orthonormal columns of a swapped side may shrink it but never grow it."""
+    n0 = float(np.linalg.norm(before))
+    n1 = float(np.linalg.norm(after))
+    slack = 1e-10 * n0 + 1e-300
+    if n1 > n0 + slack or (not swapped and n1 < n0 - slack):
+        rule = "bound" if swapped else "identity"
+        raise TaskportError(
+            f"transport broke the norm {rule} on the {side} side: |update| went {n0!r} -> {n1!r}",
+            kind="norm_identity_violation",
+        )
 
 
 def transport_update(update_src, pmap: ProcrustesMap) -> np.ndarray:
     """Conjugate a (d_out_src, d_in_src) update into target coordinates.
 
-    Output shape is (d_out_dst, d_in_dst) and the Frobenius norm matches the
-    source update to 1e-10 relative; both are asserted, not assumed.
+    The output is (d_out_dst, d_in_dst). Its Frobenius norm matches the source
+    update to 1e-10 relative per side when neither side is swapped, and does
+    not grow otherwise; the norm is checked after each side, not assumed.
     """
     update_src = as_matrix(update_src, "update")
-    d_out_src, d_out_dst = pmap.out_map.shape
-    d_in_src, d_in_dst = pmap.in_map.shape
-    if update_src.shape != (d_out_src, d_in_src):
+    in_map = _applied(pmap.in_map, pmap.in_swapped)
+    out_map = _applied(pmap.out_map, pmap.out_swapped)
+    if update_src.shape != (out_map.shape[0], in_map.shape[0]):
         raise DimensionError(
             f"update shape {update_src.shape} does not match maps "
-            f"({d_out_src} out, {d_in_src} in on the source side)"
+            f"({out_map.shape[0]} out, {in_map.shape[0]} in on the source side)"
         )
-    out = pmap.out_map.T @ update_src @ pmap.in_map
-    if out.shape != (d_out_dst, d_in_dst):
-        raise TaskportError(
-            f"transported update has shape {out.shape}, expected ({d_out_dst}, {d_in_dst})"
-        )
-    norm_src = float(np.linalg.norm(update_src))
-    norm_dst = float(np.linalg.norm(out))
-    if abs(norm_dst - norm_src) > 1e-10 * norm_src + 1e-300:
-        raise TaskportError(
-            f"transport broke the norm identity: |update| went {norm_src!r} -> {norm_dst!r}",
-            kind="norm_identity_violation",
-        )
+    left = out_map.T @ update_src
+    _check_norm("output", update_src, left, pmap.out_swapped)
+    out = left @ in_map
+    _check_norm("input", left, out, pmap.in_swapped)
     return out
 
 
 def transport_bias(bias_delta, pmap: ProcrustesMap) -> np.ndarray:
-    """Bias deltas live in the output space only, so they ride the output map alone."""
-    b = np.asarray(bias_delta, dtype=np.float64)
-    if b.ndim != 1 or b.shape[0] != pmap.out_map.shape[0]:
-        raise DimensionError(
-            f"bias delta shape {b.shape} does not match the output map source side "
-            f"({pmap.out_map.shape[0]},)"
-        )
-    require_finite(b, "bias delta")
-    return pmap.out_map.T @ b
+    """Bias deltas live in the output space only, so they ride the output map
+    alone, under the output side's norm check."""
+    out_map = _applied(pmap.out_map, pmap.out_swapped)
+    b = as_vector(bias_delta, out_map.shape[0], "bias delta")
+    out = out_map.T @ b
+    _check_norm("output", b, out, pmap.out_swapped)
+    return out
 
 
 def _trace_product(p, q) -> float:
@@ -300,20 +308,6 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
     )
 
 
-def _oriented_map(h_src, h_dst) -> tuple[np.ndarray, float, bool]:
-    """Alignment map in source -> target orientation regardless of which side is wider.
-
-    Returns (map, residual, swapped). When the source side is wider the
-    Procrustes problem is solved with the roles swapped and the transposed map
-    is returned; it then has orthonormal columns instead of rows.
-    """
-    if h_src.shape[1] <= h_dst.shape[1]:
-        t, residual = procrustes_align(h_src, h_dst)
-        return t, residual, False
-    t, residual = procrustes_align(h_dst, h_src)
-    return t.T, residual, True
-
-
 def _aligned_flat(rec_a: ActivationRecord, rec_b: ActivationRecord, strategy: str):
     """Length-align one layer's activation records and flatten tokens into rows."""
     la, lb = rec_a.h_in.shape[1], rec_b.h_in.shape[1]
@@ -332,96 +326,82 @@ def _aligned_flat(rec_a: ActivationRecord, rec_b: ActivationRecord, strategy: st
     return tuple(flatten_tokens(h) for h in (a_in, a_out, b_in, b_out))
 
 
-def _conjugate(update, in_map, out_map, d_out_dst: int, d_in_dst: int) -> np.ndarray:
-    out = out_map.T @ update @ in_map
-    if out.shape != (d_out_dst, d_in_dst):
-        raise TaskportError(
-            f"transported update has shape {out.shape}, expected ({d_out_dst}, {d_in_dst})"
-        )
-    require_finite(out, "transported update")
-    return out
+def _theseus(acts, delta, bias, spec_b, cfg, seed):
+    hin_a, hout_a, hin_b, hout_b = acts
+    pmap = procrustes_maps(hin_a, hin_b, hout_a, hout_b)
+    new_bias = None if bias is None else transport_bias(bias, pmap)
+    return transport_update(delta, pmap), new_bias, pmap
+
+
+def _norm_matched_random(d_out, d_in, delta, bias, seed):
+    """Seeded Gaussian update, and bias delta when one is given, with the source's norms."""
+    new = baselines.random_update(d_out, d_in, float(np.linalg.norm(delta)), seed)
+    if bias is None:
+        return new, None
+    return new, baselines.random_update(d_out, 1, float(np.linalg.norm(bias)), seed + 7919).ravel()
+
+
+def _random_source(acts, delta, bias, spec_b, cfg, seed):
+    src, bias_src = _norm_matched_random(*delta.shape, delta, bias, seed)
+    return _theseus(acts, src, bias_src, spec_b, cfg, seed)
+
+
+def _random(acts, delta, bias, spec_b, cfg, seed):
+    return *_norm_matched_random(spec_b.d_out, spec_b.d_in, delta, bias, seed), None
+
+
+def _zero_pad(acts, delta, bias, spec_b, cfg, seed):
+    new_delta = baselines.zero_pad_update(delta, spec_b.d_out, spec_b.d_in)
+    new_bias = None
+    if bias is not None:  # the update was checked not to shrink, so the bias fits
+        new_bias = baselines.zero_pad_update(bias[:, None], spec_b.d_out, 1).ravel()
+    return new_delta, new_bias, None
+
+
+def _pinv(acts, delta, bias, spec_b, cfg, seed):
+    return *baselines.gram_transport(*acts, delta, bias, rcond=cfg.rcond), None
+
+
+def _pinv_tikhonov(acts, delta, bias, spec_b, cfg, seed):
+    return *baselines.gram_transport(*acts, delta, bias, lam=cfg.lam), None
+
+
+# Per-layer transport by method name. Each entry maps (aligned activations
+# (hin_a, hout_a, hin_b, hout_b), update, bias delta or None, target layer
+# spec, config, layer seed) to (update, bias delta or None, the ProcrustesMap
+# it used or None).
+_LAYER_METHODS = {
+    "theseus": _theseus,
+    "pinv": _pinv,
+    "pinv_tikhonov": _pinv_tikhonov,
+    "zero_pad": _zero_pad,
+    "random": _random,
+    "random_source": _random_source,
+}
+METHODS = tuple(_LAYER_METHODS)
 
 
 def _transport_layer(layer_index, spec_b, rec_a, rec_b, delta, bias_delta, cfg: TransportConfig):
-    from . import baselines  # local import; baselines builds on this module
-
-    hin_a, hout_a, hin_b, hout_b = _aligned_flat(rec_a, rec_b, cfg.strategy)
-    d_out_b, d_in_b = spec_b.d_out, spec_b.d_in
-    in_residual = out_residual = None
-    want_bias = spec_b.has_bias and bias_delta is not None
-
-    if cfg.method in ("theseus", "random_source"):
-        in_map, in_residual, in_swapped = _oriented_map(hin_a, hin_b)
-        out_map, out_residual, out_swapped = _oriented_map(hout_a, hout_b)
-        if cfg.method == "random_source":
-            src = baselines.random_update(
-                delta.shape[0], delta.shape[1], float(np.linalg.norm(delta)), cfg.seed + layer_index
-            )
-            bias_src = None
-            if want_bias:
-                bias_src = baselines.random_update(
-                    bias_delta.shape[0], 1, float(np.linalg.norm(bias_delta)),
-                    cfg.seed + layer_index + 7919,
-                ).ravel()
-        else:
-            src, bias_src = delta, bias_delta
-        if not in_swapped and not out_swapped:
-            pmap = ProcrustesMap(
-                in_map=in_map, out_map=out_map,
-                in_residual=in_residual, out_residual=out_residual,
-            )
-            new_delta = transport_update(src, pmap)
-            new_bias = transport_bias(bias_src, pmap) if want_bias else None
-        else:
-            new_delta = _conjugate(src, in_map, out_map, d_out_b, d_in_b)
-            new_bias = out_map.T @ bias_src if want_bias else None
-    elif cfg.method == "pinv":
-        new_delta = baselines.pinv_transport(hin_a, hout_a, hin_b, hout_b, delta, rcond=cfg.rcond)
-        new_bias = (
-            baselines.gram_bias_transport(hout_a, hout_b, bias_delta, rcond=cfg.rcond)
-            if want_bias else None
-        )
-    elif cfg.method == "pinv_tikhonov":
-        new_delta = baselines.tikhonov_transport(hin_a, hout_a, hin_b, hout_b, delta, lam=cfg.lam)
-        new_bias = (
-            baselines.gram_bias_transport(hout_a, hout_b, bias_delta, lam=cfg.lam)
-            if want_bias else None
-        )
-    elif cfg.method == "zero_pad":
-        new_delta = baselines.zero_pad_update(delta, d_out_b, d_in_b)
-        new_bias = None
-        if want_bias:
-            # zero_pad_update has already rejected shrinking, so the bias fits.
-            new_bias = np.zeros(d_out_b)
-            new_bias[: bias_delta.shape[0]] = bias_delta
-    elif cfg.method == "random":
-        new_delta = baselines.random_update(
-            d_out_b, d_in_b, float(np.linalg.norm(delta)), cfg.seed + layer_index
-        )
-        new_bias = None
-        if want_bias:
-            new_bias = baselines.random_update(
-                d_out_b, 1, float(np.linalg.norm(bias_delta)), cfg.seed + layer_index + 7919
-            ).ravel()
-    else:  # pragma: no cover - TransportConfig already validated the method
-        raise ConfigError(f"unknown method {cfg.method!r}")
-
-    if new_delta.shape != (d_out_b, d_in_b):
-        raise TaskportError(
-            f"transported update has shape {new_delta.shape}, expected ({d_out_b}, {d_in_b})"
-        )
+    acts = _aligned_flat(rec_a, rec_b, cfg.strategy)
+    bias = bias_delta if spec_b.has_bias else None
+    new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
+        acts, delta, bias, spec_b, cfg, cfg.seed + layer_index
+    )
+    shape = (spec_b.d_out, spec_b.d_in)
+    if new_delta.shape != shape:
+        raise TaskportError(f"transported update has shape {new_delta.shape}, expected {shape}")
     require_finite(new_delta, "transported update")
     if new_bias is not None:
         require_finite(new_bias, "transported bias delta")
 
-    stats = {
-        "layer_index": layer_index,
-        "in_residual": None if in_residual is None else float(in_residual),
-        "out_residual": None if out_residual is None else float(out_residual),
+    stats = {"layer_index": layer_index}
+    for key in ("in_residual", "out_residual", "in_swapped", "out_swapped"):
+        stats[key] = None if pmap is None else getattr(pmap, key)
+    stats.update({
         "tau_norm_src": float(np.linalg.norm(delta)),
         "tau_norm_dst": float(np.linalg.norm(new_delta)),
-        "bilinear_residual": bilinear_residual(hin_a, hout_a, hin_b, hout_b, delta, new_delta),
-    }
+        "bilinear_residual": bilinear_residual(*acts, delta, new_delta),
+    })
     return new_delta, new_bias, stats
 
 
@@ -432,7 +412,6 @@ def transport_task_vector(
     calib_inputs_a,
     calib_inputs_b,
     cfg: TransportConfig,
-    jobs: int = 1,
 ) -> tuple[TaskVector, dict]:
     """Move the update (theta_a_ft - theta_a) into theta_b's coordinates.
 
@@ -446,8 +425,6 @@ def transport_task_vector(
             f"source has {theta_a.depth} layers, target has {theta_b.depth}; "
             f"expand the shallower stack first"
         )
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     update_a = task_vector(theta_a, theta_a_ft)
     ca = np.asarray(calib_inputs_a, dtype=np.float64)
     cb = np.asarray(calib_inputs_b, dtype=np.float64)
@@ -459,26 +436,15 @@ def transport_task_vector(
     _, rec_a = forward_collect(theta_a, ca)
     _, rec_b = forward_collect(theta_b, cb)
 
-    def run_layer(idx: int):
+    results = []
+    for idx in range(theta_a.depth):
         try:
-            return _transport_layer(
-                idx,
-                theta_b.layer_specs[idx],
-                rec_a[idx],
-                rec_b[idx],
-                update_a.deltas[idx],
-                update_a.bias_deltas[idx],
-                cfg,
-            )
+            results.append(_transport_layer(
+                idx, theta_b.layer_specs[idx], rec_a[idx], rec_b[idx],
+                update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
+            ))
         except TaskportError as exc:
             raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
-
-    indices = range(theta_a.depth)
-    if jobs == 1:
-        results = [run_layer(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_layer, indices))
 
     deltas = [r[0] for r in results]
     bias_deltas = [r[1] for r in results]
@@ -494,11 +460,10 @@ def transport_model(
     calib_inputs_b,
     cfg: TransportConfig,
     alpha: float = 1.0,
-    jobs: int = 1,
 ) -> tuple[Checkpoint, dict]:
     """Full per-layer pipeline: transport the update and apply it at strength alpha."""
     update_b, report = transport_task_vector(
-        theta_a, theta_a_ft, theta_b, calib_inputs_a, calib_inputs_b, cfg, jobs=jobs
+        theta_a, theta_a_ft, theta_b, calib_inputs_a, calib_inputs_b, cfg
     )
     out = apply_update(theta_b, update_b, alpha)
     report = {**report, "alpha": float(alpha)}

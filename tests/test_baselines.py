@@ -5,13 +5,13 @@ from helpers import full_rank_activations, rank_deficient_witness, small_checkpo
 from taskport.baselines import (
     gram_bias_transport,
     pinv_transport,
-    random_source_transport,
     random_update,
     tikhonov_transport,
     zero_pad_update,
 )
 from taskport.errors import DimensionError
 from taskport.linalg import random_orthonormal_rows
+from taskport.model import task_vector
 from taskport.transport import (
     ProcrustesMap,
     TransportConfig,
@@ -205,16 +205,25 @@ def test_gram_bias_rejects_shape_mismatch():
 
 
 def test_random_source_norm_and_determinism():
-    pmap = ProcrustesMap(
-        in_map=random_orthonormal_rows(3, 5, 18),
-        out_map=random_orthonormal_rows(2, 4, 19),
-    )
-    a = random_source_transport(pmap, 1.5, seed=20)
-    b = random_source_transport(pmap, 1.5, seed=20)
-    assert a.shape == (4, 5)
-    assert abs(np.linalg.norm(a) - 1.5) <= 1e-10
-    assert a.tobytes() == b.tobytes()
-    np.testing.assert_array_equal(random_source_transport(pmap, 0.0, seed=20), np.zeros((4, 5)))
+    # Every side widens, so the random update keeps the source update's norm.
+    theta_a = small_checkpoint(widths=(3, 4, 2), seed=34)
+    theta_a_ft = small_checkpoint(widths=(3, 4, 2), seed=35)
+    theta_b = small_checkpoint(widths=(3, 5, 4), seed=36)
+    calib = np.random.default_rng(37).standard_normal((8, 2, 3))
+    cfg = TransportConfig(method="random_source", strategy="interp1d", seed=20)
+    a, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib, cfg)
+    b, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib, cfg)
+    source = task_vector(theta_a, theta_a_ft)
+    for idx in range(theta_b.depth):
+        assert a.deltas[idx].shape == theta_b.weights[idx].shape
+        for got, want in ((a.deltas[idx], source.deltas[idx]),
+                          (a.bias_deltas[idx], source.bias_deltas[idx])):
+            assert abs(np.linalg.norm(got) - np.linalg.norm(want)) <= 1e-10 * np.linalg.norm(want)
+        assert a.deltas[idx].tobytes() == b.deltas[idx].tobytes()
+        assert a.bias_deltas[idx].tobytes() == b.bias_deltas[idx].tobytes()
+    zero, _ = transport_task_vector(theta_a, theta_a, theta_b, calib, calib, cfg)
+    for idx, delta in enumerate(zero.deltas):
+        np.testing.assert_array_equal(delta, np.zeros(theta_b.weights[idx].shape))
 
 
 # -- activation independence -------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ def test_transport_unknown_method_lists_the_valid_set(fixtures_dir, tmp_path, ca
     assert "unknown method" in err and "theseus" in err and "pinv-tikh" in err
 
 
+def test_transport_tiny_lambda_is_one_error_line(fixtures_dir, tmp_path, capsys):
+    # The demo target's Grams are singular, and 1e-320 cannot lift them.
+    args = transport_args(fixtures_dir, tmp_path / "x.tpk", method="pinv-tikh")
+    assert main(args + ["--lambda", "1e-320"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("not_positive_definite: layer 0: ")
+
+
 def test_transport_missing_input_reports_io_error(fixtures_dir, tmp_path, capsys):
     args = transport_args(fixtures_dir, tmp_path / "x.tpk")
     args[args.index("--source") + 1] = str(tmp_path / "nope.tpk")
@@ -192,6 +201,21 @@ def test_experiment_rejects_unknown_method_in_config(tmp_path, capsys):
     assert "unknown method" in err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"batches_B": "abc"}, "batches_B"),
+    ({"batch_size": "x"}, "batch_size"),
+    ({"seeds": {"data": "q", "init": 1, "calib": 1}}, "seeds.data"),
+    ({"source_model": {"width": "16"}}, "source_model.width"),
+    ({"methods": "theseus"}, "methods"),
+])
+def test_experiment_type_checks_config_values(tmp_path, capsys, overrides, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config_payload(**overrides)))
+    assert main(["experiment", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bad_config: config key '{key}' must be ")
+
+
 def test_experiment_rejects_malformed_json(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{not json")
@@ -225,6 +249,9 @@ def test_ablate_seqalign_stdout_and_file_agree(tmp_path, capsys):
     file_lines = csv_path.read_text().strip().splitlines()
     assert file_lines[0] == stdout_lines[0]
     assert [line.split(",")[0] for line in file_lines[1:]] == ["mean", "interp1d", "interp2d"]
+    # One writer: stdout carries the file's exact bytes.
+    assert main(["ablate-seqalign", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.encode() == csv_path.read_bytes()
 
 
 # -- inspect ----------------------------------------------------------------------
@@ -245,6 +272,15 @@ def test_inspect_calibration_header(fixtures_dir, capsys):
     assert doc["format"] == "TPC1"
     assert doc["n_samples"] == 64
     assert doc["d_a"] == 6 and doc["d_b"] == 9
+
+
+def test_inspect_huge_calibration_header_is_truncated(tmp_path, capsys):
+    # 2**22 cubed float64 entries overflow a fixed-width element count.
+    path = tmp_path / "huge.tpc"
+    path.write_bytes(b"TPC1" + struct.pack("<IIIII", 1 << 22, 1 << 22, 1 << 22, 1, 1))
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("truncated: ")
 
 
 def test_inspect_rejects_unknown_magic(tmp_path, capsys):

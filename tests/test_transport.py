@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import assert_checkpoint_equal, full_rank_activations, small_checkpoint
-from taskport.errors import ConfigError, DepthMismatchError, DimensionError
+from taskport.errors import ConfigError, DepthMismatchError, DimensionError, TaskportError
 from taskport.linalg import pseudo_inverse, random_orthonormal_rows
 from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
 from taskport.transport import (
@@ -105,6 +107,11 @@ def test_procrustes_maps_bundles_both_sides():
     np.testing.assert_allclose(pmap.in_map, q_in, atol=1e-8)
     np.testing.assert_allclose(pmap.out_map, q_out, atol=1e-8)
     assert pmap.in_residual <= 1e-8 and pmap.out_residual <= 1e-8
+    assert not pmap.in_swapped and not pmap.out_swapped
+    # Wider sources are solved target -> source and stored as solved.
+    rev = procrustes_maps(hin_a @ q_in, hin_a, hout_a, hout_a @ q_out)
+    assert rev.in_swapped and not rev.out_swapped
+    np.testing.assert_allclose(rev.in_map, q_in, atol=1e-8)
 
 
 def test_equal_width_full_rank_maps_are_square_orthogonal():
@@ -160,6 +167,55 @@ def test_transport_update_preserves_norm(d_in_a, in_extra, d_out_a, out_extra, s
     )
     out = transport_update(tau, pmap)
     assert abs(np.linalg.norm(out) - np.linalg.norm(tau)) <= 1e-10 * np.linalg.norm(tau)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 24), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24),
+    st.integers(0, 2**16),
+)
+def test_single_conjugation_both_directions(d_in_a, d_in_b, d_out_a, d_out_b, seed):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 24)))
+    tau = rng.standard_normal((d_out_a, d_in_a))
+    bias = rng.standard_normal(d_out_a)
+    in_swapped, out_swapped = d_in_a > d_in_b, d_out_a > d_out_b
+    # Maps as solved: orthonormal rows, narrow side first.
+    in_map = random_orthonormal_rows(
+        min(d_in_a, d_in_b), max(d_in_a, d_in_b), np.random.SeedSequence((seed, 25))
+    )
+    out_map = random_orthonormal_rows(
+        min(d_out_a, d_out_b), max(d_out_a, d_out_b), np.random.SeedSequence((seed, 26))
+    )
+    pmap = ProcrustesMap(
+        in_map=in_map, out_map=out_map, in_swapped=in_swapped, out_swapped=out_swapped
+    )
+    in_eff = in_map.T if in_swapped else in_map
+    out_eff = out_map.T if out_swapped else out_map
+    out = transport_update(tau, pmap)
+    assert out.shape == (d_out_b, d_in_b)
+    assert out.tobytes() == (out_eff.T @ tau @ in_eff).tobytes()
+    assert transport_bias(bias, pmap).tobytes() == (out_eff.T @ bias).tobytes()
+    norm_src, norm_dst = np.linalg.norm(tau), np.linalg.norm(out)
+    if in_swapped or out_swapped:
+        assert norm_dst <= norm_src * (1.0 + 1e-10)
+    else:
+        assert abs(norm_dst - norm_src) <= 1e-10 * norm_src
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_norm_checks_catch_a_stretching_map(swapped):
+    # Rows orthonormal within the 1e-8 validation tolerance, yet the map
+    # stretches the first coordinate by 1e-9: the side's norm check catches it.
+    stretch = np.diag([1.0 + 1e-9, 1.0])
+    rule = "bound" if swapped else "identity"
+    pmap = ProcrustesMap(in_map=stretch, out_map=np.eye(1), in_swapped=swapped)
+    with pytest.raises(TaskportError, match=f"norm {rule} on the input side"):
+        transport_update(np.array([[1.0, 0.0]]), pmap)
+    pmap = ProcrustesMap(in_map=np.eye(1), out_map=stretch, out_swapped=swapped)
+    with pytest.raises(TaskportError, match=f"norm {rule} on the output side"):
+        transport_update(np.array([[1.0], [0.0]]), pmap)
+    with pytest.raises(TaskportError, match=f"norm {rule} on the output side"):
+        transport_bias(np.array([1.0, 0.0]), pmap)
 
 
 def test_transport_bias_rides_output_map():
@@ -422,15 +478,6 @@ def test_transport_layer_errors_name_the_layer():
         transport_task_vector(theta_a, theta_a_ft, shrunk, calib_a, calib_a, cfg)
 
 
-def test_parallel_layers_match_serial():
-    theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=50)
-    cfg = TransportConfig(method="theseus", strategy="interp1d")
-    serial, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, jobs=1)
-    parallel, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, jobs=2)
-    for d1, d2 in zip(serial.deltas, parallel.deltas):
-        assert d1.tobytes() == d2.tobytes()
-
-
 def test_report_structure():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=51)
     cfg = TransportConfig(method="theseus", strategy="interp1d")
@@ -440,7 +487,8 @@ def test_report_structure():
     assert len(report["layers"]) == 2
     for idx, layer in enumerate(report["layers"]):
         assert layer["layer_index"] == idx
-        for key in ("in_residual", "out_residual", "tau_norm_src", "tau_norm_dst", "bilinear_residual"):
+        for key in ("in_residual", "out_residual", "in_swapped", "out_swapped",
+                    "tau_norm_src", "tau_norm_dst", "bilinear_residual"):
             assert key in layer
     # Conjugation preserves the per-layer update norm.
     for layer in report["layers"]:
@@ -459,6 +507,11 @@ def test_big_to_small_direction_swaps_roles():
     assert update.deltas[1].shape == (2, 4)
     assert np.all(np.isfinite(update.deltas[0]))
     assert report["layers"][0]["tau_norm_dst"] <= report["layers"][0]["tau_norm_src"] + 1e-9
+    # Layer 0 narrows its output side (6 -> 4), layer 1 its input side.
+    layers = report["layers"]
+    assert [(l["in_swapped"], l["out_swapped"]) for l in layers] == [(False, True), (True, False)]
+    ckpt, _ = transport_model(theta_a, theta_a_ft, theta_b, calib_a, calib_a, cfg)
+    assert json.loads(ckpt.meta["transport_residuals"]) == layers
 
 
 def test_transport_config_validation():
@@ -474,9 +527,7 @@ def test_transport_config_validation():
     assert set(echo) == {"method", "seq_align", "lambda", "rcond", "seed"}
 
 
-def test_transport_rejects_bad_jobs_and_calibration():
+def test_transport_rejects_unpaired_calibration():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=53)
-    with pytest.raises(ConfigError, match="jobs"):
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig(), jobs=0)
     with pytest.raises(DimensionError, match="pair"):
         transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b[:-1], TransportConfig())
