@@ -26,8 +26,6 @@ __all__ = [
     "random_update",
     "gram_transport",
     "pinv_transport",
-    "tikhonov_transport",
-    "gram_bias_transport",
 ]
 
 
@@ -119,29 +117,9 @@ def gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, bias_delta=None,
 
 
 def pinv_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """``gram_transport`` of the update through pseudo-inverses of the target Grams."""
+    """``gram_transport`` of the update through pseudo-inverses of the target Grams.
+
+    Kept by name because the benchmark's per-layer trace (``perfbench/spans.py``)
+    lists it; it goes once that trace names ``gram_transport`` instead.
+    """
     return gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond=rcond)[0]
-
-
-def tikhonov_transport(hin_a, hout_a, hin_b, hout_b, update_a, lam: float | None = None) -> np.ndarray:
-    """pinv_transport with ridge-regularized Gram solves instead of pseudo-inverses.
-
-    lam=None resolves per Gram side to 1e-3 times its mean diagonal; an explicit
-    lam is used as given on both sides and must be positive.
-    """
-    return gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, lam=lam)[0]
-
-
-def gram_bias_transport(hout_a, hout_b, bias_delta, rcond: float | None = None,
-                        lam: float | None = None) -> np.ndarray:
-    """The bias half of ``gram_transport`` on its own.
-
-    Matches the constant output shift induced by the bias delta:
-    ``new = (hout_b.T hout_b)^+ (hout_b.T hout_a) delta`` (ridge-solved when
-    rcond is None).
-    """
-    hout_a = as_matrix(hout_a, "hout_a")
-    hout_b = as_matrix(hout_b, "hout_b")
-    b = as_vector(bias_delta, hout_a.shape[1], "bias delta")
-    rhs = cross_covariance(hout_a, hout_b).T @ b
-    return _gram_solve(cross_covariance(hout_b, hout_b), rhs, rcond, lam)

@@ -8,7 +8,6 @@ Verbosity is controlled by the TASKPORT_LOG env var (error, info, debug).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,7 +22,6 @@ from .model import (
     TaskVector,
     apply_update,
     init_checkpoint,
-    load_activations,
     load_calibration,
     load_checkpoint,
     save_calibration,
@@ -181,21 +179,12 @@ def _write_demo_config(path, seed: int) -> None:
         batches_b=4,
         output_path=None,
     )
-    with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2)
-        f.write("\n")
-
-
-_MAGICS = {b"TPK1": "checkpoint", b"TPA1": "activations", b"TPC1": "calibration"}
+    write_json(cfg.to_dict(), path)
 
 
 def cmd_inspect(args) -> int:
     with open(args.path, "rb") as f:
         magic = f.read(4)
-    if magic not in _MAGICS:
-        raise FormatError(
-            f"unrecognized magic {magic!r}, known: TPK1, TPA1, TPC1", kind="bad_magic"
-        )
     if magic == b"TPK1":
         ckpt = load_checkpoint(args.path)
         doc = {
@@ -208,20 +197,15 @@ def cmd_inspect(args) -> int:
             ],
             "meta": dict(ckpt.meta),
         }
-    elif magic == b"TPA1":
-        rec = load_activations(args.path)
-        n, l, d_in = rec.h_in.shape
-        doc = {
-            "format": "TPA1", "layer_index": rec.layer_index,
-            "n_samples": n, "seq_len": l, "d_in": d_in, "d_out": rec.h_out.shape[2],
-        }
-    else:
+    elif magic == b"TPC1":
         inputs_a, inputs_b = load_calibration(args.path)
         doc = {
             "format": "TPC1", "n_samples": inputs_a.shape[0],
             "seq_len_a": inputs_a.shape[1], "d_a": inputs_a.shape[2],
             "seq_len_b": inputs_b.shape[1], "d_b": inputs_b.shape[2],
         }
+    else:
+        raise FormatError(f"unrecognized magic {magic!r}, known: TPK1, TPC1", kind="bad_magic")
     write_json(doc, "-")
     return 0
 
@@ -278,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", formatter_class=fmt,
                        help="dump a binary file's header as JSON")
-    p.add_argument("path", help="TPK1/TPA1/TPC1 file")
+    p.add_argument("path", help="TPK1/TPC1 file")
     p.set_defaults(func=cmd_inspect)
 
     return parser

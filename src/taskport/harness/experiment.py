@@ -77,18 +77,14 @@ def _check(value, name: str, kind: str):
 
 
 def _take(data: dict, key: str, prefix: str, kind: str | None, default=_REQUIRED):
-    """Pop ``key``, type-checked against ``kind`` unless it is None (sections)."""
+    """Pop ``key``, type-checked against ``kind`` unless it is None (sections,
+    and the top-level values ExperimentConfig checks itself)."""
     if key in data:
         value = data.pop(key)
         return value if kind is None else _check(value, prefix + key, kind)
     if default is _REQUIRED:
         raise ConfigError(f"missing config key '{prefix}{key}'")
     return default
-
-
-def _take_list(data: dict, key: str, item_kind: str) -> list:
-    items = _take(data, key, "", "list")
-    return [_check(v, f"{key}[{i}]", item_kind) for i, v in enumerate(items)]
 
 
 def _reject_unknown(data: dict, prefix: str) -> None:
@@ -244,6 +240,10 @@ class SeedConfig:
         return {"data": self.data, "init": self.init, "calib": self.calib}
 
 
+# ExperimentConfig field names whose JSON keys differ.
+_JSON_KEYS = {"batches_b": "batches_B", "lam": "lambda"}
+
+
 def _default_alpha_grid() -> list[float]:
     return [i / 20 for i in range(21)]
 
@@ -266,13 +266,22 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in _KINDS:  # sections are checked by their own classes
+                _check(getattr(self, f.name), _JSON_KEYS.get(f.name, f.name), f.type)
+        self.methods = [_check(m, f"methods[{i}]", "str") for i, m in enumerate(self.methods)]
+        self.alpha_grid = [
+            float(_check(a, f"alpha_grid[{i}]", "float")) for i, a in enumerate(self.alpha_grid)
+        ]
+        self.rcond = float(self.rcond)
+        if self.lam is not None:
+            self.lam = float(self.lam)
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}, valid: {', '.join(REGIMES)}")
         if self.batches_b < 1:
             raise ConfigError(f"batches_B must be positive, got {self.batches_b}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        self.methods = [str(m) for m in self.methods]
         if not self.methods:
             raise ConfigError("methods list is empty")
         for m in self.methods:
@@ -284,15 +293,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown seq_align {self.seq_align!r}, valid: {', '.join(STRATEGIES)}"
             )
-        self.alpha_grid = [float(a) for a in self.alpha_grid]
         if not self.alpha_grid:
             raise ConfigError("alpha_grid is empty")
         if any(b <= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ConfigError("alpha_grid must be strictly ascending")
-        if not self.rcond > 0:
-            raise ConfigError(f"rcond must be positive, got {self.rcond}")
-        if self.lam is not None and not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not (math.isfinite(self.rcond) and self.rcond > 0):
+            raise ConfigError(f"rcond must be finite and positive, got {self.rcond}")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lambda must be finite and positive, got {self.lam}")
         for role, model in (("source_model", self.source_model), ("target_model", self.target_model)):
             if model.width < self.task.n_classes:
                 raise ConfigError(
@@ -316,25 +324,24 @@ class ExperimentConfig:
         task = TaskConfig.from_dict(_take(data, "task", "", None))
         source_model = ModelConfig.from_dict(_take(data, "source_model", "", None), "source_model.")
         target_model = ModelConfig.from_dict(_take(data, "target_model", "", None), "target_model.")
-        regime = _take(data, "regime", "", "str")
-        batches_b = _take(data, "batches_B", "", "int")
-        batch_size = _take(data, "batch_size", "", "int", cls.batch_size)
-        methods = _take_list(data, "methods", "str")
-        seq_align = _take(data, "seq_align", "", "str")
-        alpha_grid = _take_list(data, "alpha_grid", "float")
+        regime = _take(data, "regime", "", None)
+        batches_b = _take(data, "batches_B", "", None)
+        batch_size = _take(data, "batch_size", "", None, cls.batch_size)
+        methods = _take(data, "methods", "", None)
+        seq_align = _take(data, "seq_align", "", None)
+        alpha_grid = _take(data, "alpha_grid", "", None)
         seeds = SeedConfig.from_dict(_take(data, "seeds", "", None))
         train = _take(data, "train", "", None, None)
         train = TrainConfig() if train is None else TrainConfig.from_dict(train)
-        rcond = float(_take(data, "rcond", "", "float", cls.rcond))
-        lam = _take(data, "lambda", "", "float | None", None)
-        output_path = _take(data, "output_path", "", "str | None")
+        rcond = _take(data, "rcond", "", None, cls.rcond)
+        lam = _take(data, "lambda", "", None, None)
+        output_path = _take(data, "output_path", "", None)
         _reject_unknown(data, "")
         return cls(
             task=task, source_model=source_model, target_model=target_model,
             train=train, seeds=seeds, regime=regime, batches_b=batches_b,
             batch_size=batch_size, methods=methods, seq_align=seq_align,
-            alpha_grid=alpha_grid, rcond=rcond,
-            lam=None if lam is None else float(lam), output_path=output_path,
+            alpha_grid=alpha_grid, rcond=rcond, lam=lam, output_path=output_path,
         )
 
     def to_dict(self) -> dict:

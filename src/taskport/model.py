@@ -30,8 +30,6 @@ __all__ = [
     "init_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
-    "save_activations",
-    "load_activations",
     "save_calibration",
     "load_calibration",
 ]
@@ -160,7 +158,6 @@ class ActivationRecord:
     the nonlinearity, so ``h_out == h_in @ w.T (+ bias)`` exactly.
     """
 
-    layer_index: int
     h_in: np.ndarray
     h_out: np.ndarray
 
@@ -195,7 +192,7 @@ def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[Activati
         if b is not None:
             z = z + b
         z = z.reshape(n, l, spec.d_out)
-        records.append(ActivationRecord(layer_index=idx, h_in=h, h_out=z))
+        records.append(ActivationRecord(h_in=h, h_out=z))
         h = np.maximum(z, 0.0) if spec.activation == "relu" else z
     return h, records
 
@@ -261,12 +258,10 @@ def init_checkpoint(layer_specs, seed, weight_scale: float | None = None) -> Che
 #             u8 has_bias, u8 activation (0=relu, 1=identity) | per layer:
 #             d_out*d_in f64 row-major weights, then d_out f64 bias if present |
 #             u32 meta_count | per entry: u32 len, utf-8 key, u32 len, utf-8 value
-# activations "TPA1" | u32 layer_index | u32 N, L, d_in, d_out | f64 h_in | f64 h_out
 # calibration "TPC1" | u32 N, L_a, d_a, L_b, d_b | f64 inputs_a | f64 inputs_b
 # ---------------------------------------------------------------------------
 
 _MAGIC_CHECKPOINT = b"TPK1"
-_MAGIC_ACTIVATIONS = b"TPA1"
 _MAGIC_CALIBRATION = b"TPC1"
 _ACTIVATION_CODE = {"relu": 0, "identity": 1}
 _ACTIVATION_NAME = {v: k for k, v in _ACTIVATION_CODE.items()}
@@ -369,34 +364,6 @@ def load_checkpoint(path) -> Checkpoint:
         meta[key] = value
     r.done()
     return Checkpoint(layer_specs=specs, weights=weights, biases=biases, meta=meta)
-
-
-def save_activations(record: ActivationRecord, path) -> None:
-    n, l, d_in = record.h_in.shape
-    d_out = record.h_out.shape[2]
-    if record.h_out.shape[:2] != (n, l):
-        raise DimensionError(
-            f"h_in {record.h_in.shape} and h_out {record.h_out.shape} disagree on (N, L)"
-        )
-    with open(path, "wb") as f:
-        f.write(_MAGIC_ACTIVATIONS)
-        f.write(struct.pack("<IIIII", record.layer_index, n, l, d_in, d_out))
-        f.write(_f64_bytes(record.h_in))
-        f.write(_f64_bytes(record.h_out))
-
-
-def load_activations(path) -> ActivationRecord:
-    r = _Reader(path)
-    r.expect_magic(_MAGIC_ACTIVATIONS, "activation dump")
-    layer_index, n, l, d_in, d_out = (r.u32() for _ in range(5))
-    if min(n, l, d_in, d_out) < 1:
-        raise FormatError(f"{r.path}: non-positive dimension in header", kind="bad_format")
-    h_in = r.f64_array((n, l, d_in))
-    h_out = r.f64_array((n, l, d_out))
-    r.done()
-    require_finite(h_in, "h_in")
-    require_finite(h_out, "h_out")
-    return ActivationRecord(layer_index=layer_index, h_in=h_in, h_out=h_out)
 
 
 def save_calibration(inputs_a, inputs_b, path) -> None:

@@ -54,10 +54,6 @@ __all__ = [
     "transport_model",
 ]
 
-# Above this many calibration rows the coupling residual is evaluated through
-# feature-space Gram matrices instead of materializing the rows x rows coupling.
-NAIVE_RESIDUAL_MAX_ROWS = 512
-
 
 @dataclass(frozen=True)
 class ProcrustesMap:
@@ -113,10 +109,10 @@ class TransportConfig:
             raise ConfigError(f"unknown method {self.method!r}, valid: {', '.join(METHODS)}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown seq-align strategy {self.strategy!r}, valid: {', '.join(STRATEGIES)}")
-        if self.lam is not None and not self.lam > 0:
-            raise ConfigError(f"lambda must be positive when given, got {self.lam}")
-        if self.rcond < 0:
-            raise ConfigError(f"rcond must be non-negative, got {self.rcond}")
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError(f"lambda must be finite and positive when given, got {self.lam}")
+        if not (np.isfinite(self.rcond) and self.rcond >= 0):
+            raise ConfigError(f"rcond must be finite and non-negative, got {self.rcond}")
         self.seed = int(self.seed)
 
     def echo(self) -> dict:
@@ -217,14 +213,18 @@ def _trace_product(p, q) -> float:
     return float(np.einsum("ij,ji->", p, q))
 
 
-def bilinear_residual(hin_a, hout_a, hin_b, hout_b, update_a, update_b, mode: str = "auto") -> float:
+def bilinear_residual(hin_a, hout_a, hin_b, hout_b, update_a, update_b) -> float:
     """Frobenius distance between the two updates' activation couplings.
 
     The coupling of an update is ``h_in @ update.T @ h_out.T`` on paired
-    calibration rows. ``mode`` picks the evaluation route: "naive" materializes
-    the rows x rows couplings, "factorized" works through feature-space Gram
-    matrices and never allocates anything larger than features x features,
-    "auto" switches to the factorized route above NAIVE_RESIDUAL_MAX_ROWS rows.
+    calibration rows; the rows x rows couplings are never formed. The squared
+    distance is first taken from feature-space Gram matrices as
+    ``|C_a|^2 + |C_b|^2 - 2 <C_a, C_b>``. When that difference cancels more
+    than four of float64's ~16 digits (a near-exact transport), the distance
+    is taken again without cancellation: with ``[hout_a, hout_b] = Q R`` (Q with
+    orthonormal columns) the coupling difference is
+    ``[shifted_a, -shifted_b] @ R.T @ Q.T``, whose norm is that of the
+    rows x features product ``[shifted_a, -shifted_b] @ R.T``.
     """
     hin_a = as_matrix(hin_a, "hin_a")
     hout_a = as_matrix(hout_a, "hout_a")
@@ -245,18 +245,19 @@ def bilinear_residual(hin_a, hout_a, hin_b, hout_b, update_a, update_b, mode: st
             f"update_b shape {update_b.shape} does not match activations "
             f"({hout_b.shape[1]}, {hin_b.shape[1]})"
         )
-    if mode not in ("auto", "naive", "factorized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "naive" if rows <= NAIVE_RESIDUAL_MAX_ROWS else "factorized"
     shifted_a = hin_a @ update_a.T
     shifted_b = hin_b @ update_b.T
-    if mode == "naive":
-        return float(np.linalg.norm(shifted_a @ hout_a.T - shifted_b @ hout_b.T))
     aa = _trace_product(shifted_a.T @ shifted_a, hout_a.T @ hout_a)
     bb = _trace_product(shifted_b.T @ shifted_b, hout_b.T @ hout_b)
     ab = _trace_product(shifted_a.T @ shifted_b, hout_b.T @ hout_a)
-    return float(np.sqrt(max(aa + bb - 2.0 * ab, 0.0)))
+    squared = aa + bb - 2.0 * ab
+    if squared >= 1e-4 * (aa + bb):
+        return float(np.sqrt(squared))
+    # R is upper triangular, so hout_a's columns reach only its first o_a rows.
+    o_a = hout_a.shape[1]
+    r = np.linalg.qr(np.hstack([hout_a, hout_b]), mode="r")
+    top = shifted_a @ r[:o_a, :o_a].T - shifted_b @ r[:o_a, o_a:].T
+    return float(np.hypot(np.linalg.norm(top), np.linalg.norm(shifted_b @ r[o_a:, o_a:].T)))
 
 
 def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import full_rank_activations, rank_deficient_witness, small_checkpoint
-from taskport.baselines import (
-    gram_bias_transport,
-    pinv_transport,
-    random_update,
-    tikhonov_transport,
-    zero_pad_update,
-)
+from taskport.baselines import gram_transport, pinv_transport, random_update, zero_pad_update
 from taskport.errors import DimensionError
-from taskport.linalg import random_orthonormal_rows
+from taskport.linalg import DEFAULT_RCOND, random_orthonormal_rows
 from taskport.model import task_vector
 from taskport.transport import (
     ProcrustesMap,
@@ -105,7 +99,7 @@ def test_pinv_identity_sides_recover_update():
 def test_pinv_matches_closed_form_on_aligned_instance():
     hin_a, hout_a, hin_b, hout_b, tau_a, t_in, t_out = aligned_instance(40, 3, 5, 2, 4, seed=10)
     closed = transport_update(tau_a, ProcrustesMap(in_map=t_in, out_map=t_out))
-    solved = pinv_transport(hin_a, hout_a, hin_b, hout_b, tau_a)
+    solved = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, rcond=DEFAULT_RCOND)[0]
     np.testing.assert_allclose(solved, closed, atol=1e-6)
 
 
@@ -115,12 +109,12 @@ def test_pinv_degrades_on_rank_deficient_target():
     # matters is on held-out rows: the near-null Gram directions it inverts
     # are batch noise and do not generalize.
     fit, held_out, update = rank_deficient_witness()
-    solved = pinv_transport(*fit, update, rcond=1e-10)
+    solved = gram_transport(*fit, update, rcond=1e-10)[0]
     assert np.all(np.isfinite(solved))
     pmap = procrustes_maps(fit[0], fit[2], fit[1], fit[3])
     aligned = transport_update(update, pmap)
-    res_aligned = bilinear_residual(*held_out, update, aligned, mode="naive")
-    res_pinv = bilinear_residual(*held_out, update, solved, mode="naive")
+    res_aligned = bilinear_residual(*held_out, update, aligned)
+    res_pinv = bilinear_residual(*held_out, update, solved)
     assert res_aligned < res_pinv
     # The gap is structural (the witness has a 6x margin), not a lucky ulp.
     assert res_pinv > 2.0 * res_aligned
@@ -145,8 +139,8 @@ def test_tikhonov_small_lambda_approaches_pinv():
     hin_b = full_rank_activations(40, 5, seed=14)
     hout_b = full_rank_activations(40, 4, seed=15)
     tau_a = np.random.default_rng(16).standard_normal((2, 3))
-    plain = pinv_transport(hin_a, hout_a, hin_b, hout_b, tau_a, rcond=0.0)
-    ridged = tikhonov_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=1e-9)
+    plain = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, rcond=0.0)[0]
+    ridged = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=1e-9)[0]
     assert np.abs(ridged - plain).max() <= 1e-6 * max(1.0, np.abs(plain).max())
 
 
@@ -155,7 +149,7 @@ def test_tikhonov_large_lambda_norm_bound():
     coupling = hin_a @ tau_a.T @ hout_a.T
     numerator = np.linalg.norm(hin_b.T @ coupling @ hout_b)
     for lam in (1e2, 1e4, 1e6):
-        out = tikhonov_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=lam)
+        out = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=lam)[0]
         # Both regularized Gram solves contract by at least 1/lam, so the
         # norm falls off at least as fast as 1/lam^2. This is an exact
         # operator-norm bound, not an asymptotic one.
@@ -166,39 +160,41 @@ def test_tikhonov_tames_ill_conditioned_instance():
     hin_a, hout_a, hin_b, hout_b, tau_a, _, _ = aligned_instance(40, 3, 5, 2, 4, seed=14)
     hin_b = hin_b.copy()
     hin_b[:, 0] *= 1e-7  # nearly dead direction blows up the pure pinv solve
-    plain = pinv_transport(hin_a, hout_a, hin_b, hout_b, tau_a, rcond=0.0)
-    ridged = tikhonov_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=1e-3)
+    plain = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, rcond=0.0)[0]
+    ridged = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=1e-3)[0]
     assert np.linalg.norm(ridged) < np.linalg.norm(plain)
 
 
 def test_tikhonov_default_lambda_resolves_per_side():
     hin_a, hout_a, hin_b, hout_b, tau_a, _, _ = aligned_instance(40, 3, 5, 2, 4, seed=15)
-    out = tikhonov_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=None)
+    out = gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=None)[0]
     assert np.all(np.isfinite(out))
     with pytest.raises(DimensionError, match="positive"):
-        tikhonov_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=-1.0)
+        gram_transport(hin_a, hout_a, hin_b, hout_b, tau_a, lam=-1.0)
 
 
 # -- bias transport ----------------------------------------------------------
 
 
 def test_gram_bias_identity_sides_recover_delta():
+    hin = full_rank_activations(20, 3, seed=18)
     hout = full_rank_activations(20, 4, seed=16)
     delta = np.random.default_rng(17).standard_normal(4)
+
+    def bias(**solve):
+        return gram_transport(hin, hout, hin, hout, np.zeros((4, 3)), delta, **solve)[1]
+
     # Without an explicit rcond the solve is ridge-regularized and only
     # approximate; the truncated route recovers the shift exactly.
-    np.testing.assert_allclose(
-        gram_bias_transport(hout, hout, delta, rcond=1e-10), delta, atol=1e-8
-    )
-    np.testing.assert_allclose(
-        gram_bias_transport(hout, hout, delta, lam=1e-12), delta, atol=1e-6
-    )
-    np.testing.assert_allclose(gram_bias_transport(hout, hout, delta), delta, atol=1e-2)
+    np.testing.assert_allclose(bias(rcond=1e-10), delta, atol=1e-8)
+    np.testing.assert_allclose(bias(lam=1e-12), delta, atol=1e-6)
+    np.testing.assert_allclose(bias(), delta, atol=1e-2)
 
 
 def test_gram_bias_rejects_shape_mismatch():
-    with pytest.raises(DimensionError):
-        gram_bias_transport(np.zeros((5, 3)), np.zeros((5, 4)), np.zeros(4))
+    h = np.zeros((5, 2))
+    with pytest.raises(DimensionError, match="bias delta"):
+        gram_transport(h, np.zeros((5, 3)), h, np.zeros((5, 4)), np.zeros((3, 2)), np.zeros(4))
 
 
 # -- random-source transport -------------------------------------------------

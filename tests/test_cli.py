@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskport.cli import main
 from taskport.model import (
@@ -163,6 +167,18 @@ def test_transport_tiny_lambda_is_one_error_line(fixtures_dir, tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("not_positive_definite: layer 0: ")
 
 
+@pytest.mark.parametrize("method, option, value", [
+    ("pinv", "rcond", "nan"), ("pinv-tikh", "rcond", "nan"), ("pinv", "rcond", "inf"),
+    ("theseus", "rcond", "inf"), ("pinv-tikh", "lambda", "inf"),
+])
+def test_transport_rejects_non_finite_solver_settings(fixtures_dir, tmp_path, capsys, method, option, value):
+    out = tmp_path / "x.tpk"
+    assert main(transport_args(fixtures_dir, out, method=method, **{option: value})) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad_config: ")
+    assert not out.exists()
+
+
 def test_transport_missing_input_reports_io_error(fixtures_dir, tmp_path, capsys):
     args = transport_args(fixtures_dir, tmp_path / "x.tpk")
     args[args.index("--source") + 1] = str(tmp_path / "nope.tpk")
@@ -284,10 +300,59 @@ def test_inspect_huge_calibration_header_is_truncated(tmp_path, capsys):
 
 
 def test_inspect_rejects_unknown_magic(tmp_path, capsys):
-    junk = tmp_path / "junk.bin"
-    junk.write_bytes(b"NOPE" + b"\x00" * 16)
-    assert main(["inspect", str(junk)]) == 1
-    assert capsys.readouterr().err.startswith("bad_magic:")
+    # TPA1 activation dumps are no longer a format of the package.
+    for magic in (b"NOPE", b"TPA1"):
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(magic + b"\x00" * 16)
+        assert main(["inspect", str(junk)]) == 1
+        assert capsys.readouterr().err.startswith("bad_magic:")
+
+
+@st.composite
+def mutated_file(draw, files):
+    """A valid fixture file with a few bytes flipped, its tail cut off, or bytes appended."""
+    data = files[draw(st.sampled_from(sorted(files)))]
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    # Most flips aim past the magic into the header, or at the last 64 bytes
+    # (a checkpoint's meta entries), where a flip changes the structure rather
+    # than one float of the payload.
+    end = len(data) - 1
+    pos = st.integers(4, 31) | st.integers(end - 63, end) | st.integers(0, end)
+    out = bytearray(data)
+    for p, mask in draw(st.lists(st.tuples(pos, st.integers(1, 255)), min_size=1, max_size=6)):
+        out[p] ^= mask
+    return bytes(out)
+
+
+_FUZZ_NAMES = ("source_a_ft.tpk", "target_b.tpk", "calib.tpc")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(fixtures_dir):
+    return {name: (fixtures_dir / name).read_bytes() for name in _FUZZ_NAMES}
+
+
+def test_inspect_survives_mutated_files(fuzz_files, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.bin"
+
+    @settings(max_examples=150)
+    @given(mutated_file(fuzz_files))
+    def check(data):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["inspect", str(path)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [] and json.loads(out.getvalue())["format"] in ("TPK1", "TPC1")
+        else:
+            assert code == 1 and len(lines) == 1 and re.match(r"^[a-z_]+: ", lines[0]), lines
+
+    check()
 
 
 # -- parser surface -----------------------------------------------------------------

@@ -424,6 +424,20 @@ def test_config_validation_catches_semantic_errors():
         fast_config(source_model={"width": 2})
     with pytest.raises(ConfigError, match="duplicate"):
         fast_config(methods=["random", "random"])
+    with pytest.raises(ConfigError, match="rcond must be finite"):
+        fast_config(rcond=float("inf"))
+    with pytest.raises(ConfigError, match="lambda must be finite"):
+        fast_config(**{"lambda": float("inf")})
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"methods": "theseus"}, "methods"),
+    ({"batches_b": "3"}, "batches_B"),
+    ({"alpha_grid": "0.5"}, "alpha_grid"),
+])
+def test_config_type_checks_direct_construction(overrides, key):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' must be "):
+        ExperimentConfig(**overrides)
 
 
 def test_config_lambda_key_feeds_ridge_strength():

@@ -4,17 +4,14 @@ import pytest
 from helpers import assert_checkpoint_equal, small_checkpoint
 from taskport.errors import DimensionError, FormatError
 from taskport.model import (
-    ActivationRecord,
     Checkpoint,
     LayerSpec,
     TaskVector,
     apply_update,
     forward_collect,
     init_checkpoint,
-    load_activations,
     load_calibration,
     load_checkpoint,
-    save_activations,
     save_calibration,
     save_checkpoint,
     task_vector,
@@ -64,8 +61,7 @@ def test_forward_hout_bitwise_for_identity_activation():
     ckpt = small_checkpoint(widths=(4, 4, 4), seed=3, activation="identity")
     x = np.random.default_rng(4).standard_normal((5, 3, 4))
     _, records = forward_collect(ckpt, x)
-    for rec in records:
-        w, b = ckpt.weights[rec.layer_index], ckpt.biases[rec.layer_index]
+    for rec, w, b in zip(records, ckpt.weights, ckpt.biases):
         flat = rec.h_in.reshape(-1, w.shape[1])
         want = (flat @ w.T + b).reshape(rec.h_out.shape)
         assert rec.h_out.tobytes() == want.tobytes()
@@ -219,29 +215,6 @@ def test_checkpoint_trailing_bytes(tmp_path):
     with pytest.raises(FormatError) as err:
         load_checkpoint(padded)
     assert err.value.kind == "bad_format"
-
-
-def test_activation_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(21)
-    rec = ActivationRecord(
-        layer_index=3,
-        h_in=rng.standard_normal((4, 2, 5)),
-        h_out=rng.standard_normal((4, 2, 7)),
-    )
-    path = tmp_path / "acts.tpa"
-    save_activations(rec, path)
-    loaded = load_activations(path)
-    assert loaded.layer_index == 3
-    assert loaded.h_in.tobytes() == rec.h_in.tobytes()
-    assert loaded.h_out.tobytes() == rec.h_out.tobytes()
-
-
-def test_activation_bad_magic(tmp_path):
-    path = tmp_path / "bad.tpa"
-    path.write_bytes(b"XXXX")
-    with pytest.raises(FormatError) as err:
-        load_activations(path)
-    assert err.value.kind == "bad_magic"
 
 
 def test_calibration_round_trip_bitwise(tmp_path):

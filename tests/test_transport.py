@@ -266,17 +266,33 @@ def test_bilinear_residual_identical_instance():
     assert bilinear_residual(hin, hout, hin, hout, tau, tau) <= 1e-10
 
 
-def test_bilinear_residual_naive_matches_factorized():
+def test_bilinear_residual_matches_direct_definition():
     rng = np.random.default_rng(26)
     hin_a, hout_a = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
     hin_b, hout_b = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
     tau_a, tau_b = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
-    naive = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b, mode="naive")
-    fact = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b, mode="factorized")
-    # Cross-check the naive route against the raw definition.
+    fact = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b)
+    # The raw definition materializes the rows x rows couplings.
     direct = np.linalg.norm(hin_a @ tau_a.T @ hout_a.T - hin_b @ tau_b.T @ hout_b.T)
-    assert abs(naive - direct) <= 1e-12
-    assert abs(naive - fact) <= 1e-10
+    assert abs(fact - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [5, 40])
+def test_bilinear_residual_resolves_a_near_exact_transport(rows):
+    # The target repeats the source's features and adds unused ones, so the
+    # couplings differ by exactly hin_a @ delta.T @ hout_a.T, about 1e-7 of
+    # their norm: below what a difference of squared norms can resolve.
+    rng = np.random.default_rng(28)
+    hin_a, hout_a = rng.standard_normal((rows, 3)), rng.standard_normal((rows, 4))
+    hin_b = np.hstack([hin_a, rng.standard_normal((rows, 2))])
+    hout_b = np.hstack([hout_a, rng.standard_normal((rows, 3))])
+    tau_a = rng.standard_normal((4, 3))
+    delta = 1e-7 * rng.standard_normal((4, 3))
+    tau_b = np.zeros((7, 5))
+    tau_b[:4, :3] = tau_a + delta
+    want = np.linalg.norm(hin_a @ (tau_b[:4, :3] - tau_a).T @ hout_a.T)
+    got = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b)
+    assert abs(got - want) <= 1e-6 * want
 
 
 def test_bilinear_residual_rejects_mismatches():
