@@ -11,7 +11,7 @@ import sys
 
 from taskport.harness.experiment import (
     ExperimentConfig, ModelConfig, SeedConfig, TaskConfig, TrainConfig,
-    ablate_seqalign, write_ablation_csv,
+    ablate_seqalign, write_csv,
 )
 
 
@@ -50,7 +50,7 @@ def main(argv=None):
               f"{row['accuracy_after']:>8.4f} {row['best_alpha']:>6.2f} "
               f"{row['delta_acc']:>+8.4f}")
     if args.output:
-        write_ablation_csv(rows, args.output)
+        write_csv(rows, args.output)
         print(f"\nwrote {args.output}")
     return 0
 

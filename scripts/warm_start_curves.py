@@ -12,9 +12,8 @@ import numpy as np
 
 from taskport.harness.experiment import (
     ExperimentConfig, ModelConfig, SeedConfig, TaskConfig, TrainConfig,
-    warm_start_experiment,
+    warm_start_experiment, write_csv,
 )
-from taskport.harness.training import write_curves
 
 
 def warm_start_config(seed: int) -> ExperimentConfig:
@@ -47,7 +46,7 @@ def main(argv=None):
     curves, info = warm_start_experiment(
         warm_start_config(args.seed), steps=args.steps, method=args.method,
     )
-    write_curves(curves, args.output)
+    write_csv([dict(zip(curves, row)) for row in zip(*curves.values())], args.output)
 
     cold = np.asarray(curves["cold_acc"])
     warm = np.asarray(curves["warm_acc"])

@@ -8,13 +8,12 @@ random stay flat.
 """
 
 import argparse
-import csv
 import sys
 import time
 
 import numpy as np
 
-from taskport.harness.experiment import ExperimentConfig, SeedConfig, run_experiment
+from taskport.harness.experiment import ExperimentConfig, SeedConfig, run_experiment, write_csv
 
 
 def parse_args(argv):
@@ -60,10 +59,7 @@ def main(argv=None):
               f"{row['median_delta']:>+8.4f} {row['min_delta']:>+8.4f} {row['max_delta']:>+8.4f}")
 
     if args.output:
-        with open(args.output, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(rows, args.output)
         print(f"\nwrote {args.output}")
     return 0
 

@@ -36,7 +36,7 @@ from .harness.experiment import (
     ablate_seqalign,
     load_config,
     run_experiment,
-    write_ablation_csv,
+    write_csv,
     write_json,
 )
 from .harness.isometry import build_isometric_target
@@ -120,7 +120,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_ablate_seqalign(args) -> int:
     cfg = load_config(args.config)
-    write_ablation_csv(ablate_seqalign(cfg), args.output)
+    write_csv(ablate_seqalign(cfg), args.output)
     if args.output != "-":
         log.info("wrote ablation table to %s", args.output)
     return 0
@@ -130,6 +130,8 @@ def cmd_make_fixtures(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = int(args.seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     specs = [LayerSpec(d_in=6, d_out=6, has_bias=True, activation="identity")] * 2
     theta_a = init_checkpoint(specs, np.random.SeedSequence((seed, 0)))

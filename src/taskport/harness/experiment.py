@@ -19,7 +19,7 @@ from ..errors import ConfigError, TaskportError
 from ..linalg import DEFAULT_RCOND
 from ..model import ACTIVATIONS, Checkpoint, LayerSpec, apply_update, init_checkpoint
 from ..seqalign import STRATEGIES
-from ..transport import METHODS, TransportConfig, transport_task_vector
+from ..transport import TransportConfig, transport_task_vector
 from .data import SyntheticTask, input_projection, make_dataset, render_tokens
 from .isometry import build_isometric_target
 from .training import alpha_search, evaluate, train_classifier, warm_start_compare
@@ -38,7 +38,7 @@ __all__ = [
     "run_experiment",
     "warm_start_experiment",
     "ablate_seqalign",
-    "write_ablation_csv",
+    "write_csv",
     "write_json",
 ]
 
@@ -53,65 +53,96 @@ _PROJ_SOURCE = 10
 _PROJ_TARGET = 11
 _ISOMETRY_OFFSET = 13_000_027
 
-_ABLATION_COLUMNS = ("strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc")
-
-_REQUIRED = object()
-
-# JSON value kinds, keyed by the field annotations they check:
-# (accepted Python types, description for the error message).
+# JSON kinds of the scalar field annotations: (accepted Python types,
+# description for the error message). A ``list[...]`` annotation checks each
+# item, and a section class annotation nests that section.
 _KINDS = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "float | None": ((int, float, type(None)), "a number or null"),
     "str": ((str,), "a string"),
     "str | None": ((str, type(None)), "a string or null"),
-    "list": ((list,), "a list"),
 }
 
+# Field names whose JSON keys differ.
+_JSON_KEYS = {"batches_b": "batches_B", "lam": "lambda"}
 
-def _check(value, name: str, kind: str):
-    types, what = _KINDS[kind]
+# Keys a JSON config must give although their fields have defaults.
+_JSON_REQUIRED = (
+    "task", "source_model", "target_model", "regime", "batches_B", "methods",
+    "seq_align", "alpha_grid", "seeds", "output_path",
+)
+
+
+def _check(value, key: str, kind: str):
+    """``value`` checked against the field annotation ``kind``; numbers of a
+    float field come back as finite floats."""
+    if kind.startswith("list["):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
+        return [_check(v, f"{key}[{i}]", kind[5:-1]) for i, v in enumerate(value)]
+    types, what = ((_SECTIONS[kind],), f"a {kind}") if kind in _SECTIONS else _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"config key '{name}' must be {what}, got {value!r}")
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+    if float in types and value is not None:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
 
 
-def _take(data: dict, key: str, prefix: str, kind: str | None, default=_REQUIRED):
-    """Pop ``key``, type-checked against ``kind`` unless it is None (sections,
-    and the top-level values ExperimentConfig checks itself)."""
-    if key in data:
-        value = data.pop(key)
-        return value if kind is None else _check(value, prefix + key, kind)
-    if default is _REQUIRED:
-        raise ConfigError(f"missing config key '{prefix}{key}'")
-    return default
+class _Codec:
+    """JSON decoding, encoding and type checks read off a config dataclass's
+    fields and their annotations. Subclasses add their semantic checks to
+    ``__post_init__`` after calling this one."""
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _check(getattr(self, f.name), _JSON_KEYS.get(f.name, f.name), f.type))
 
-def _reject_unknown(data: dict, prefix: str) -> None:
-    if data:
-        raise ConfigError(f"unknown config key '{prefix}{sorted(data)[0]}'")
+    @classmethod
+    def from_dict(cls, data, prefix: str = ""):
+        """Decode a JSON object; errors name keys by their dotted path."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section '{prefix.rstrip('.')}' must be an object")
+        data = dict(data)
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            name = _JSON_KEYS.get(f.name, f.name)
+            key = prefix + name
+            required = key in _JSON_REQUIRED or (
+                f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            )
+            if name not in data:
+                if required:
+                    raise ConfigError(f"missing config key '{key}'")
+                continue
+            value = data.pop(name)
+            if f.type not in _SECTIONS:
+                kwargs[f.name] = _check(value, key, f.type)
+            elif value is not None or required:  # an optional section given as null keeps its default
+                kwargs[f.name] = _SECTIONS[f.type].from_dict(value, key + ".")
+        if data:
+            raise ConfigError(f"unknown config key '{prefix}{sorted(data)[0]}'")
+        return cls(**kwargs)
 
-
-def _section(data, prefix: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section '{prefix.rstrip('.')}' must be an object")
-    return dict(data)
-
-
-def _fields_from_dict(cls, data, prefix: str):
-    """Build a flat config section, checking each value against its field's annotation."""
-    data = _section(data, prefix)
-    kwargs = {
-        f.name: _take(data, f.name, prefix, f.type,
-                      _REQUIRED if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(cls)
-    }
-    _reject_unknown(data, prefix)
-    return cls(**kwargs)
+    def to_dict(self) -> dict:
+        doc = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Codec):
+                value = value.to_dict()
+            elif isinstance(value, list):
+                value = list(value)
+            doc[_JSON_KEYS.get(f.name, f.name)] = value
+        return doc
 
 
 @dataclass
-class TaskConfig:
+class TaskConfig(_Codec):
     """Gaussian-blob task geometry and split sizes."""
 
     n_classes: int = 4
@@ -127,6 +158,7 @@ class TaskConfig:
     pretrain_noise_sigma: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
         if self.tokens < 1:
@@ -155,23 +187,9 @@ class TaskConfig:
     def d_token(self) -> int:
         return self.d_raw // self.tokens
 
-    @classmethod
-    def from_dict(cls, data, prefix: str = "task.") -> "TaskConfig":
-        return _fields_from_dict(cls, data, prefix)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes, "d_raw": self.d_raw, "tokens": self.tokens,
-            "noise_sigma": self.noise_sigma, "center_scale": self.center_scale,
-            "train_per_class": self.train_per_class, "val_per_class": self.val_per_class,
-            "test_per_class": self.test_per_class, "pretrain_per_class": self.pretrain_per_class,
-            "pretrain_center_shift": self.pretrain_center_shift,
-            "pretrain_noise_sigma": self.pretrain_noise_sigma,
-        }
-
 
 @dataclass
-class ModelConfig:
+class ModelConfig(_Codec):
     """Uniform-width dense stack; the last layer is always a linear readout."""
 
     width: int
@@ -179,6 +197,7 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.width < 1:
             raise ConfigError(f"width must be positive, got {self.width}")
         if self.depth < 1:
@@ -197,51 +216,35 @@ class ModelConfig:
             for idx in range(self.depth)
         ]
 
-    @classmethod
-    def from_dict(cls, data, prefix: str) -> "ModelConfig":
-        return _fields_from_dict(cls, data, prefix)
-
-    def to_dict(self) -> dict:
-        return {"width": self.width, "depth": self.depth, "activation": self.activation}
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(_Codec):
     pretrain_steps: int = 300
     finetune_steps: int = 500
     lr: float = 0.05
 
     def __post_init__(self):
+        super().__post_init__()
         if self.pretrain_steps < 0 or self.finetune_steps < 0:
             raise ConfigError("training step counts must be non-negative")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
 
-    @classmethod
-    def from_dict(cls, data, prefix: str = "train.") -> "TrainConfig":
-        return _fields_from_dict(cls, data, prefix)
-
-    def to_dict(self) -> dict:
-        return {"pretrain_steps": self.pretrain_steps,
-                "finetune_steps": self.finetune_steps, "lr": self.lr}
-
 
 @dataclass
-class SeedConfig:
+class SeedConfig(_Codec):
     data: int = 0
     init: int = 0
     calib: int = 0
 
-    @classmethod
-    def from_dict(cls, data, prefix: str = "seeds.") -> "SeedConfig":
-        return _fields_from_dict(cls, data, prefix)
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("data", "init", "calib"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"seeds.{name} must be non-negative, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        return {"data": self.data, "init": self.init, "calib": self.calib}
 
-
-# ExperimentConfig field names whose JSON keys differ.
-_JSON_KEYS = {"batches_b": "batches_B", "lam": "lambda"}
+_SECTIONS = {cls.__name__: cls for cls in (TaskConfig, ModelConfig, TrainConfig, SeedConfig)}
 
 
 def _default_alpha_grid() -> list[float]:
@@ -249,33 +252,24 @@ def _default_alpha_grid() -> list[float]:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Codec):
     task: TaskConfig = field(default_factory=TaskConfig)
     source_model: ModelConfig = field(default_factory=lambda: ModelConfig(width=16))
     target_model: ModelConfig = field(default_factory=lambda: ModelConfig(width=24))
-    train: TrainConfig = field(default_factory=TrainConfig)
-    seeds: SeedConfig = field(default_factory=SeedConfig)
     regime: str = "independent"
     batches_b: int = 10
     batch_size: int = 32
-    methods: list = field(default_factory=lambda: ["theseus", "zero_pad", "random"])
+    methods: list[str] = field(default_factory=lambda: ["theseus", "zero_pad", "random"])
     seq_align: str = "interp2d"
-    alpha_grid: list = field(default_factory=_default_alpha_grid)
+    alpha_grid: list[float] = field(default_factory=_default_alpha_grid)
+    seeds: SeedConfig = field(default_factory=SeedConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     rcond: float = DEFAULT_RCOND
     lam: float | None = None
     output_path: str | None = None
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.type in _KINDS:  # sections are checked by their own classes
-                _check(getattr(self, f.name), _JSON_KEYS.get(f.name, f.name), f.type)
-        self.methods = [_check(m, f"methods[{i}]", "str") for i, m in enumerate(self.methods)]
-        self.alpha_grid = [
-            float(_check(a, f"alpha_grid[{i}]", "float")) for i, a in enumerate(self.alpha_grid)
-        ]
-        self.rcond = float(self.rcond)
-        if self.lam is not None:
-            self.lam = float(self.lam)
+        super().__post_init__()
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}, valid: {', '.join(REGIMES)}")
         if self.batches_b < 1:
@@ -285,22 +279,13 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods list is empty")
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}, valid: {', '.join(METHODS)}")
+            self.transport_config(m)
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate entries in methods: {self.methods}")
-        if self.seq_align not in STRATEGIES:
-            raise ConfigError(
-                f"unknown seq_align {self.seq_align!r}, valid: {', '.join(STRATEGIES)}"
-            )
         if not self.alpha_grid:
             raise ConfigError("alpha_grid is empty")
         if any(b <= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ConfigError("alpha_grid must be strictly ascending")
-        if not (math.isfinite(self.rcond) and self.rcond > 0):
-            raise ConfigError(f"rcond must be finite and positive, got {self.rcond}")
-        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lambda must be finite and positive, got {self.lam}")
         for role, model in (("source_model", self.source_model), ("target_model", self.target_model)):
             if model.width < self.task.n_classes:
                 raise ConfigError(
@@ -318,49 +303,12 @@ class ExperimentConfig:
             if self.target_model.width < self.source_model.width:
                 raise ConfigError("isometric regime requires target width >= source width")
 
-    @classmethod
-    def from_dict(cls, data) -> "ExperimentConfig":
-        data = _section(data, "")
-        task = TaskConfig.from_dict(_take(data, "task", "", None))
-        source_model = ModelConfig.from_dict(_take(data, "source_model", "", None), "source_model.")
-        target_model = ModelConfig.from_dict(_take(data, "target_model", "", None), "target_model.")
-        regime = _take(data, "regime", "", None)
-        batches_b = _take(data, "batches_B", "", None)
-        batch_size = _take(data, "batch_size", "", None, cls.batch_size)
-        methods = _take(data, "methods", "", None)
-        seq_align = _take(data, "seq_align", "", None)
-        alpha_grid = _take(data, "alpha_grid", "", None)
-        seeds = SeedConfig.from_dict(_take(data, "seeds", "", None))
-        train = _take(data, "train", "", None, None)
-        train = TrainConfig() if train is None else TrainConfig.from_dict(train)
-        rcond = _take(data, "rcond", "", None, cls.rcond)
-        lam = _take(data, "lambda", "", None, None)
-        output_path = _take(data, "output_path", "", None)
-        _reject_unknown(data, "")
-        return cls(
-            task=task, source_model=source_model, target_model=target_model,
-            train=train, seeds=seeds, regime=regime, batches_b=batches_b,
-            batch_size=batch_size, methods=methods, seq_align=seq_align,
-            alpha_grid=alpha_grid, rcond=rcond, lam=lam, output_path=output_path,
+    def transport_config(self, method: str, strategy: str | None = None) -> TransportConfig:
+        """The transport settings of one method; ``strategy`` overrides seq_align."""
+        return TransportConfig(
+            method=method, strategy=self.seq_align if strategy is None else strategy,
+            lam=self.lam, rcond=self.rcond, seed=self.seeds.calib,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "source_model": self.source_model.to_dict(),
-            "target_model": self.target_model.to_dict(),
-            "regime": self.regime,
-            "batches_B": self.batches_b,
-            "batch_size": self.batch_size,
-            "methods": list(self.methods),
-            "seq_align": self.seq_align,
-            "alpha_grid": list(self.alpha_grid),
-            "seeds": self.seeds.to_dict(),
-            "train": self.train.to_dict(),
-            "rcond": self.rcond,
-            "lambda": self.lam,
-            "output_path": self.output_path,
-        }
 
 
 def load_config(path) -> ExperimentConfig:
@@ -502,15 +450,10 @@ def _summarize_layers(layers: list) -> dict:
 
 def _transport(prep: PreparedExperiment, method: str, strategy: str | None = None):
     """The prepared source update, transported onto the prepared target with one method."""
-    cfg = prep.config
-    tcfg = TransportConfig(
-        method=method, strategy=cfg.seq_align if strategy is None else strategy,
-        lam=cfg.lam, rcond=cfg.rcond, seed=cfg.seeds.calib,
-    )
     with _stage(f"transport:{method}"):
         return transport_task_vector(
             prep.theta_a, prep.theta_a_ft, prep.theta_b,
-            prep.calib_a, prep.calib_b, tcfg,
+            prep.calib_a, prep.calib_b, prep.config.transport_config(method, strategy),
         )
 
 
@@ -574,7 +517,8 @@ def warm_start_experiment(cfg: ExperimentConfig, steps: int = 150,
                           method: str = "theseus") -> tuple[dict, dict]:
     """Transport once, then fine-tune the target cold vs warm on the task.
 
-    Returns (curves, info) where curves feeds write_curves and info records the
+    Returns (curves, info) where curves maps each column (step, cold_loss,
+    warm_loss, cold_acc, warm_acc) to its per-step values and info records the
     alpha the warm start used.
     """
     prep = prepare_experiment(cfg)
@@ -603,7 +547,9 @@ def ablate_seqalign(cfg: ExperimentConfig, method: str = "theseus") -> list:
     rows = []
     for strategy in STRATEGIES:
         res = evaluate_method(prep, method, strategy=strategy)
-        rows.append({"strategy": strategy, **{c: res[c] for c in _ABLATION_COLUMNS[1:]}})
+        rows.append({"strategy": strategy, **{
+            c: res[c] for c in ("accuracy_before", "accuracy_after", "best_alpha", "delta_acc")
+        }})
     return rows
 
 
@@ -624,12 +570,12 @@ def write_json(doc: dict, path) -> None:
         f.write("\n")
 
 
-def write_ablation_csv(rows: list, path) -> None:
-    """The one ablation CSV writer ('-' = stdout); floats are written with repr."""
+def write_csv(rows: list, path) -> None:
+    """The one CSV writer: a header of the first row's keys, then one line per
+    row dict, floats written with repr ('-' = stdout)."""
+    columns = list(rows[0]) if rows else []
     with _output(path) as f:
         writer = csv.writer(f)
-        writer.writerow(_ABLATION_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else v for v in (row[c] for c in _ABLATION_COLUMNS)
-            ])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in (row[c] for c in columns)])

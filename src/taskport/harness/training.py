@@ -8,8 +8,6 @@ a finite-difference check lives in the test suite.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from ..errors import ConfigError, DimensionError, TrainingError
@@ -23,7 +21,6 @@ __all__ = [
     "evaluate",
     "alpha_search",
     "warm_start_compare",
-    "write_curves",
 ]
 
 
@@ -105,15 +102,23 @@ def loss_and_grads(ckpt: Checkpoint, inputs, labels, n_classes: int):
     return loss, grads_w, grads_b
 
 
-def train_classifier(ckpt: Checkpoint, inputs, labels, steps: int, lr: float,
-                     seed: int = 0, n_classes: int | None = None,
-                     batch_size: int | None = None) -> Checkpoint:
-    """Gradient descent from a checkpoint; returns a new trained checkpoint.
+def _descent_step(ckpt: Checkpoint, inputs, labels, lr: float, n_classes: int) -> float:
+    """One full-batch gradient step on ``ckpt`` in place; returns the loss before it."""
+    loss, grads_w, grads_b = loss_and_grads(ckpt, inputs, labels, n_classes)
+    for idx in range(ckpt.depth):
+        ckpt.weights[idx] = ckpt.weights[idx] - lr * grads_w[idx]
+        if grads_b[idx] is not None:
+            ckpt.biases[idx] = ckpt.biases[idx] - lr * grads_b[idx]
+    return loss
 
-    Full-batch by default (deterministic regardless of seed); pass batch_size
-    for seeded minibatch sampling. steps=0 returns a bitwise copy. The loss on
-    the full training inputs must end lower than it started, and a non-finite
-    loss aborts with the offending step index.
+
+def train_classifier(ckpt: Checkpoint, inputs, labels, steps: int, lr: float,
+                     n_classes: int | None = None) -> Checkpoint:
+    """Full-batch gradient descent from a checkpoint; returns a new trained
+    checkpoint.
+
+    steps=0 returns a bitwise copy. The loss must end lower than it started,
+    and a non-finite loss aborts with the offending step index.
     """
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, got {steps}")
@@ -125,21 +130,10 @@ def train_classifier(ckpt: Checkpoint, inputs, labels, steps: int, lr: float,
         return out
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = _check_labels(labels, inputs.shape[0], n_classes)
-    rng = np.random.default_rng(seed)
     loss_start = classification_loss(out, inputs, labels, n_classes)
     for step in range(steps):
-        if batch_size is not None:
-            pick = rng.choice(inputs.shape[0], size=min(batch_size, inputs.shape[0]), replace=False)
-            bx, by = inputs[pick], labels[pick]
-        else:
-            bx, by = inputs, labels
-        loss, grads_w, grads_b = loss_and_grads(out, bx, by, n_classes)
-        if not np.isfinite(loss):
+        if not np.isfinite(_descent_step(out, inputs, labels, lr, n_classes)):
             raise TrainingError(f"non-finite loss at step {step}")
-        for idx in range(out.depth):
-            out.weights[idx] = out.weights[idx] - lr * grads_w[idx]
-            if grads_b[idx] is not None:
-                out.biases[idx] = out.biases[idx] - lr * grads_b[idx]
     loss_end = classification_loss(out, inputs, labels, n_classes)
     if not loss_end < loss_start:
         raise TrainingError(
@@ -199,11 +193,7 @@ def warm_start_compare(theta: Checkpoint, update: TaskVector, alpha: float,
             accs.append(evaluate(current, val_inputs, val_labels, n_classes))
             if step == steps:
                 break
-            _, grads_w, grads_b = loss_and_grads(current, train_inputs, train_labels, n_classes)
-            for idx in range(current.depth):
-                current.weights[idx] = current.weights[idx] - lr * grads_w[idx]
-                if grads_b[idx] is not None:
-                    current.biases[idx] = current.biases[idx] - lr * grads_b[idx]
+            _descent_step(current, train_inputs, train_labels, lr, n_classes)
         return losses, accs
 
     cold_loss, cold_acc = run(theta)
@@ -215,13 +205,3 @@ def warm_start_compare(theta: Checkpoint, update: TaskVector, alpha: float,
         "cold_acc": cold_acc,
         "warm_acc": warm_acc,
     }
-
-
-def write_curves(curves: dict, path) -> None:
-    """Write warm-start curves as CSV: step,cold_loss,warm_loss,cold_acc,warm_acc."""
-    columns = ("step", "cold_loss", "warm_loss", "cold_acc", "warm_acc")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in zip(*(curves[c] for c in columns)):
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

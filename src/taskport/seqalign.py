@@ -25,7 +25,6 @@ __all__ = [
     "STRATEGIES",
     "align_sequence",
     "flatten_tokens",
-    "unflatten_tokens",
     "resample_weights",
     "grid_side",
 ]
@@ -132,15 +131,3 @@ def flatten_tokens(h) -> np.ndarray:
     h = _as_tokens(h)
     n, l, d = h.shape
     return h.reshape(n * l, d)
-
-
-def unflatten_tokens(m, n_sequences: int, n_tokens: int) -> np.ndarray:
-    """Inverse of flatten_tokens for a recorded (N, L)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
-    if m.shape[0] != n_sequences * n_tokens:
-        raise DimensionError(
-            f"{m.shape[0]} rows cannot be split into {n_sequences} sequences of {n_tokens} tokens"
-        )
-    return m.reshape(n_sequences, n_tokens, m.shape[1])

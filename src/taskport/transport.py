@@ -108,12 +108,14 @@ class TransportConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}, valid: {', '.join(METHODS)}")
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown seq-align strategy {self.strategy!r}, valid: {', '.join(STRATEGIES)}")
+            raise ConfigError(f"unknown seq_align strategy {self.strategy!r}, valid: {', '.join(STRATEGIES)}")
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lambda must be finite and positive when given, got {self.lam}")
         if not (np.isfinite(self.rcond) and self.rcond >= 0):
             raise ConfigError(f"rcond must be finite and non-negative, got {self.rcond}")
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def echo(self) -> dict:
         return {

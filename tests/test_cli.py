@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import re
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskport.cli import main
+from taskport.errors import ConfigError
+from taskport.harness.experiment import ExperimentConfig
 from taskport.model import (
     LayerSpec,
     init_checkpoint,
@@ -179,6 +182,21 @@ def test_transport_rejects_non_finite_solver_settings(fixtures_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transport-random", "transport-random-source", "experiment", "make-fixtures"])
+def test_negative_seeds_are_one_error_line(fixtures_dir, tmp_path, capsys, command):
+    if command == "experiment":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_payload(seeds={"data": -1, "init": 1, "calib": 1})))
+        argv = ["experiment", str(cfg_path)]
+    elif command == "make-fixtures":
+        argv = ["make-fixtures", "--seed", "-1", "--outdir", str(tmp_path / "demo")]
+    else:
+        argv = transport_args(fixtures_dir, tmp_path / "x.tpk", method=command[len("transport-"):], seed=-1)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad_config: "), err
+
+
 def test_transport_missing_input_reports_io_error(fixtures_dir, tmp_path, capsys):
     args = transport_args(fixtures_dir, tmp_path / "x.tpk")
     args[args.index("--source") + 1] = str(tmp_path / "nope.tpk")
@@ -230,6 +248,20 @@ def test_experiment_type_checks_config_values(tmp_path, capsys, overrides, key):
     assert main(["experiment", str(cfg_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bad_config: config key '{key}' must be ")
+
+
+@pytest.mark.parametrize("overrides", [
+    {"train": {"pretrain_steps": 40, "finetune_steps": 60, "lr": float("inf")}},
+    {"alpha_grid": [0.0, float("nan")]},
+    {"task": {**tiny_config_payload()["task"], "pretrain_center_shift": float("inf")}},
+    {"rcond": 10**400},  # an integer too large for a float
+])
+def test_experiment_rejects_non_finite_config_numbers(tmp_path, capsys, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config_payload(**overrides)))  # NaN / Infinity literals
+    assert main(["experiment", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad_config: "), err
 
 
 def test_experiment_rejects_malformed_json(tmp_path, capsys):
@@ -351,6 +383,70 @@ def test_inspect_survives_mutated_files(fuzz_files, tmp_path_factory):
             assert lines == [] and json.loads(out.getvalue())["format"] in ("TPK1", "TPC1")
         else:
             assert code == 1 and len(lines) == 1 and re.match(r"^[a-z_]+: ", lines[0]), lines
+
+    check()
+
+
+# Numbers at the edges of what a float or int field accepts, drawn as often
+# as every other JSON value together.
+_EDGE_NUMBERS = st.sampled_from([float("nan"), float("inf"), 10**400, -1])
+# A small alphabet keeps hypothesis from building its unicode tables.
+_TEXT = st.text(alphabet="ab_.- é", max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _locations(doc, path=()):
+    """The path of every value inside a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def perturbed_config(draw, base):
+    """The document with one to three edits: a value replaced by a random JSON
+    value, a key or list item deleted, or a key added to an object."""
+    doc = copy.deepcopy(base)
+    known_keys = sorted({p[-1] for p in _locations(base) if isinstance(p[-1], str)})
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("replace", "delete", "add")))
+        paths = list(_locations(doc))
+        if op == "add" or not paths:
+            objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+            parent = _at(doc, draw(st.sampled_from(objects)))
+            parent[draw(st.sampled_from(known_keys) | _TEXT)] = draw(_JSON_VALUES)
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = _at(doc, path[:-1])
+        if op == "replace":
+            parent[path[-1]] = draw(_EDGE_NUMBERS | _JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+def test_config_decoder_survives_perturbed_documents(fixtures_dir):
+    base = json.loads((fixtures_dir / "demo_config.json").read_text())
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_config(base))
+    def check(doc):
+        try:
+            cfg = ExperimentConfig.from_dict(doc)
+        except ConfigError:
+            return
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     check()
 

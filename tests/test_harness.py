@@ -22,7 +22,7 @@ from taskport.harness.experiment import (
     prepare_experiment,
     run_experiment,
     warm_start_experiment,
-    write_ablation_csv,
+    write_csv,
 )
 from taskport.harness.isometry import build_isometric_target
 from taskport.harness.training import (
@@ -32,7 +32,6 @@ from taskport.harness.training import (
     loss_and_grads,
     train_classifier,
     warm_start_compare,
-    write_curves,
 )
 from taskport.model import (
     Checkpoint,
@@ -251,21 +250,6 @@ def test_train_rejects_bad_args():
         train_classifier(ckpt, x, y, steps=5, lr=0.0)
 
 
-def test_train_minibatch_seed_changes_trajectory():
-    task = tiny_task(seed=11)
-    inputs, labels = make_dataset(task, 20, "train")
-    proj = input_projection(4, 6, np.random.SeedSequence(12))
-    rendered = render_tokens(inputs, proj)
-    ckpt = init_checkpoint(ModelConfig(width=6).layer_specs(), np.random.SeedSequence(13))
-    runs = [
-        train_classifier(ckpt, rendered, labels, steps=30, lr=0.05,
-                         seed=seed, batch_size=16)
-        for seed in (1, 1, 2)
-    ]
-    assert runs[0].weights[0].tobytes() == runs[1].weights[0].tobytes()
-    assert runs[0].weights[0].tobytes() != runs[2].weights[0].tobytes()
-
-
 # -- alpha search ----------------------------------------------------------------
 
 
@@ -434,10 +418,28 @@ def test_config_validation_catches_semantic_errors():
     ({"methods": "theseus"}, "methods"),
     ({"batches_b": "3"}, "batches_B"),
     ({"alpha_grid": "0.5"}, "alpha_grid"),
+    ({"task": {"n_classes": 4}}, "task"),
 ])
 def test_config_type_checks_direct_construction(overrides, key):
     with pytest.raises(ConfigError, match=f"^config key '{key}' must be "):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (TaskConfig, {"n_classes": "4"}, "n_classes"),
+    (ModelConfig, {"width": 16.0}, "width"),
+    (TrainConfig, {"lr": "0.1"}, "lr"),
+    (SeedConfig, {"data": None}, "data"),
+])
+def test_config_sections_type_check_direct_construction(cls, kwargs, key):
+    with pytest.raises(ConfigError, match=f"^config key '{key}' must be "):
+        cls(**kwargs)
+
+
+def test_config_rcond_follows_the_transport_rule():
+    assert fast_config(rcond=0).rcond == 0.0
+    with pytest.raises(ConfigError, match="rcond must be finite and non-negative"):
+        fast_config(rcond=-1e-3)
 
 
 def test_config_lambda_key_feeds_ridge_strength():
@@ -557,12 +559,15 @@ def test_write_curves_round_trips(tmp_path):
         "cold_acc": [0.5, 0.75], "warm_acc": [0.625, 1.0],
     }
     path = tmp_path / "curves.csv"
-    write_curves(curves, path)
+    write_csv([dict(zip(curves, row)) for row in zip(*curves.values())], path)
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["step", "cold_loss", "warm_loss", "cold_acc", "warm_acc"]
     assert len(rows) == 3
     assert [float(v) for v in rows[1][1:]] == [1.25, 1.0, 0.5, 0.625]
+    assert path.read_bytes() == (
+        b"step,cold_loss,warm_loss,cold_acc,warm_acc\r\n0,1.25,1.0,0.5,0.625\r\n1,0.5,0.25,0.75,1.0\r\n"
+    )
 
 
 # -- sequence-alignment ablation -------------------------------------------------------
@@ -577,7 +582,7 @@ def test_ablation_rows_and_csv(tmp_path):
     for row in rows:
         assert row["delta_acc"] == pytest.approx(row["accuracy_after"] - row["accuracy_before"])
     path = tmp_path / "ablation.csv"
-    write_ablation_csv(rows, path)
+    write_csv(rows, path)
     with open(path, newline="") as f:
         parsed = list(csv.reader(f))
     assert parsed[0] == ["strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc"]

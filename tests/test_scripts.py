@@ -1,0 +1,57 @@
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+NAMES = ("seqalign_ablation", "warm_start_curves", "width_scaling")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_script_imports(name):
+    assert callable(load_script(name).main)
+
+
+def test_seqalign_ablation_writes_its_table(tmp_path, capsys):
+    out = tmp_path / "ablation.csv"
+    assert load_script("seqalign_ablation").main(["--calib-sequences", "2", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["strategy", "accuracy_before", "accuracy_after", "best_alpha", "delta_acc"]
+    assert [r[0] for r in rows[1:]] == ["mean", "interp1d", "interp2d"]
+
+
+def test_warm_start_curves_writes_one_row_per_step(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert load_script("warm_start_curves").main(["--steps", "2", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["step", "cold_loss", "warm_loss", "cold_acc", "warm_acc"]
+    assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
+
+
+def test_width_scaling_tabulates_each_batch_count_and_method(tmp_path, monkeypatch, capsys):
+    module = load_script("width_scaling")
+
+    def canned(cfg):
+        delta = cfg.batches_b / 4 + cfg.seeds.data / 8  # exact in binary
+        return {"methods": {m: {"delta_acc": delta} for m in cfg.methods}}
+
+    monkeypatch.setattr(module, "run_experiment", canned)
+    out = tmp_path / "scaling.csv"
+    assert module.main(["--batches", "1", "3", "--seeds", "2", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["batches_B", "method", "median_delta", "min_delta", "max_delta"]
+    assert len(rows) == 1 + 2 * 3
+    assert rows[1] == ["1", "theseus", "0.3125", "0.25", "0.375"]

@@ -9,7 +9,6 @@ from taskport.seqalign import (
     flatten_tokens,
     grid_side,
     resample_weights,
-    unflatten_tokens,
 )
 
 # Token counts every strategy accepts: squares work for interp2d and anything
@@ -159,14 +158,3 @@ def test_flatten_row_order():
     assert flat.shape == (6, 4)
     # Row n*L + l is token l of sequence n; row 4 is sequence 1, token 1.
     np.testing.assert_array_equal(flat[4], h[1, 1])
-
-
-def test_flatten_round_trip_bitwise():
-    h = np.random.default_rng(6).standard_normal((3, 5, 2))
-    back = unflatten_tokens(flatten_tokens(h), 3, 5)
-    assert back.tobytes() == h.tobytes()
-
-
-def test_unflatten_rejects_bad_row_count():
-    with pytest.raises(DimensionError):
-        unflatten_tokens(np.zeros((7, 2)), 2, 3)
