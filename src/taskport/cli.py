@@ -90,6 +90,8 @@ def cmd_transport(args) -> int:
         strategy=args.seq_align,
         lam=args.lam, rcond=args.rcond, seed=args.seed,
     )
+    if not np.isfinite(args.alpha):
+        raise ConfigError(f"alpha must be finite, got {args.alpha}")
     theta_a = load_checkpoint(args.source)
     theta_a_ft = load_checkpoint(args.finetuned)
     theta_b = load_checkpoint(args.target)
@@ -280,6 +282,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io_error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out_of_memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

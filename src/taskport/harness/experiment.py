@@ -315,7 +315,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "rb") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 
@@ -483,15 +483,11 @@ def evaluate_method(prep: PreparedExperiment, method: str, strategy: str | None 
     }
 
 
-def run_experiment(cfg_or_path, output_path=None) -> dict:
+def run_experiment(cfg: ExperimentConfig, output_path=None) -> dict:
     """Full pipeline for one config; returns (and optionally writes) the result.
 
     The result is a pure function of the config except for wall_clock_sec.
     """
-    if isinstance(cfg_or_path, ExperimentConfig):
-        cfg = cfg_or_path
-    else:
-        cfg = load_config(cfg_or_path)
     start = time.perf_counter()
     prep = prepare_experiment(cfg)
     results = {m: evaluate_method(prep, m) for m in cfg.methods}

@@ -14,7 +14,7 @@ __all__ = ["build_isometric_target"]
 
 
 def build_isometric_target(theta_a: Checkpoint, widths=None, seed: int = 0,
-                           maps=None, keep_final: bool = False):
+                           keep_final: bool = False):
     """Rotate a linear stack into wider coordinates with known orthonormal maps.
 
     For every interface l (layer inputs for l=0, layer l-1 outputs otherwise) a
@@ -26,9 +26,9 @@ def build_isometric_target(theta_a: Checkpoint, widths=None, seed: int = 0,
 
     widths lists the target dimension per interface (depth+1 entries, default:
     same as the source). keep_final pins the last interface map to the identity
-    so any readout on the final features is preserved. Explicit ``maps``
-    override the sampling. Returns (theta_b, per-layer ProcrustesMap list with
-    zero residuals).
+    so any readout on the final features is preserved. Every map is stored
+    source -> target, as ``ProcrustesMap`` holds it. Returns (theta_b,
+    per-layer ProcrustesMap list with zero residuals).
     """
     for idx, spec in enumerate(theta_a.layer_specs):
         if spec.activation != "identity":
@@ -53,26 +53,12 @@ def build_isometric_target(theta_a: Checkpoint, widths=None, seed: int = 0,
             f"keep_final needs matching final widths, got {dims_a[-1]} vs {widths[-1]}"
         )
 
-    if maps is None:
-        maps = []
-        for l, (da, wb) in enumerate(zip(dims_a, widths)):
-            if keep_final and l == len(dims_a) - 1:
-                maps.append(np.eye(da))
-            else:
-                maps.append(
-                    random_orthonormal_rows(da, wb, np.random.SeedSequence((int(seed), l)))
-                )
-    else:
-        maps = [np.asarray(m, dtype=np.float64) for m in maps]
-        if len(maps) != len(dims_a):
-            raise DimensionError(f"expected {len(dims_a)} maps, got {len(maps)}")
-        for l, m in enumerate(maps):
-            if m.shape != (dims_a[l], widths[l]):
-                raise DimensionError(
-                    f"map {l} has shape {m.shape}, expected ({dims_a[l]}, {widths[l]})"
-                )
-            if not np.allclose(m @ m.T, np.eye(m.shape[0]), atol=1e-10):
-                raise DimensionError(f"map {l} does not have orthonormal rows")
+    maps = []
+    for l, (da, wb) in enumerate(zip(dims_a, widths)):
+        if keep_final and l == len(dims_a) - 1:
+            maps.append(np.eye(da))
+        else:
+            maps.append(random_orthonormal_rows(da, wb, np.random.SeedSequence((int(seed), l))))
 
     specs_b, weights_b, biases_b = [], [], []
     for idx, spec in enumerate(theta_a.layer_specs):

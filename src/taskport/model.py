@@ -212,6 +212,8 @@ def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoi
     """Return ``base + alpha * update``; alpha is recorded in the result's meta.
 
     alpha = 0 returns an exact copy of the base weights, not a sum with zero.
+    A sum that overflows raises ``NonFiniteError``, like any checkpoint built
+    with non-finite weights.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha):
@@ -220,7 +222,6 @@ def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoi
         raise DimensionError(
             f"update has {len(update.deltas)} layers, checkpoint has {base.depth}"
         )
-    out = base.copy()
     for idx, (spec, d, bd) in enumerate(zip(base.layer_specs, update.deltas, update.bias_deltas)):
         if d.shape != (spec.d_out, spec.d_in):
             raise DimensionError(
@@ -232,21 +233,24 @@ def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoi
             raise DimensionError(
                 f"layer {idx}: bias delta shape {bd.shape} does not match ({spec.d_out},)"
             )
-        if alpha != 0.0:
-            out.weights[idx] = out.weights[idx] + alpha * d
-            if bd is not None:
-                out.biases[idx] = out.biases[idx] + alpha * bd
+    if alpha == 0.0:
+        out = base.copy()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects overflow
+            weights = [w + alpha * d for w, d in zip(base.weights, update.deltas)]
+            biases = [None if b is None else (b.copy() if bd is None else b + alpha * bd)
+                      for b, bd in zip(base.biases, update.bias_deltas)]
+        out = Checkpoint(list(base.layer_specs), weights, biases, dict(base.meta))
     out.meta["alpha"] = repr(alpha)
     return out
 
 
-def init_checkpoint(layer_specs, seed, weight_scale: float | None = None) -> Checkpoint:
-    """Seeded Gaussian init, scaled by 1/sqrt(d_in) per layer unless overridden."""
+def init_checkpoint(layer_specs, seed) -> Checkpoint:
+    """Seeded Gaussian init, scaled by 1/sqrt(d_in) per layer."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for spec in layer_specs:
-        scale = weight_scale if weight_scale is not None else 1.0 / np.sqrt(spec.d_in)
-        weights.append(scale * rng.standard_normal((spec.d_out, spec.d_in)))
+        weights.append(1.0 / np.sqrt(spec.d_in) * rng.standard_normal((spec.d_out, spec.d_in)))
         biases.append(np.zeros(spec.d_out) if spec.has_bias else None)
     return Checkpoint(layer_specs=list(layer_specs), weights=weights, biases=biases)
 

@@ -9,12 +9,12 @@ conjugates the source update with those maps:
 
     new_update = out_map.T @ source_update @ in_map
 
-with each map applied source -> target as a (d_src, d_dst) matrix. A side
-whose source is no wider than its target is solved directly; its map has
-orthonormal rows and conjugation keeps the update's Frobenius norm exactly. A
-side whose source is wider is solved with the Procrustes roles swapped and
-flagged ``*_swapped``; its map is applied transposed, has orthonormal columns,
-and can only shrink the norm. ``transport_update`` asserts the norm identity on
+with each map stored and applied source -> target as a (d_src, d_dst) matrix.
+A side whose source is no wider than its target has a map with orthonormal
+rows, and conjugation keeps the update's Frobenius norm exactly. A side whose
+source is wider is solved with the Procrustes roles swapped, so its map has
+more rows than columns, is reported ``*_swapped``, has orthonormal columns and
+can only shrink the norm. ``transport_update`` asserts the norm identity on
 every unswapped side and that no swapped side grows the norm.
 """
 
@@ -57,41 +57,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProcrustesMap:
-    """Orthonormal alignment maps for one layer, stored as solved.
+    """Orthonormal alignment maps for one layer, stored source -> target.
 
-    Every map has orthonormal rows. On an unswapped side it is stored source
-    -> target: ``in_map`` is (d_in_src, d_in_dst), ``out_map`` is
-    (d_out_src, d_out_dst). A side flagged ``in_swapped``/``out_swapped`` has
-    a wider source, was solved target -> source, is stored (d_dst, d_src) and
-    is applied transposed. The residuals are the Frobenius misfits of the
-    solved alignment at the optimum.
+    ``in_map`` is (d_in_src, d_in_dst) and ``out_map`` is (d_out_src,
+    d_out_dst), the orientation conjugation applies. Each map is orthonormal
+    along its narrow side: rows when the source is no wider than the target,
+    columns otherwise. A map with more rows than columns was solved with the
+    roles swapped, which ``in_swapped``/``out_swapped`` report. The residuals
+    are the Frobenius misfits of the solved alignment at the optimum.
     """
 
     in_map: np.ndarray
     out_map: np.ndarray
     in_residual: float = 0.0
     out_residual: float = 0.0
-    in_swapped: bool = False
-    out_swapped: bool = False
 
     def __post_init__(self):
         for name, m in (("in_map", self.in_map), ("out_map", self.out_map)):
             m = as_matrix(m, name)
-            if m.shape[0] > m.shape[1]:
-                raise DimensionError(
-                    f"{name} is {m.shape[0]}x{m.shape[1]}; maps are stored as solved, "
-                    f"narrow side first (source -> target unless the side is swapped)"
-                )
-            gram = m @ m.T
-            if not np.allclose(gram, np.eye(m.shape[0]), atol=1e-8):
-                raise DimensionError(f"{name} rows are not orthonormal (worst "
-                                     f"deviation {np.abs(gram - np.eye(m.shape[0])).max():.3e})")
+            narrow = m.T if m.shape[0] > m.shape[1] else m
+            gram = narrow @ narrow.T
+            if not np.allclose(gram, np.eye(narrow.shape[0]), atol=1e-8):
+                raise DimensionError(f"{name} is not orthonormal along its narrow side (worst "
+                                     f"deviation {np.abs(gram - np.eye(narrow.shape[0])).max():.3e})")
             object.__setattr__(self, name, m)
         for name, r in (("in_residual", self.in_residual), ("out_residual", self.out_residual)):
             r = float(r)
             if not (np.isfinite(r) and r >= 0.0):
                 raise DimensionError(f"{name} must be a finite non-negative real, got {r}")
             object.__setattr__(self, name, r)
+
+    @property
+    def in_swapped(self) -> bool:
+        return self.in_map.shape[0] > self.in_map.shape[1]
+
+    @property
+    def out_swapped(self) -> bool:
+        return self.out_map.shape[0] > self.out_map.shape[1]
 
 
 @dataclass
@@ -128,18 +130,19 @@ class TransportConfig:
 
 
 def procrustes_align(h_src, h_dst) -> tuple[np.ndarray, float]:
-    """Best row-orthonormal map t minimizing ``|h_src @ t - h_dst|``.
+    """Best orthonormal (d_src, d_dst) map t minimizing ``|h_src @ t - h_dst|``.
 
-    t is (d_src, d_dst) with d_src <= d_dst, computed as u @ vt from the SVD of
-    the cross-covariance. Returns (t, residual at the optimum).
+    When d_src <= d_dst, t = u @ vt from the SVD of the cross-covariance and
+    has orthonormal rows. When the source is wider, the roles are swapped: t is
+    the transpose of ``procrustes_align(h_dst, h_src)``, has orthonormal
+    columns, and the residual is that solve's. Returns (t, residual at the
+    optimum).
     """
     h_src = as_matrix(h_src, "h_src")
     h_dst = as_matrix(h_dst, "h_dst")
     if h_src.shape[1] > h_dst.shape[1]:
-        raise DimensionError(
-            f"alignment source is wider than its target ({h_src.shape[1]} > {h_dst.shape[1]}); "
-            f"swap the roles and transpose the map"
-        )
+        t, residual = procrustes_align(h_dst, h_src)
+        return t.T, residual
     res = svd(cross_covariance(h_src, h_dst))
     t = res.u @ res.vt
     residual = float(np.linalg.norm(h_src @ t - h_dst))
@@ -147,22 +150,10 @@ def procrustes_align(h_src, h_dst) -> tuple[np.ndarray, float]:
 
 
 def procrustes_maps(hin_a, hin_b, hout_a, hout_b) -> ProcrustesMap:
-    """Alignment maps for both sides of a layer from paired calibration activations.
-
-    A side whose source activations are wider than the target's is solved with
-    the roles swapped and flagged, so every map comes out row-orthonormal.
-    """
-    sides = {}
-    for side, h_src, h_dst in (("in", hin_a, hin_b), ("out", hout_a, hout_b)):
-        swapped = np.shape(h_src)[-1] > np.shape(h_dst)[-1]
-        t, residual = procrustes_align(h_dst, h_src) if swapped else procrustes_align(h_src, h_dst)
-        sides.update({f"{side}_map": t, f"{side}_residual": residual, f"{side}_swapped": swapped})
-    return ProcrustesMap(**sides)
-
-
-def _applied(m: np.ndarray, swapped: bool) -> np.ndarray:
-    """A stored map in the source -> target orientation conjugation applies."""
-    return m.T if swapped else m
+    """Alignment maps for both sides of a layer from paired calibration activations."""
+    in_map, in_residual = procrustes_align(hin_a, hin_b)
+    out_map, out_residual = procrustes_align(hout_a, hout_b)
+    return ProcrustesMap(in_map, out_map, in_residual, out_residual)
 
 
 def _check_norm(side: str, before, after, swapped: bool) -> None:
@@ -187,8 +178,7 @@ def transport_update(update_src, pmap: ProcrustesMap) -> np.ndarray:
     not grow otherwise; the norm is checked after each side, not assumed.
     """
     update_src = as_matrix(update_src, "update")
-    in_map = _applied(pmap.in_map, pmap.in_swapped)
-    out_map = _applied(pmap.out_map, pmap.out_swapped)
+    in_map, out_map = pmap.in_map, pmap.out_map
     if update_src.shape != (out_map.shape[0], in_map.shape[0]):
         raise DimensionError(
             f"update shape {update_src.shape} does not match maps "
@@ -204,9 +194,8 @@ def transport_update(update_src, pmap: ProcrustesMap) -> np.ndarray:
 def transport_bias(bias_delta, pmap: ProcrustesMap) -> np.ndarray:
     """Bias deltas live in the output space only, so they ride the output map
     alone, under the output side's norm check."""
-    out_map = _applied(pmap.out_map, pmap.out_swapped)
-    b = as_vector(bias_delta, out_map.shape[0], "bias delta")
-    out = out_map.T @ b
+    b = as_vector(bias_delta, pmap.out_map.shape[0], "bias delta")
+    out = pmap.out_map.T @ b
     _check_norm("output", b, out, pmap.out_swapped)
     return out
 

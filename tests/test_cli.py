@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskport import cli
 from taskport.cli import main
 from taskport.errors import ConfigError
-from taskport.harness.experiment import ExperimentConfig
+from taskport.harness.experiment import ExperimentConfig, load_config
 from taskport.model import (
     LayerSpec,
     init_checkpoint,
@@ -264,6 +265,39 @@ def test_experiment_rejects_non_finite_config_numbers(tmp_path, capsys, override
     assert len(err) == 1 and err[0].startswith("bad_config: "), err
 
 
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("non_utf8_config", "bad_config"),
+    ("deeply_nested_config", "bad_config"),
+    ("transport_alpha_nan", "bad_config"),
+    ("transport_alpha_inf", "bad_config"),
+    ("out_of_memory", "out_of_memory"),
+])
+def test_hostile_inputs_are_one_error_line(fixtures_dir, tmp_path, capsys, monkeypatch, case, kind):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    argv = ["experiment", str(cfg_path), "--output", str(out)]
+    if case == "non_utf8_config":
+        cfg_path.write_bytes(b'{"a": "\xff"}')
+    elif case == "deeply_nested_config":
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    elif case.startswith("transport_alpha_"):
+        argv = transport_args(fixtures_dir, out, alpha=case[len("transport_alpha_"):])
+    else:
+        # A real allocation this large succeeds or fails by the host's
+        # overcommit policy, so the failure is simulated.
+        cfg_path.write_text(json.dumps(tiny_config_payload()))
+        monkeypatch.setattr(cli, "run_experiment", _raise_memory_error)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^[a-z_]+: ", err[0]), err
+    assert err[0].startswith(f"{kind}: ")
+    assert not out.exists()
+
+
 def test_experiment_rejects_malformed_json(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("{not json")
@@ -447,6 +481,22 @@ def test_config_decoder_survives_perturbed_documents(fixtures_dir):
         except ConfigError:
             return
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    check()
+
+
+def test_config_loader_survives_mutated_files(fixtures_dir, tmp_path_factory):
+    files = {"demo_config.json": (fixtures_dir / "demo_config.json").read_bytes()}
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+
+    @settings(max_examples=150)
+    @given(mutated_file(files))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            assert isinstance(load_config(path), ExperimentConfig)
+        except ConfigError:
+            pass
 
     check()
 

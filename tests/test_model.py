@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import assert_checkpoint_equal, small_checkpoint
-from taskport.errors import DimensionError, FormatError
+from taskport.errors import DimensionError, FormatError, NonFiniteError
 from taskport.model import (
     Checkpoint,
     LayerSpec,
@@ -131,6 +133,16 @@ def test_apply_midpoint_scalar():
     tv = TaskVector(deltas=[np.array([[2.0]])], bias_deltas=[None])
     out = apply_update(ckpt, tv, 0.5)
     assert out.weights[0][0, 0] == 3.0
+
+
+def test_apply_overflow_raises_non_finite():
+    base = small_checkpoint(widths=(2, 2), seed=9)
+    tv = TaskVector(deltas=[np.full((2, 2), 20.0)], bias_deltas=[np.ones(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="layer 0 weights"):
+            apply_update(base, tv, 1e308)
+    assert np.all(np.isfinite(base.weights[0]))
 
 
 def test_apply_rejects_bad_shapes():

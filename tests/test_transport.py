@@ -93,9 +93,14 @@ def test_procrustes_rank_deficient_source():
     assert abs(residual - float(np.linalg.norm(h_src @ t - h_dst))) <= 1e-10
 
 
-def test_procrustes_rejects_wide_source():
-    with pytest.raises(DimensionError, match="wider"):
-        procrustes_align(np.zeros((5, 4)), np.zeros((5, 3)))
+def test_procrustes_wide_source_transposes_the_reverse_solve():
+    h_src = full_rank_activations(25, 5, seed=15)
+    h_dst = full_rank_activations(25, 3, seed=16)
+    t, residual = procrustes_align(h_src, h_dst)
+    rev, rev_residual = procrustes_align(h_dst, h_src)
+    assert t.shape == (5, 3)
+    assert t.tobytes() == rev.T.tobytes() and residual == rev_residual
+    np.testing.assert_allclose(t.T @ t, np.eye(3), atol=1e-8)
 
 
 def test_procrustes_maps_bundles_both_sides():
@@ -108,10 +113,10 @@ def test_procrustes_maps_bundles_both_sides():
     np.testing.assert_allclose(pmap.out_map, q_out, atol=1e-8)
     assert pmap.in_residual <= 1e-8 and pmap.out_residual <= 1e-8
     assert not pmap.in_swapped and not pmap.out_swapped
-    # Wider sources are solved target -> source and stored as solved.
+    # A wider source is solved target -> source and stored transposed, source -> target.
     rev = procrustes_maps(hin_a @ q_in, hin_a, hout_a, hout_a @ q_out)
     assert rev.in_swapped and not rev.out_swapped
-    np.testing.assert_allclose(rev.in_map, q_in, atol=1e-8)
+    np.testing.assert_allclose(rev.in_map, q_in.T, atol=1e-8)
 
 
 def test_equal_width_full_rank_maps_are_square_orthogonal():
@@ -125,8 +130,11 @@ def test_equal_width_full_rank_maps_are_square_orthogonal():
 def test_procrustes_map_validates_orthonormality():
     with pytest.raises(DimensionError, match="orthonormal"):
         ProcrustesMap(in_map=np.array([[1.0, 1.0]]), out_map=np.eye(2))
-    with pytest.raises(DimensionError, match="source -> target"):
-        ProcrustesMap(in_map=np.eye(3)[:, :2], out_map=np.eye(2))
+    with pytest.raises(DimensionError, match="orthonormal"):
+        ProcrustesMap(in_map=np.array([[1.0], [1.0]]), out_map=np.eye(2))
+    # A tall map with orthonormal columns is a swapped side.
+    tall = ProcrustesMap(in_map=np.eye(3)[:, :2], out_map=np.eye(2))
+    assert tall.in_swapped and not tall.out_swapped
     with pytest.raises(DimensionError, match="non-negative"):
         ProcrustesMap(in_map=np.eye(2), out_map=np.eye(2), in_residual=-1.0)
 
@@ -179,22 +187,21 @@ def test_single_conjugation_both_directions(d_in_a, d_in_b, d_out_a, d_out_b, se
     tau = rng.standard_normal((d_out_a, d_in_a))
     bias = rng.standard_normal(d_out_a)
     in_swapped, out_swapped = d_in_a > d_in_b, d_out_a > d_out_b
-    # Maps as solved: orthonormal rows, narrow side first.
+    # Maps source -> target: orthonormal along the narrow side.
     in_map = random_orthonormal_rows(
         min(d_in_a, d_in_b), max(d_in_a, d_in_b), np.random.SeedSequence((seed, 25))
     )
     out_map = random_orthonormal_rows(
         min(d_out_a, d_out_b), max(d_out_a, d_out_b), np.random.SeedSequence((seed, 26))
     )
-    pmap = ProcrustesMap(
-        in_map=in_map, out_map=out_map, in_swapped=in_swapped, out_swapped=out_swapped
-    )
-    in_eff = in_map.T if in_swapped else in_map
-    out_eff = out_map.T if out_swapped else out_map
+    in_map = in_map.T if in_swapped else in_map
+    out_map = out_map.T if out_swapped else out_map
+    pmap = ProcrustesMap(in_map=in_map, out_map=out_map)
+    assert (pmap.in_swapped, pmap.out_swapped) == (in_swapped, out_swapped)
     out = transport_update(tau, pmap)
     assert out.shape == (d_out_b, d_in_b)
-    assert out.tobytes() == (out_eff.T @ tau @ in_eff).tobytes()
-    assert transport_bias(bias, pmap).tobytes() == (out_eff.T @ bias).tobytes()
+    assert out.tobytes() == (out_map.T @ tau @ in_map).tobytes()
+    assert transport_bias(bias, pmap).tobytes() == (out_map.T @ bias).tobytes()
     norm_src, norm_dst = np.linalg.norm(tau), np.linalg.norm(out)
     if in_swapped or out_swapped:
         assert norm_dst <= norm_src * (1.0 + 1e-10)
@@ -204,14 +211,16 @@ def test_single_conjugation_both_directions(d_in_a, d_in_b, d_out_a, d_out_b, se
 
 @pytest.mark.parametrize("swapped", [False, True])
 def test_norm_checks_catch_a_stretching_map(swapped):
-    # Rows orthonormal within the 1e-8 validation tolerance, yet the map
-    # stretches the first coordinate by 1e-9: the side's norm check catches it.
-    stretch = np.diag([1.0 + 1e-9, 1.0])
+    # Orthonormal within the 1e-8 validation tolerance, yet the map stretches
+    # the first coordinate by 1e-9: the side's norm check catches it. The
+    # swapped case is a tall (2, 1) map, the unswapped one a square map.
+    stretch = np.array([[1.0 + 1e-9], [0.0]]) if swapped else np.diag([1.0 + 1e-9, 1.0])
     rule = "bound" if swapped else "identity"
-    pmap = ProcrustesMap(in_map=stretch, out_map=np.eye(1), in_swapped=swapped)
+    pmap = ProcrustesMap(in_map=stretch, out_map=np.eye(1))
+    assert pmap.in_swapped == swapped
     with pytest.raises(TaskportError, match=f"norm {rule} on the input side"):
         transport_update(np.array([[1.0, 0.0]]), pmap)
-    pmap = ProcrustesMap(in_map=np.eye(1), out_map=stretch, out_swapped=swapped)
+    pmap = ProcrustesMap(in_map=np.eye(1), out_map=stretch)
     with pytest.raises(TaskportError, match=f"norm {rule} on the output side"):
         transport_update(np.array([[1.0], [0.0]]), pmap)
     with pytest.raises(TaskportError, match=f"norm {rule} on the output side"):
