@@ -1,10 +1,11 @@
 """Reference baselines the transport method is compared against.
 
 All of these produce an update shaped for the target model. zero_pad and
-random ignore activations entirely; the Gram-solve family (pinv, its ridge
-variant and the bias solve) matches the activation coupling directly on the
-target activations. The random_source control, which runs a norm-matched
-random update through the alignment maps, is a method of ``transport``.
+random ignore activations entirely; the Gram solve (pinv, its ridge variant
+and the bias solve) matches the activation coupling on the target
+activations, read from a ``transport.LayerStats``. The random_source control,
+which runs a norm-matched random update through the alignment maps, is a
+method of ``transport``.
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (
-    DEFAULT_RCOND,
-    as_matrix,
-    as_vector,
-    cross_covariance,
-    pseudo_inverse,
-    tikhonov_solve,
-)
+from .linalg import DEFAULT_RCOND, as_matrix, as_vector, pseudo_inverse, tikhonov_solve
 
 __all__ = [
     "zero_pad_update",
@@ -78,9 +72,9 @@ def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray
     return tikhonov_solve(gram, rhs, float(lam))
 
 
-def gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, bias_delta=None,
+def gram_transport(stats, update_a, bias_delta=None,
                    rcond: float | None = None, lam: float | None = None):
-    """Least-squares coupling match on the target activations.
+    """Least-squares coupling match on the target activations of one layer.
 
     Solves for the target update whose coupling on the calibration rows best
     matches the source coupling, and for the bias delta whose constant output
@@ -89,37 +83,29 @@ def gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, bias_delta=None,
         new      = G_out^-1 (hout_b.T hout_a) update (hin_a.T hin_b) G_in^-1
         new_bias = G_out^-1 (hout_b.T hout_a) bias
 
-    with G = h_b.T h_b on each side, inverted by one ``_gram_solve`` per side
-    (rcond route when rcond is given, ridge route otherwise). The bias rides
-    the output-side solve as one more right-hand side, and nothing larger than
-    features x features is formed. Returns (new update, new bias delta or None).
+    with G = h_b.T h_b on each side, all read from ``stats``, inverted by one
+    ``_gram_solve`` per side (rcond route when rcond is given, ridge route
+    otherwise). The bias rides the output-side solve as one more right-hand
+    side. Returns (new update, new bias delta or None).
     """
-    hin_a = as_matrix(hin_a, "hin_a")
-    hout_a = as_matrix(hout_a, "hout_a")
-    hin_b = as_matrix(hin_b, "hin_b")
-    hout_b = as_matrix(hout_b, "hout_b")
-    update_a = as_matrix(update_a, "update_a")
-    if update_a.shape != (hout_a.shape[1], hin_a.shape[1]):
-        raise DimensionError(
-            f"update shape {update_a.shape} does not match source activations "
-            f"({hout_a.shape[1]}, {hin_a.shape[1]})"
-        )
-    cross_out = cross_covariance(hout_a, hout_b)
-    mid = cross_covariance(hin_b, hin_a) @ update_a.T @ cross_out
-    rhs = _gram_solve(cross_covariance(hin_b, hin_b), mid, rcond, lam).T
+    side_in, side_out = stats.in_side, stats.out_side
+    update_a = stats.check_update(update_a, "a", "update")
+    cross_out = side_out.cross_ab
+    mid = side_in.cross_ab.T @ update_a.T @ cross_out
+    rhs = _gram_solve(side_in.gram_b, mid, rcond, lam).T
     if bias_delta is not None:
-        b = as_vector(bias_delta, hout_a.shape[1], "bias delta")
+        b = as_vector(bias_delta, update_a.shape[0], "bias delta")
         rhs = np.column_stack([rhs, cross_out.T @ b])
-    out = _gram_solve(cross_covariance(hout_b, hout_b), rhs, rcond, lam)
-    d_in_b = hin_b.shape[1]
+    out = _gram_solve(side_out.gram_b, rhs, rcond, lam)
+    d_in_b = side_in.h_b.shape[1]
     new_bias = None if bias_delta is None else out[:, d_in_b].copy()
     return np.ascontiguousarray(out[:, :d_in_b]), new_bias
 
 
-def pinv_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def pinv_transport(stats, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """``gram_transport`` of the update through pseudo-inverses of the target Grams.
 
     Kept by name because the benchmark's per-layer trace (``perfbench/spans.py``)
     lists it; it goes once that trace names ``gram_transport`` instead.
     """
-    return gram_transport(hin_a, hout_a, hin_b, hout_b, update_a, rcond=rcond)[0]
+    return gram_transport(stats, update_a, rcond=rcond)[0]

@@ -8,6 +8,7 @@ Verbosity is controlled by the TASKPORT_LOG env var (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
@@ -272,8 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _hold_heap():
+    """Keep what a command frees in glibc's heap for reuse; the returned call
+    hands every free page back when the command ends. Under glibc's default
+    trimming, the pages a transport faulted in depended on where earlier work
+    had left numpy's small cached buffers in the heap (19k or 33k from one run
+    to the next). The settings stay for the process; without glibc, no-op."""
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda: None
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays up to 32 MiB use the heap
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD: never trim on free
+    return lambda: malloc_trim(0)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    release = _hold_heap()
     try:
         _setup_logging()
         return args.func(args)
@@ -286,6 +304,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out_of_memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
+    finally:
+        release()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra: cross-covariances, deterministic SVD,
+"""Dense float64 linear algebra: input checks, cross-covariances, SVD,
 pseudo-inverse, ridge solve, seeded orthonormal sampling.
 
 All functions take and return plain 2-D ``numpy.float64`` arrays (C order) and
@@ -8,15 +8,12 @@ not a silent propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NonFiniteError, NotPositiveDefiniteError
 
 __all__ = [
     "DEFAULT_RCOND",
-    "SvdResult",
     "as_matrix",
     "as_vector",
     "require_finite",
@@ -68,37 +65,16 @@ def cross_covariance(h_a, h_b) -> np.ndarray:
     return h_a.T @ h_b
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``a = u @ diag(sigma) @ vt`` with k = min(m, n).
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's thin SVD ``a = (u * sigma) @ vt``, raising ConvergenceError on failure.
 
-    ``u`` is (m, k), ``sigma`` is length k, non-negative and non-increasing,
-    ``vt`` is (k, n). Signs are normalized so the largest-magnitude entry of
-    every column of ``u`` is positive, with the matching row of ``vt`` flipped
-    alongside; repeated calls on the same input produce identical bytes.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vt
-
-
-def svd(a) -> SvdResult:
-    """Deterministic thin SVD of a real matrix."""
+    Every consumer (``u @ vt`` and the pseudo-inverse) is invariant to the
+    singular vectors' signs, so they are left as numpy gives them."""
     a = as_matrix(a, "svd input")
-    m, n = a.shape
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD failed to converge on a {m}x{n} matrix: {exc}") from exc
-    # Sign convention: per column of u, force the largest-|entry| positive.
-    anchor = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[anchor, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return SvdResult(u=u * signs, sigma=sigma, vt=vt * signs[:, None])
+        raise ConvergenceError(f"SVD failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
 
 def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
@@ -109,12 +85,12 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    res = svd(a)
-    cutoff = rcond * (res.sigma[0] if res.sigma.size else 0.0)
-    keep = (res.sigma > 0.0) & (res.sigma >= cutoff)
-    inv = np.zeros_like(res.sigma)
-    inv[keep] = 1.0 / res.sigma[keep]
-    return (res.vt.T * inv) @ res.u.T
+    u, sigma, vt = svd(a)
+    cutoff = rcond * (sigma[0] if sigma.size else 0.0)
+    keep = (sigma > 0.0) & (sigma >= cutoff)
+    inv = np.zeros_like(sigma)
+    inv[keep] = 1.0 / sigma[keep]
+    return (vt.T * inv) @ u.T
 
 
 def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:

@@ -188,9 +188,11 @@ def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[Activati
     for idx, (spec, w, b) in enumerate(zip(ckpt.layer_specs, ckpt.weights, ckpt.biases)):
         if h.shape[2] != spec.d_in:
             raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
-        z = h.reshape(n * l, spec.d_in) @ w.T
-        if b is not None:
-            z = z + b
+        # Overflow gives non-finite activations, which transport rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = h.reshape(n * l, spec.d_in) @ w.T
+            if b is not None:
+                z = z + b
         z = z.reshape(n, l, spec.d_out)
         records.append(ActivationRecord(h_in=h, h_out=z))
         h = np.maximum(z, 0.0) if spec.activation == "relu" else z

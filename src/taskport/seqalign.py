@@ -38,7 +38,6 @@ def _as_tokens(h, name="activations") -> np.ndarray:
         raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {h.shape}")
     if min(h.shape) < 1:
         raise DimensionError(f"{name} must be non-empty, got shape {h.shape}")
-    require_finite(h, name)
     return h
 
 
@@ -88,8 +87,8 @@ def grid_side(length: int) -> tuple[int, bool]:
 
 
 def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
-    """Resample (N, L_src, d) activations to l_target tokens."""
-    h = _as_tokens(h)
+    """Resample (N, L_src, d) finite activations to l_target tokens."""
+    h = require_finite(_as_tokens(h), "activations")
     if strategy not in STRATEGIES:
         raise DimensionError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if l_target < 1:
@@ -127,7 +126,7 @@ def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
 
 
 def flatten_tokens(h) -> np.ndarray:
-    """(N, L, d) -> (N*L, d); row n*L + l is token l of sequence n."""
+    """(N, L, d) -> (N*L, d); row n*L + l is token l of sequence n (no scan)."""
     h = _as_tokens(h)
     n, l, d = h.shape
     return h.reshape(n * l, d)

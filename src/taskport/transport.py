@@ -16,6 +16,9 @@ source is wider is solved with the Procrustes roles swapped, so its map has
 more rows than columns, is reported ``*_swapped``, has orthonormal columns and
 can only shrink the norm. ``transport_update`` asserts the norm identity on
 every unswapped side and that no swapped side grows the norm.
+
+The solves and diagnostics read a layer's aligned rows only through
+``LayerStats``, feature-space statistics computed and checked once per layer.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .seqalign import STRATEGIES, align_sequence, flatten_tokens
 
 __all__ = [
     "METHODS",
+    "LayerStats",
     "ProcrustesMap",
     "TransportConfig",
     "cross_covariance",
@@ -129,30 +133,87 @@ class TransportConfig:
         }
 
 
-def procrustes_align(h_src, h_dst) -> tuple[np.ndarray, float]:
-    """Best orthonormal (d_src, d_dst) map t minimizing ``|h_src @ t - h_dst|``.
+class SideStats:
+    """One side of a layer's statistics: source and target rows ``h_a``, ``h_b``,
+    their Grams, and their cross-covariance ``cross`` as the Procrustes SVD
+    takes it, narrow side first (``h_b.T @ h_a`` when ``swapped``, the source
+    wider); ``cross_ab`` is ``h_a.T @ h_b`` either way, as a view."""
 
-    When d_src <= d_dst, t = u @ vt from the SVD of the cross-covariance and
-    has orthonormal rows. When the source is wider, the roles are swapped: t is
-    the transpose of ``procrustes_align(h_dst, h_src)``, has orthonormal
-    columns, and the residual is that solve's. Returns (t, residual at the
-    optimum).
+    def __init__(self, h_a, h_b, name: str):
+        self.h_a, self.h_b = h_a, h_b
+        self.swapped = h_a.shape[1] > h_b.shape[1]
+        # Non-finite or overflowing rows give non-finite products, rejected here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.gram_a = require_finite(h_a.T @ h_a, f"{name}_a.T @ {name}_a")
+            self.gram_b = require_finite(h_b.T @ h_b, f"{name}_b.T @ {name}_b")
+            cross = h_b.T @ h_a if self.swapped else h_a.T @ h_b
+        self.cross = require_finite(cross, f"the {name} cross-covariance")
+
+    @property
+    def cross_ab(self) -> np.ndarray:
+        return self.cross.T if self.swapped else self.cross
+
+
+class LayerStats:
+    """Four Grams and two cross-covariances of one layer's aligned rows
+    (hin_a, hout_a, hin_b, hout_b), as ``in_side`` and ``out_side``.
+
+    Procrustes, the Gram solve and the coupling residual read these instead
+    of rows, and this is where the rows are checked: they must pair, and the
+    six products must be finite. A NaN or Inf in a row reaches its Gram's
+    diagonal, so this rejects bad rows scanning features x features entries.
     """
-    h_src = as_matrix(h_src, "h_src")
-    h_dst = as_matrix(h_dst, "h_dst")
-    if h_src.shape[1] > h_dst.shape[1]:
-        t, residual = procrustes_align(h_dst, h_src)
-        return t.T, residual
-    res = svd(cross_covariance(h_src, h_dst))
-    t = res.u @ res.vt
-    residual = float(np.linalg.norm(h_src @ t - h_dst))
-    return t, residual
+
+    def __init__(self, hin_a, hout_a, hin_b, hout_b):
+        rows = [np.asarray(h, dtype=np.float64) for h in (hin_a, hout_a, hin_b, hout_b)]
+        for name, h in zip(("hin_a", "hout_a", "hin_b", "hout_b"), rows):
+            if h.ndim != 2 or min(h.shape) < 1:
+                raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {h.shape}")
+        if len({h.shape[0] for h in rows}) != 1:
+            raise DimensionError("all four activation matrices must have the same number of rows")
+        self.in_side = SideStats(rows[0], rows[2], "hin")
+        self.out_side = SideStats(rows[1], rows[3], "hout")
+
+    def check_update(self, update, model: str, name: str) -> np.ndarray:
+        """``update`` as float64, checked to be (d_out, d_in) of model ``"a"`` or ``"b"``."""
+        update = np.asarray(update, dtype=np.float64)
+        shape = tuple(getattr(side, f"h_{model}").shape[1] for side in (self.out_side, self.in_side))
+        if update.shape != shape:
+            raise DimensionError(f"{name} shape {update.shape} does not match activations {shape}")
+        return update
 
 
-def procrustes_maps(hin_a, hin_b, hout_a, hout_b) -> ProcrustesMap:
-    """Alignment maps for both sides of a layer from paired calibration activations."""
-    in_map, in_residual = procrustes_align(hin_a, hin_b)
-    out_map, out_residual = procrustes_align(hout_a, hout_b)
+def _guarded_distance(aa: float, bb: float, ab: float, direct) -> float:
+    """``sqrt(aa + bb - 2 ab)`` from two squared norms and their inner product,
+    or ``direct()`` where that difference cancels more than four digits."""
+    squared = aa + bb - 2.0 * ab
+    if squared >= 1e-4 * (aa + bb):
+        return float(np.sqrt(squared))
+    return float(direct())
+
+
+def procrustes_align(side: SideStats) -> tuple[np.ndarray, float]:
+    """Best orthonormal (d_src, d_dst) map t minimizing ``|h_a @ t - h_b|`` on one side.
+
+    t = u @ vt from the SVD of the side's cross-covariance, with orthonormal
+    rows; on a swapped side the SVD solves target -> source and t is its
+    transpose, with orthonormal columns. The residual at the optimum is
+    ``sqrt(|h_a|^2 + |h_b|^2 - 2 sum(sigma))``. Returns (t, residual).
+    """
+    u, sigma, vt = svd(side.cross)
+    t = u @ vt
+    narrow, wide = (side.h_b, side.h_a) if side.swapped else (side.h_a, side.h_b)
+    residual = _guarded_distance(
+        np.trace(side.gram_a), np.trace(side.gram_b), np.sum(sigma),
+        lambda: np.linalg.norm(narrow @ t - wide),
+    )
+    return (t.T if side.swapped else t), residual
+
+
+def procrustes_maps(stats: LayerStats) -> ProcrustesMap:
+    """Alignment maps for both sides of a layer."""
+    in_map, in_residual = procrustes_align(stats.in_side)
+    out_map, out_residual = procrustes_align(stats.out_side)
     return ProcrustesMap(in_map, out_map, in_residual, out_residual)
 
 
@@ -200,55 +261,40 @@ def transport_bias(bias_delta, pmap: ProcrustesMap) -> np.ndarray:
     return out
 
 
-def _trace_product(p, q) -> float:
-    return float(np.einsum("ij,ji->", p, q))
+def _coupling_inner(u, c_in, c_out, v) -> float:
+    """``<h_in_u u.T h_out_u.T, h_in_v v.T h_out_v.T> = tr(u c_in v.T c_out.T)``
+    with c_in = h_in_u.T h_in_v and c_out = h_out_u.T h_out_v."""
+    return float(np.vdot(u @ c_in, c_out @ v))
 
 
-def bilinear_residual(hin_a, hout_a, hin_b, hout_b, update_a, update_b) -> float:
+def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     """Frobenius distance between the two updates' activation couplings.
 
-    The coupling of an update is ``h_in @ update.T @ h_out.T`` on paired
+    The coupling of an update is ``h_in @ update.T @ h_out.T`` on the paired
     calibration rows; the rows x rows couplings are never formed. The squared
-    distance is first taken from feature-space Gram matrices as
-    ``|C_a|^2 + |C_b|^2 - 2 <C_a, C_b>``. When that difference cancels more
-    than four of float64's ~16 digits (a near-exact transport), the distance
-    is taken again without cancellation: with ``[hout_a, hout_b] = Q R`` (Q with
-    orthonormal columns) the coupling difference is
+    distance ``|C_a|^2 + |C_b|^2 - 2 <C_a, C_b>`` is taken from traces of the
+    layer's statistics. Where it cancels, the distance is taken again from
+    the rows: with ``[hout_a, hout_b] = Q R`` the coupling difference is
     ``[shifted_a, -shifted_b] @ R.T @ Q.T``, whose norm is that of the
     rows x features product ``[shifted_a, -shifted_b] @ R.T``.
     """
-    hin_a = as_matrix(hin_a, "hin_a")
-    hout_a = as_matrix(hout_a, "hout_a")
-    hin_b = as_matrix(hin_b, "hin_b")
-    hout_b = as_matrix(hout_b, "hout_b")
-    update_a = as_matrix(update_a, "update_a")
-    update_b = as_matrix(update_b, "update_b")
-    rows = hin_a.shape[0]
-    if not (hout_a.shape[0] == hin_b.shape[0] == hout_b.shape[0] == rows):
-        raise DimensionError("all four activation matrices must have the same number of rows")
-    if update_a.shape != (hout_a.shape[1], hin_a.shape[1]):
-        raise DimensionError(
-            f"update_a shape {update_a.shape} does not match activations "
-            f"({hout_a.shape[1]}, {hin_a.shape[1]})"
-        )
-    if update_b.shape != (hout_b.shape[1], hin_b.shape[1]):
-        raise DimensionError(
-            f"update_b shape {update_b.shape} does not match activations "
-            f"({hout_b.shape[1]}, {hin_b.shape[1]})"
-        )
-    shifted_a = hin_a @ update_a.T
-    shifted_b = hin_b @ update_b.T
-    aa = _trace_product(shifted_a.T @ shifted_a, hout_a.T @ hout_a)
-    bb = _trace_product(shifted_b.T @ shifted_b, hout_b.T @ hout_b)
-    ab = _trace_product(shifted_a.T @ shifted_b, hout_b.T @ hout_a)
-    squared = aa + bb - 2.0 * ab
-    if squared >= 1e-4 * (aa + bb):
-        return float(np.sqrt(squared))
-    # R is upper triangular, so hout_a's columns reach only its first o_a rows.
-    o_a = hout_a.shape[1]
-    r = np.linalg.qr(np.hstack([hout_a, hout_b]), mode="r")
-    top = shifted_a @ r[:o_a, :o_a].T - shifted_b @ r[:o_a, o_a:].T
-    return float(np.hypot(np.linalg.norm(top), np.linalg.norm(shifted_b @ r[o_a:, o_a:].T)))
+    side_in, side_out = stats.in_side, stats.out_side
+    update_a = stats.check_update(update_a, "a", "update_a")
+    update_b = stats.check_update(update_b, "b", "update_b")
+    aa = _coupling_inner(update_a, side_in.gram_a, side_out.gram_a, update_a)
+    bb = _coupling_inner(update_b, side_in.gram_b, side_out.gram_b, update_b)
+    ab = _coupling_inner(update_a, side_in.cross_ab, side_out.cross_ab, update_b)
+
+    def from_rows():
+        shifted_a = side_in.h_a @ update_a.T
+        shifted_b = side_in.h_b @ update_b.T
+        # R is upper triangular, so hout_a's columns reach only its first o_a rows.
+        o_a = side_out.h_a.shape[1]
+        r = np.linalg.qr(np.hstack([side_out.h_a, side_out.h_b]), mode="r")
+        top = shifted_a @ r[:o_a, :o_a].T - shifted_b @ r[:o_a, o_a:].T
+        return np.hypot(np.linalg.norm(top), np.linalg.norm(shifted_b @ r[o_a:, o_a:].T))
+
+    return _guarded_distance(aa, bb, ab, from_rows)
 
 
 def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
@@ -302,25 +348,16 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
 
 def _aligned_flat(rec_a: ActivationRecord, rec_b: ActivationRecord, strategy: str):
     """Length-align one layer's activation records and flatten tokens into rows."""
-    la, lb = rec_a.h_in.shape[1], rec_b.h_in.shape[1]
-    a_in, a_out, b_in, b_out = rec_a.h_in, rec_a.h_out, rec_b.h_in, rec_b.h_out
-    if strategy == "mean":
-        a_in = align_sequence(a_in, 1, "mean")
-        a_out = align_sequence(a_out, 1, "mean")
-        b_in = align_sequence(b_in, 1, "mean")
-        b_out = align_sequence(b_out, 1, "mean")
-    elif la < lb:
-        a_in = align_sequence(a_in, lb, strategy)
-        a_out = align_sequence(a_out, lb, strategy)
-    elif lb < la:
-        b_in = align_sequence(b_in, la, strategy)
-        b_out = align_sequence(b_out, la, strategy)
-    return tuple(flatten_tokens(h) for h in (a_in, a_out, b_in, b_out))
+    length = 1 if strategy == "mean" else max(rec_a.h_in.shape[1], rec_b.h_in.shape[1])
+    return tuple(
+        flatten_tokens(h if strategy != "mean" and h.shape[1] == length
+                       else align_sequence(h, length, strategy))
+        for h in (rec_a.h_in, rec_a.h_out, rec_b.h_in, rec_b.h_out)
+    )
 
 
-def _theseus(acts, delta, bias, spec_b, cfg, seed):
-    hin_a, hout_a, hin_b, hout_b = acts
-    pmap = procrustes_maps(hin_a, hin_b, hout_a, hout_b)
+def _theseus(stats, delta, bias, spec_b, cfg, seed):
+    pmap = procrustes_maps(stats)
     new_bias = None if bias is None else transport_bias(bias, pmap)
     return transport_update(delta, pmap), new_bias, pmap
 
@@ -333,16 +370,16 @@ def _norm_matched_random(d_out, d_in, delta, bias, seed):
     return new, baselines.random_update(d_out, 1, float(np.linalg.norm(bias)), seed + 7919).ravel()
 
 
-def _random_source(acts, delta, bias, spec_b, cfg, seed):
+def _random_source(stats, delta, bias, spec_b, cfg, seed):
     src, bias_src = _norm_matched_random(*delta.shape, delta, bias, seed)
-    return _theseus(acts, src, bias_src, spec_b, cfg, seed)
+    return _theseus(stats, src, bias_src, spec_b, cfg, seed)
 
 
-def _random(acts, delta, bias, spec_b, cfg, seed):
+def _random(stats, delta, bias, spec_b, cfg, seed):
     return *_norm_matched_random(spec_b.d_out, spec_b.d_in, delta, bias, seed), None
 
 
-def _zero_pad(acts, delta, bias, spec_b, cfg, seed):
+def _zero_pad(stats, delta, bias, spec_b, cfg, seed):
     new_delta = baselines.zero_pad_update(delta, spec_b.d_out, spec_b.d_in)
     new_bias = None
     if bias is not None:  # the update was checked not to shrink, so the bias fits
@@ -350,18 +387,17 @@ def _zero_pad(acts, delta, bias, spec_b, cfg, seed):
     return new_delta, new_bias, None
 
 
-def _pinv(acts, delta, bias, spec_b, cfg, seed):
-    return *baselines.gram_transport(*acts, delta, bias, rcond=cfg.rcond), None
+def _pinv(stats, delta, bias, spec_b, cfg, seed):
+    return *baselines.gram_transport(stats, delta, bias, rcond=cfg.rcond), None
 
 
-def _pinv_tikhonov(acts, delta, bias, spec_b, cfg, seed):
-    return *baselines.gram_transport(*acts, delta, bias, lam=cfg.lam), None
+def _pinv_tikhonov(stats, delta, bias, spec_b, cfg, seed):
+    return *baselines.gram_transport(stats, delta, bias, lam=cfg.lam), None
 
 
-# Per-layer transport by method name. Each entry maps (aligned activations
-# (hin_a, hout_a, hin_b, hout_b), update, bias delta or None, target layer
-# spec, config, layer seed) to (update, bias delta or None, the ProcrustesMap
-# it used or None).
+# Per-layer transport by method name. Each entry maps (the layer's
+# LayerStats, update, bias delta or None, target layer spec, config, layer
+# seed) to (update, bias delta or None, the ProcrustesMap it used or None).
 _LAYER_METHODS = {
     "theseus": _theseus,
     "pinv": _pinv,
@@ -374,10 +410,10 @@ METHODS = tuple(_LAYER_METHODS)
 
 
 def _transport_layer(layer_index, spec_b, rec_a, rec_b, delta, bias_delta, cfg: TransportConfig):
-    acts = _aligned_flat(rec_a, rec_b, cfg.strategy)
+    stats = LayerStats(*_aligned_flat(rec_a, rec_b, cfg.strategy))
     bias = bias_delta if spec_b.has_bias else None
     new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
-        acts, delta, bias, spec_b, cfg, cfg.seed + layer_index
+        stats, delta, bias, spec_b, cfg, cfg.seed + layer_index
     )
     shape = (spec_b.d_out, spec_b.d_in)
     if new_delta.shape != shape:
@@ -386,15 +422,15 @@ def _transport_layer(layer_index, spec_b, rec_a, rec_b, delta, bias_delta, cfg: 
     if new_bias is not None:
         require_finite(new_bias, "transported bias delta")
 
-    stats = {"layer_index": layer_index}
+    entry = {"layer_index": layer_index}
     for key in ("in_residual", "out_residual", "in_swapped", "out_swapped"):
-        stats[key] = None if pmap is None else getattr(pmap, key)
-    stats.update({
+        entry[key] = None if pmap is None else getattr(pmap, key)
+    entry.update({
         "tau_norm_src": float(np.linalg.norm(delta)),
         "tau_norm_dst": float(np.linalg.norm(new_delta)),
-        "bilinear_residual": bilinear_residual(*acts, delta, new_delta),
+        "bilinear_residual": bilinear_residual(stats, delta, new_delta),
     })
-    return new_delta, new_bias, stats
+    return new_delta, new_bias, entry
 
 
 def transport_task_vector(

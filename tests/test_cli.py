@@ -4,6 +4,7 @@ import io
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from taskport.cli import main
 from taskport.errors import ConfigError
 from taskport.harness.experiment import ExperimentConfig, load_config
 from taskport.model import (
+    Checkpoint,
     LayerSpec,
     init_checkpoint,
+    load_calibration,
     load_checkpoint,
+    save_calibration,
     save_checkpoint,
 )
 
@@ -205,6 +209,25 @@ def test_transport_missing_input_reports_io_error(fixtures_dir, tmp_path, capsys
     assert capsys.readouterr().err.startswith("io_error:")
 
 
+@pytest.mark.parametrize("fails", [False, True])
+def test_command_releases_the_held_heap(fixtures_dir, tmp_path, monkeypatch, fails):
+    released = []
+    monkeypatch.setattr(cli, "_hold_heap", lambda: lambda: released.append(True))
+    args = transport_args(fixtures_dir, tmp_path / "x.tpk")
+    if fails:
+        args[args.index("--source") + 1] = str(tmp_path / "nope.tpk")
+    assert main(args) == int(fails)
+    assert released == [True]
+
+
+def test_hold_heap_without_glibc_does_nothing(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    assert cli._hold_heap()() is None
+
+
 # -- experiment -----------------------------------------------------------------
 
 
@@ -295,6 +318,29 @@ def test_hostile_inputs_are_one_error_line(fixtures_dir, tmp_path, capsys, monke
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(r"^[a-z_]+: ", err[0]), err
     assert err[0].startswith(f"{kind}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method", ["theseus", "pinv", "pinv-tikh", "zero-pad", "random", "random-source"]
+)
+def test_overflowing_activations_are_one_error_line(fixtures_dir, tmp_path, capsys, method):
+    # Finite weights and finite calibration inputs, each scaled by 1e160: the
+    # first layer's activations overflow. No numpy warning may reach stderr.
+    scaled = tmp_path / "scaled"
+    scaled.mkdir()
+    for name in ("source_a.tpk", "source_a_ft.tpk", "target_b.tpk"):
+        ckpt = load_checkpoint(fixtures_dir / name)
+        save_checkpoint(Checkpoint(ckpt.layer_specs, [1e160 * w for w in ckpt.weights],
+                                   ckpt.biases, ckpt.meta), scaled / name)
+    calib_a, calib_b = load_calibration(fixtures_dir / "calib.tpc")
+    save_calibration(1e160 * calib_a, 1e160 * calib_b, scaled / "calib.tpc")
+    out = tmp_path / "out.tpk"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(transport_args(scaled, out, method=method)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("non_finite: "), err
     assert not out.exists()
 
 

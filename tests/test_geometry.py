@@ -1,0 +1,152 @@
+"""Metamorphic properties of the transport's geometry.
+
+The norm identity, rotation recovery and closed-form optimality all hold for a
+transposed or mis-indexed map too, since such a map still preserves norms.
+These properties relabel one side's hidden units, or reorder the calibration
+sequences, and check that the transported update follows exactly as the
+geometry says it must.
+
+Data are generic and full rank, so each Procrustes solution and each Gram
+inverse is unique: seeded Gaussian weights, biases and inputs, no layer more
+than one unit wider than its input, and every layer's rows, as the strategy
+lays them out, of full column rank with condition number below 1e3 (drawn
+examples that miss this, such as a ReLU unit dead on every row, are
+rejected). The ``mean`` strategy, whose rows are the sequences, is drawn
+only with more sequences than any width; ``mean`` with fewer rows than
+dimensions is excluded, because its rank-deficient cross-covariances leave
+the maps undetermined.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from taskport.model import Checkpoint, LayerSpec, TaskVector, forward_collect
+from taskport.seqalign import STRATEGIES, align_sequence, flatten_tokens
+from taskport.transport import TransportConfig, transport_task_vector
+
+GEOMETRY_METHODS = ("theseus", "pinv")
+TOKENS_A, TOKENS_B = 4, 9  # 2x2 and 3x3 grids, so interp2d applies
+
+
+def stack(widths, rng):
+    """ReLU stack with an identity readout and generic nonzero biases."""
+    specs = [
+        LayerSpec(widths[i], widths[i + 1], has_bias=True,
+                  activation="relu" if i < len(widths) - 2 else "identity")
+        for i in range(len(widths) - 1)
+    ]
+    weights = [rng.standard_normal((s.d_out, s.d_in)) / np.sqrt(s.d_in) for s in specs]
+    biases = [1.0 + 0.5 * rng.standard_normal(s.d_out) for s in specs]
+    return Checkpoint(layer_specs=specs, weights=weights, biases=biases)
+
+
+def full_rank(ckpt, calib, strategy) -> bool:
+    """Every layer's input and output rows, as the strategy lays them out,
+    have full column rank: no ReLU unit is dead on the whole calibration set."""
+    _, records = forward_collect(ckpt, calib)
+    for rec in records:
+        for h in (rec.h_in, rec.h_out):
+            rows = flatten_tokens(align_sequence(h, 1, "mean") if strategy == "mean" else h)
+            sigma = np.linalg.svd(rows, compute_uv=False)
+            if sigma[-1] <= 1e-3 * sigma[0]:
+                return False
+    return True
+
+
+def relabel(weights, biases, perms):
+    """Permute the hidden units: perms[k] reorders the outputs of layer k
+    (rows of W_k and b_k) and the inputs of layer k + 1 (columns of W_k+1)."""
+    weights = [w.copy() for w in weights]
+    biases = [None if b is None else b.copy() for b in biases]
+    for k, p in enumerate(perms):
+        weights[k] = weights[k][p]
+        biases[k] = biases[k][p]
+        weights[k + 1] = weights[k + 1][:, p]
+    return weights, biases
+
+
+def relabel_checkpoint(ckpt, perms):
+    weights, biases = relabel(ckpt.weights, ckpt.biases, perms)
+    return Checkpoint(layer_specs=list(ckpt.layer_specs), weights=weights, biases=biases)
+
+
+@st.composite
+def widths(draw):
+    """Four interface widths, each at most one more than the one before: an
+    affine layer's pre-activation outputs have rank at most d_in + 1, and a
+    wider layer would leave its output-side maps undetermined."""
+    out = [draw(st.integers(2, 6))]
+    for _ in range(3):
+        out.append(draw(st.integers(2, min(6, out[-1] + 1))))
+    return out
+
+
+@st.composite
+def instances(draw):
+    """Two depth-3 stacks of drawn widths, a fine-tune of the source, paired
+    calibration inputs, a method and a strategy."""
+    widths_a, widths_b = draw(widths()), draw(widths())
+    method = draw(st.sampled_from(GEOMETRY_METHODS))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    seqs = draw(st.integers(8, 12))  # > every width, so `mean` rows stay full rank
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 808)))
+    theta_a = stack(widths_a, rng)
+    theta_b = stack(widths_b, rng)
+    ft = [w + 0.1 * rng.standard_normal(w.shape) for w in theta_a.weights]
+    ft_b = [b + 0.1 * rng.standard_normal(b.shape) for b in theta_a.biases]
+    theta_a_ft = Checkpoint(layer_specs=list(theta_a.layer_specs), weights=ft, biases=ft_b)
+    # Paired inputs: the same raw sequences, resampled to each side's token
+    # count and projected into each side's input space.
+    raw = rng.standard_normal((seqs, TOKENS_A, 6))
+    calib_a = raw @ rng.standard_normal((6, widths_a[0]))
+    calib_b = align_sequence(raw, TOKENS_B, "interp2d") @ rng.standard_normal((6, widths_b[0]))
+    assume(full_rank(theta_a, calib_a, strategy) and full_rank(theta_b, calib_b, strategy))
+    perms_a = [rng.permutation(w) for w in widths_a[1:-1]]
+    perms_b = [rng.permutation(w) for w in widths_b[1:-1]]
+    order = rng.permutation(seqs)
+    cfg = TransportConfig(method=method, strategy=strategy)
+    return theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, perms_a, perms_b, order
+
+
+def assert_updates_close(got: TaskVector, want: TaskVector):
+    for idx, (g, w) in enumerate(zip(got.deltas, want.deltas)):
+        scale = max(1.0, float(np.linalg.norm(w)))
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-7 * scale, err_msg=f"layer {idx} delta")
+    for idx, (g, w) in enumerate(zip(got.bias_deltas, want.bias_deltas)):
+        scale = max(1.0, float(np.linalg.norm(w)))
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-7 * scale, err_msg=f"layer {idx} bias")
+
+
+@settings(max_examples=50)
+@given(instances())
+def test_target_relabeling_permutes_the_output(inst):
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, perms_b, _ = inst
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    relabeled = relabel_checkpoint(theta_b, perms_b)
+    got, _ = transport_task_vector(theta_a, theta_a_ft, relabeled, calib_a, calib_b, cfg)
+    want = TaskVector(*relabel(base.deltas, base.bias_deltas, perms_b))
+    assert_updates_close(got, want)
+
+
+@settings(max_examples=50)
+@given(instances())
+def test_source_relabeling_with_its_update_leaves_the_output(inst):
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, perms_a, _, _ = inst
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    got, _ = transport_task_vector(
+        relabel_checkpoint(theta_a, perms_a), relabel_checkpoint(theta_a_ft, perms_a),
+        theta_b, calib_a, calib_b, cfg,
+    )
+    assert_updates_close(got, base)
+
+
+@settings(max_examples=50)
+@given(instances())
+def test_reordering_calibration_pairs_leaves_the_output(inst):
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, _, order = inst
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    got, _ = transport_task_vector(
+        theta_a, theta_a_ft, theta_b, calib_a[order], calib_b[order], cfg
+    )
+    assert_updates_close(got, base)

@@ -1,11 +1,12 @@
 import csv
+import json
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-NAMES = ("seqalign_ablation", "warm_start_curves", "width_scaling")
+NAMES = ("fingerprint", "seqalign_ablation", "warm_start_curves", "width_scaling")
 
 
 def load_script(name):
@@ -55,3 +56,18 @@ def test_width_scaling_tabulates_each_batch_count_and_method(tmp_path, monkeypat
     assert rows[0] == ["batches_B", "method", "median_delta", "min_delta", "max_delta"]
     assert len(rows) == 1 + 2 * 3
     assert rows[1] == ["1", "theseus", "0.3125", "0.25", "0.375"]
+
+
+def test_fingerprint_repeats_bitwise(tmp_path, capsys):
+    # Hashes depend on the BLAS build and the CPU, so only a repeat is compared.
+    module = load_script("fingerprint")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert module.main(["--tiny", "--out", str(first)]) == 0
+    assert module.main(["--tiny", "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    entries = json.loads(first.read_text())
+    assert "experiment" in entries and "demo/theseus/weights" in entries
+    assert any(key.endswith("/error") for key in entries)  # zero_pad cannot shrink
+    capsys.readouterr()
+    assert module.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{len(entries)} of {len(entries)} entries bitwise"

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import assert_checkpoint_equal, full_rank_activations, small_checkpoint
-from taskport.errors import ConfigError, DepthMismatchError, DimensionError, TaskportError
+from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import pseudo_inverse, random_orthonormal_rows
 from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
 from taskport.transport import (
     METHODS,
+    LayerStats,
     ProcrustesMap,
     TransportConfig,
     bilinear_residual,
@@ -69,9 +70,15 @@ def test_cross_covariance_rejects_row_mismatch():
 # -- Procrustes alignment ----------------------------------------------------
 
 
+def align(h_src, h_dst):
+    """``procrustes_align`` on one side: the input side of a layer whose two
+    sides carry the same rows."""
+    return procrustes_align(LayerStats(h_src, h_src, h_dst, h_dst).in_side)
+
+
 def test_procrustes_self_alignment_is_identity():
     h = full_rank_activations(20, 4, seed=2)
-    t, residual = procrustes_align(h, h)
+    t, residual = align(h, h)
     np.testing.assert_allclose(t, np.eye(4), atol=1e-8)
     assert residual <= 1e-8
 
@@ -79,7 +86,7 @@ def test_procrustes_self_alignment_is_identity():
 def test_procrustes_recovers_planted_map():
     h = full_rank_activations(30, 3, seed=3)
     q = random_orthonormal_rows(3, 5, 11)
-    t, residual = procrustes_align(h, h @ q)
+    t, residual = align(h, h @ q)
     np.testing.assert_allclose(t, q, atol=1e-8)
     assert residual <= 1e-8
 
@@ -88,7 +95,7 @@ def test_procrustes_rank_deficient_source():
     h_src = full_rank_activations(15, 4, seed=4)
     h_src[:, 2] = 0.0
     h_dst = full_rank_activations(15, 6, seed=5)
-    t, residual = procrustes_align(h_src, h_dst)
+    t, residual = align(h_src, h_dst)
     np.testing.assert_allclose(t @ t.T, np.eye(4), atol=1e-8)
     assert abs(residual - float(np.linalg.norm(h_src @ t - h_dst))) <= 1e-10
 
@@ -96,8 +103,8 @@ def test_procrustes_rank_deficient_source():
 def test_procrustes_wide_source_transposes_the_reverse_solve():
     h_src = full_rank_activations(25, 5, seed=15)
     h_dst = full_rank_activations(25, 3, seed=16)
-    t, residual = procrustes_align(h_src, h_dst)
-    rev, rev_residual = procrustes_align(h_dst, h_src)
+    t, residual = align(h_src, h_dst)
+    rev, rev_residual = align(h_dst, h_src)
     assert t.shape == (5, 3)
     assert t.tobytes() == rev.T.tobytes() and residual == rev_residual
     np.testing.assert_allclose(t.T @ t, np.eye(3), atol=1e-8)
@@ -108,13 +115,13 @@ def test_procrustes_maps_bundles_both_sides():
     hout_a = full_rank_activations(25, 2, seed=7)
     q_in = random_orthonormal_rows(3, 4, 12)
     q_out = random_orthonormal_rows(2, 5, 13)
-    pmap = procrustes_maps(hin_a, hin_a @ q_in, hout_a, hout_a @ q_out)
+    pmap = procrustes_maps(LayerStats(hin_a, hout_a, hin_a @ q_in, hout_a @ q_out))
     np.testing.assert_allclose(pmap.in_map, q_in, atol=1e-8)
     np.testing.assert_allclose(pmap.out_map, q_out, atol=1e-8)
     assert pmap.in_residual <= 1e-8 and pmap.out_residual <= 1e-8
     assert not pmap.in_swapped and not pmap.out_swapped
     # A wider source is solved target -> source and stored transposed, source -> target.
-    rev = procrustes_maps(hin_a @ q_in, hin_a, hout_a, hout_a @ q_out)
+    rev = procrustes_maps(LayerStats(hin_a @ q_in, hout_a, hin_a, hout_a @ q_out))
     assert rev.in_swapped and not rev.out_swapped
     np.testing.assert_allclose(rev.in_map, q_in.T, atol=1e-8)
 
@@ -122,7 +129,7 @@ def test_procrustes_maps_bundles_both_sides():
 def test_equal_width_full_rank_maps_are_square_orthogonal():
     hin_a = full_rank_activations(30, 4, seed=8)
     q = random_orthonormal_rows(4, 4, 14)
-    t, _ = procrustes_align(hin_a, hin_a @ q)
+    t, _ = align(hin_a, hin_a @ q)
     np.testing.assert_allclose(t @ t.T, np.eye(4), atol=1e-8)
     np.testing.assert_allclose(t.T @ t, np.eye(4), atol=1e-8)
 
@@ -254,8 +261,8 @@ def test_round_trip_through_recovered_maps():
     q_out = random_orthonormal_rows(3, 3, 20)
     hin_b, hout_b = hin_a @ q_in, hout_a @ q_out
     tau = np.random.default_rng(21).standard_normal((3, 4))
-    fwd = procrustes_maps(hin_a, hin_b, hout_a, hout_b)
-    rev = procrustes_maps(hin_b, hin_a, hout_b, hout_a)
+    fwd = procrustes_maps(LayerStats(hin_a, hout_a, hin_b, hout_b))
+    rev = procrustes_maps(LayerStats(hin_b, hout_b, hin_a, hout_a))
     back = transport_update(transport_update(tau, fwd), rev)
     np.testing.assert_allclose(back, tau, atol=1e-8)
 
@@ -265,14 +272,14 @@ def test_round_trip_through_recovered_maps():
 
 def test_bilinear_residual_zero_updates():
     h = full_rank_activations(6, 2, seed=22)
-    assert bilinear_residual(h, h, h, h, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert bilinear_residual(LayerStats(h, h, h, h), np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
 
 def test_bilinear_residual_identical_instance():
     hin = full_rank_activations(6, 2, seed=23)
     hout = full_rank_activations(6, 3, seed=24)
     tau = np.random.default_rng(25).standard_normal((3, 2))
-    assert bilinear_residual(hin, hout, hin, hout, tau, tau) <= 1e-10
+    assert bilinear_residual(LayerStats(hin, hout, hin, hout), tau, tau) <= 1e-10
 
 
 def test_bilinear_residual_matches_direct_definition():
@@ -280,7 +287,7 @@ def test_bilinear_residual_matches_direct_definition():
     hin_a, hout_a = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
     hin_b, hout_b = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
     tau_a, tau_b = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
-    fact = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b)
+    fact = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     # The raw definition materializes the rows x rows couplings.
     direct = np.linalg.norm(hin_a @ tau_a.T @ hout_a.T - hin_b @ tau_b.T @ hout_b.T)
     assert abs(fact - direct) <= 1e-12
@@ -300,28 +307,38 @@ def test_bilinear_residual_resolves_a_near_exact_transport(rows):
     tau_b = np.zeros((7, 5))
     tau_b[:4, :3] = tau_a + delta
     want = np.linalg.norm(hin_a @ (tau_b[:4, :3] - tau_a).T @ hout_a.T)
-    got = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b)
+    got = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     assert abs(got - want) <= 1e-6 * want
 
 
 def test_bilinear_residual_rejects_mismatches():
     h = np.zeros((4, 2))
     with pytest.raises(DimensionError, match="rows"):
-        bilinear_residual(h, h, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+        bilinear_residual(LayerStats(h, h, np.zeros((5, 2)), np.zeros((5, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(DimensionError, match="update_a"):
-        bilinear_residual(h, h, h, h, np.zeros((3, 2)), np.zeros((2, 2)))
+        bilinear_residual(LayerStats(h, h, h, h), np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+def test_layer_stats_rejects_non_finite_rows(bad):
+    # A NaN, an Inf or an overflowing entry reaches its Gram's diagonal.
+    h = full_rank_activations(6, 2, seed=29)
+    hout_b = full_rank_activations(6, 3, seed=30)
+    hout_b[4, 1] = bad
+    with pytest.raises(NonFiniteError, match=r"hout_b\.T @ hout_b"):
+        LayerStats(h, h, h, hout_b)
 
 
 def test_closed_form_minimizes_coupling_residual():
     hin_a, hout_a, hin_b, hout_b, tau_a, t_in, t_out = aligned_instance(12, 3, 5, 2, 4, seed=0)
     tau_b = t_out.T @ tau_a @ t_in
-    base = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b)
+    base = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     assert base <= 1e-8
     rng = np.random.default_rng(27)
     for _ in range(100):
         noise = rng.standard_normal(tau_b.shape)
         noise *= 1e-3 / np.linalg.norm(noise)
-        perturbed = bilinear_residual(hin_a, hout_a, hin_b, hout_b, tau_a, tau_b + noise)
+        perturbed = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b + noise)
         assert base <= perturbed
 
 
