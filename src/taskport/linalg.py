@@ -1,9 +1,11 @@
-"""Dense float64 linear algebra: input checks, cross-covariances, SVD,
-pseudo-inverse, ridge solve, seeded orthonormal sampling.
+"""Dense float64 linear algebra: input checks, cross-covariances, SVD, the
+symmetric pseudo-inverse (by ``eigh``), ridge solve, seeded orthonormal
+sampling.
 
 All functions take and return plain 2-D ``numpy.float64`` arrays (C order) and
 never modify their inputs. Entries must be finite; NaN/Inf anywhere is an error,
-not a silent propagation.
+not a silent propagation. The two Gram solves, ``pseudo_inverse`` and
+``tikhonov_solve``, take square symmetric matrices only (``as_symmetric``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "DEFAULT_RCOND",
     "as_matrix",
     "as_vector",
+    "as_symmetric",
     "require_finite",
     "cross_covariance",
     "svd",
@@ -54,6 +57,20 @@ def as_vector(a, length: int, name="vector"):
     return require_finite(out, name)
 
 
+def as_symmetric(a, name="matrix"):
+    """Coerce to a finite square float64 matrix that is symmetric to rounding.
+
+    Raises DimensionError if ``a`` is not square and ValueError if it differs
+    from its transpose by more than rtol 1e-10 plus 1e-12 of its largest entry.
+    """
+    out = as_matrix(a, name)
+    if out.shape[0] != out.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {out.shape}")
+    if not np.allclose(out, out.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(out).max()))):
+        raise ValueError(f"{name} must be symmetric")
+    return out
+
+
 def cross_covariance(h_a, h_b) -> np.ndarray:
     """``h_a.T @ h_b`` for row-paired activation matrices."""
     h_a = as_matrix(h_a, "h_a")
@@ -68,7 +85,7 @@ def cross_covariance(h_a, h_b) -> np.ndarray:
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """numpy's thin SVD ``a = (u * sigma) @ vt``, raising ConvergenceError on failure.
 
-    Every consumer (``u @ vt`` and the pseudo-inverse) is invariant to the
+    Its consumer, the Procrustes factor ``u @ vt``, is invariant to the
     singular vectors' signs, so they are left as numpy gives them."""
     a = as_matrix(a, "svd input")
     try:
@@ -78,19 +95,27 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD truncation.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix, by one ``eigh``.
 
-    Singular values below ``rcond * sigma_max`` are treated as zero. ``rcond=0``
-    keeps every strictly positive singular value.
+    The singular values of a symmetric matrix are the moduli of its
+    eigenvalues, so eigenvalues with ``|w| < rcond * max|w|`` are treated as
+    zero, the set an SVD truncation would drop; ``rcond=0`` keeps every
+    nonzero eigenvalue. Each kept eigenvalue is inverted with its sign, so the
+    result stays the pseudo-inverse where rounding leaves a PSD Gram with tiny
+    negative eigenvalues. ``eigh`` reads the lower triangle of ``a``.
     """
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    u, sigma, vt = svd(a)
-    cutoff = rcond * (sigma[0] if sigma.size else 0.0)
-    keep = (sigma > 0.0) & (sigma >= cutoff)
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / sigma[keep]
-    return (vt.T * inv) @ u.T
+    a = as_symmetric(a, "pseudo-inverse input")
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+    size = np.abs(w)
+    keep = (size > 0.0) & (size >= rcond * size.max())
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    return (v * inv) @ v.T
 
 
 def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:
@@ -102,12 +127,8 @@ def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:
     vector or a matrix of stacked right-hand sides; the output has the same
     shape.
     """
-    gram = as_matrix(gram, "gram")
+    gram = as_symmetric(gram, "gram")
     n = gram.shape[0]
-    if gram.shape[1] != n:
-        raise DimensionError(f"gram must be square, got shape {gram.shape}")
-    if not np.allclose(gram, gram.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(gram).max()))):
-        raise ValueError("gram must be symmetric")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -292,12 +292,18 @@ def _raise_memory_error(*args, **kwargs):
     raise MemoryError("Unable to allocate 29.1 TiB for an array")
 
 
+def _raise_lin_alg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
 @pytest.mark.parametrize("case, kind", [
     ("non_utf8_config", "bad_config"),
     ("deeply_nested_config", "bad_config"),
     ("transport_alpha_nan", "bad_config"),
     ("transport_alpha_inf", "bad_config"),
     ("out_of_memory", "out_of_memory"),
+    ("transport_pinv_eigh", "svd_no_convergence"),
+    ("transport_theseus_svd", "svd_no_convergence"),
 ])
 def test_hostile_inputs_are_one_error_line(fixtures_dir, tmp_path, capsys, monkeypatch, case, kind):
     out = tmp_path / "out"
@@ -309,6 +315,11 @@ def test_hostile_inputs_are_one_error_line(fixtures_dir, tmp_path, capsys, monke
         cfg_path.write_text("[" * 100_000 + "]" * 100_000)
     elif case.startswith("transport_alpha_"):
         argv = transport_args(fixtures_dir, out, alpha=case[len("transport_alpha_"):])
+    elif case.startswith("transport_"):
+        # LAPACK's non-convergence has no known small input, so it is simulated.
+        _, method, routine = case.split("_")
+        argv = transport_args(fixtures_dir, out, method=method)
+        monkeypatch.setattr(np.linalg, routine, _raise_lin_alg_error)
     else:
         # A real allocation this large succeeds or fails by the host's
         # overcommit policy, so the failure is simulated.

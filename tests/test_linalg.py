@@ -84,13 +84,15 @@ def test_pinv_rank_one():
 
 
 def test_pinv_zero_matrix():
-    np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
+    np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 def test_pinv_moore_penrose_conditions():
     rng = np.random.default_rng(5)
-    for m, n in [(6, 4), (4, 6), (5, 5), (1, 3)]:
-        a = rng.standard_normal((m, n))
+    full = rng.standard_normal((6, 4))
+    deficient = rng.standard_normal((2, 5))  # fewer rows than columns: rank 2 of 5
+    indefinite = rng.standard_normal((5, 5))
+    for a in (full.T @ full, deficient.T @ deficient, indefinite + indefinite.T):
         p = pseudo_inverse(a)
         np.testing.assert_allclose(a @ p @ a, a, atol=1e-8)
         np.testing.assert_allclose(p @ a @ p, p, atol=1e-8)
@@ -102,6 +104,56 @@ def test_pinv_truncates_small_singular_values():
     a = np.diag([1.0, 1e-14])
     out = pseudo_inverse(a, rcond=1e-10)
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def _symmetric_of_rank(n, rank, seed, rotate):
+    """A symmetric n x n matrix of the given rank, nonzero |eigenvalues| in [0.1, 10].
+
+    Unrotated, its null space is the trailing coordinates, and eigh and SVD
+    both return exact zeros there; rotated, they return rounding noise, which
+    only a positive rcond cuts.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 10.0, rank) * rng.choice([-1.0, 1.0], rank)
+    q = np.linalg.qr(rng.standard_normal((rank, rank)))[0]
+    a = np.zeros((n, n))
+    a[:rank, :rank] = (q * w) @ q.T
+    if rotate:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = q @ a @ q.T
+    return (a + a.T) / 2
+
+
+@given(st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, DEFAULT_RCOND]))
+def test_pinv_matches_svd_definition(n, data, seed, rcond):
+    rank = data.draw(st.integers(0, n))
+    a = _symmetric_of_rank(n, rank, seed, rotate=rcond > 0)
+    u, sigma, vt = np.linalg.svd(a)
+    keep = (sigma > 0.0) & (sigma >= rcond * sigma[0])
+    assert keep.sum() == rank
+    expected = (vt[keep].T / sigma[keep]) @ u[:, keep].T
+    np.testing.assert_allclose(pseudo_inverse(a, rcond), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("solve", [pseudo_inverse, lambda a: tikhonov_solve(a, np.zeros(len(a)), 1.0)])
+def test_gram_solves_reject_rectangular_and_asymmetric(solve):
+    with pytest.raises(DimensionError):
+        solve(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("svd", lambda: svd(np.ones((3, 2)))),
+    ("eigh", lambda: pseudo_inverse(np.eye(3))),
+])
+def test_linalg_failures_are_convergence_errors(monkeypatch, name, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(ConvergenceError):
+        call()
 
 
 def test_tikhonov_pure_regularizer():
@@ -137,10 +189,6 @@ def test_tikhonov_gradient_vanishes():
 
 
 def test_tikhonov_rejects_bad_inputs():
-    with pytest.raises(DimensionError):
-        tikhonov_solve(np.zeros((2, 3)), np.zeros(2), 1.0)
-    with pytest.raises(ValueError):
-        tikhonov_solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         tikhonov_solve(np.zeros((2, 2)), np.zeros(2), 0.0)
     with pytest.raises(DimensionError):
