@@ -135,7 +135,11 @@ def test_pinv_matches_svd_definition(n, data, seed, rcond):
     np.testing.assert_allclose(pseudo_inverse(a, rcond), expected, atol=1e-10)
 
 
-@pytest.mark.parametrize("solve", [pseudo_inverse, lambda a: tikhonov_solve(a, np.zeros(len(a)), 1.0)])
+@pytest.mark.parametrize(
+    "solve",
+    [pseudo_inverse, lambda a: tikhonov_solve(a, np.zeros(len(a)), 1.0)],
+    ids=["pseudo_inverse", "tikhonov_solve"],
+)
 def test_gram_solves_reject_rectangular_and_asymmetric(solve):
     with pytest.raises(DimensionError):
         solve(np.zeros((2, 3)))
