@@ -24,6 +24,9 @@ __all__ = [
     "Checkpoint",
     "TaskVector",
     "ActivationRecord",
+    "forward_inputs",
+    "forward_layer",
+    "activate",
     "forward_collect",
     "task_vector",
     "apply_update",
@@ -174,28 +177,45 @@ def _as_batch(inputs, d_expected: int, what: str = "inputs") -> np.ndarray:
     return x
 
 
+def forward_inputs(ckpt: Checkpoint, inputs) -> np.ndarray:
+    """``inputs`` checked as a finite (N, L, d_in) float64 batch for the
+    stack's first layer."""
+    if not ckpt.layer_specs:
+        raise DimensionError("cannot run a forward pass on an empty checkpoint")
+    return _as_batch(inputs, ckpt.layer_specs[0].d_in)
+
+
+def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
+    """Pre-activation output (N, L, d_out) of layer ``idx`` on its (N, L, d_in) input."""
+    spec, w, b = ckpt.layer_specs[idx], ckpt.weights[idx], ckpt.biases[idx]
+    n, l = h.shape[0], h.shape[1]
+    if h.shape[2] != spec.d_in:
+        raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
+    # Overflow gives non-finite activations, which transport rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = h.reshape(n * l, spec.d_in) @ w.T
+        if b is not None:
+            z = z + b
+    return z.reshape(n, l, spec.d_out)
+
+
+def activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
+    """A layer's nonlinearity applied to its pre-activation output."""
+    return np.maximum(z, 0.0) if spec.activation == "relu" else z
+
+
 def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[ActivationRecord]]:
     """Run the stack on (N, L, d_in) inputs, recording every layer's activations.
 
     Returns the post-activation output of the last layer and one
     ActivationRecord per layer.
     """
-    if not ckpt.layer_specs:
-        raise DimensionError("cannot run a forward pass on an empty checkpoint")
-    h = _as_batch(inputs, ckpt.layer_specs[0].d_in)
-    n, l = h.shape[0], h.shape[1]
+    h = forward_inputs(ckpt, inputs)
     records = []
-    for idx, (spec, w, b) in enumerate(zip(ckpt.layer_specs, ckpt.weights, ckpt.biases)):
-        if h.shape[2] != spec.d_in:
-            raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
-        # Overflow gives non-finite activations, which transport rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = h.reshape(n * l, spec.d_in) @ w.T
-            if b is not None:
-                z = z + b
-        z = z.reshape(n, l, spec.d_out)
+    for idx, spec in enumerate(ckpt.layer_specs):
+        z = forward_layer(ckpt, idx, h)
         records.append(ActivationRecord(h_in=h, h_out=z))
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        h = activate(spec, z)
     return h, records
 
 

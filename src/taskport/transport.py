@@ -36,8 +36,10 @@ from .model import (
     ActivationRecord,
     Checkpoint,
     TaskVector,
+    activate,
     apply_update,
-    forward_collect,
+    forward_inputs,
+    forward_layer,
     task_vector,
 )
 from .seqalign import STRATEGIES, align_sequence, flatten_tokens
@@ -443,10 +445,12 @@ def transport_task_vector(
 ) -> tuple[TaskVector, dict]:
     """Move the update (theta_a_ft - theta_a) into theta_b's coordinates.
 
-    Activations are collected from the two base models on paired calibration
-    inputs (the same underlying samples rendered in each model's input space),
-    length-aligned per cfg.strategy, and used to fit per-layer maps per
-    cfg.method. Returns the transported task vector and a per-layer report.
+    The two base models run on paired calibration inputs (the same underlying
+    samples rendered in each model's input space) one layer at a time: each
+    layer's activations are length-aligned per cfg.strategy, reduced to its
+    statistics and used to fit that layer's maps per cfg.method, and are
+    dropped before the next layer runs, so memory does not grow with depth.
+    Returns the transported task vector and a per-layer report.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
@@ -461,18 +465,25 @@ def transport_task_vector(
             "calibration inputs must be 3-D and pair the same samples "
             f"(got shapes {ca.shape} and {cb.shape})"
         )
-    _, rec_a = forward_collect(theta_a, ca)
-    _, rec_b = forward_collect(theta_b, cb)
+    h_a = forward_inputs(theta_a, ca)
+    h_b = forward_inputs(theta_b, cb)
+    del ca, cb
 
     results = []
     for idx in range(theta_a.depth):
+        z_a = forward_layer(theta_a, idx, h_a)
+        z_b = forward_layer(theta_b, idx, h_b)
         try:
             results.append(_transport_layer(
-                idx, theta_b.layer_specs[idx], rec_a[idx], rec_b[idx],
+                idx, theta_b.layer_specs[idx],
+                ActivationRecord(h_a, z_a), ActivationRecord(h_b, z_b),
                 update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
             ))
         except TaskportError as exc:
             raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
+        h_a = activate(theta_a.layer_specs[idx], z_a)
+        h_b = activate(theta_b.layer_specs[idx], z_b)
+        del z_a, z_b
 
     deltas = [r[0] for r in results]
     bias_deltas = [r[1] for r in results]

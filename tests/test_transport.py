@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -573,3 +574,78 @@ def test_transport_rejects_unpaired_calibration():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=53)
     with pytest.raises(DimensionError, match="pair"):
         transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b[:-1], TransportConfig())
+
+
+def traced_peak(depth, width, seqs, tokens):
+    """Peak traced bytes of one theseus transport between two ReLU stacks
+    of ``depth`` layers, all ``width`` wide."""
+    widths = (width,) * (depth + 1)
+    theta_a = small_checkpoint(widths=widths, seed=54)
+    theta_a_ft = small_checkpoint(widths=widths, seed=55)
+    theta_b = small_checkpoint(widths=widths, seed=56)
+    rng = np.random.default_rng(np.random.SeedSequence((57, depth)))
+    calib_a = rng.standard_normal((seqs, tokens, width))
+    calib_b = rng.standard_normal((seqs, tokens, width))
+    cfg = TransportConfig(method="theseus", strategy="interp1d")
+    tracemalloc.start()
+    try:
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transport_memory_does_not_grow_with_depth():
+    # The stacks run one layer at a time, so a deeper stack holds no more
+    # activations at once; holding every layer's would add 16 arrays here.
+    width, seqs, tokens = 16, 64, 32
+    one_layer = seqs * tokens * width * 8
+    shallow = traced_peak(2, width, seqs, tokens)
+    deep = traced_peak(6, width, seqs, tokens)
+    assert abs(deep - shallow) < one_layer, (shallow, deep, one_layer)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("features", DimensionError, "inputs have 2 features, layer 0 expects 3"),
+    ("no_tokens", DimensionError,
+     "inputs must contain at least one sequence and one token, got shape (16, 0, 3)"),
+    ("nan", NonFiniteError, "inputs contains NaN or Inf entries"),
+])
+def test_transport_calibration_errors_are_the_forward_pass_errors(case, error, message):
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=58)
+    if case == "features":
+        calib_a = calib_a[:, :, :2]
+    elif case == "no_tokens":
+        calib_a = calib_a[:, :0]
+    else:
+        calib_b = calib_b.copy()
+        calib_b[3, 1, 0] = np.nan
+    with pytest.raises(error) as info:
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+    assert str(info.value) == message and info.value.kind == error.kind
+
+
+def test_transport_empty_checkpoints_cannot_run_forward():
+    empty = Checkpoint(layer_specs=[], weights=[], biases=[])
+    calib = np.zeros((2, 3, 4))
+    with pytest.raises(DimensionError) as info:
+        transport_task_vector(empty, empty, empty, calib, calib, TransportConfig())
+    assert str(info.value) == "cannot run a forward pass on an empty checkpoint"
+
+
+def test_transport_forward_errors_name_their_layer_once():
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=59)
+    # A spec edited after construction no longer chains to layer 0's output.
+    theta_b.layer_specs[1] = LayerSpec(4, 2, has_bias=True, activation="identity")
+    with pytest.raises(DimensionError) as info:
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+    assert str(info.value) == "layer 1: got 5 input features, expected 4"
+
+
+def test_transport_overflowing_layer_is_one_non_finite_error():
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=60)
+    theta_b.weights[1] = 1e300 * theta_b.weights[1]  # layer 1's outputs overflow
+    with np.errstate(all="raise"), pytest.raises(NonFiniteError) as info:
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+    message = str(info.value)
+    assert message.startswith("layer 1: ") and message.count("layer") == 1, message
