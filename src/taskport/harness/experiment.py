@@ -26,6 +26,8 @@ from .training import alpha_search, evaluate, train_classifier, warm_start_compa
 
 __all__ = [
     "REGIMES",
+    "MAX_CONFIG_BYTES",
+    "MAX_TRAIN_STEPS",
     "TaskConfig",
     "ModelConfig",
     "TrainConfig",
@@ -66,6 +68,11 @@ _KINDS = {
 
 # Field names whose JSON keys differ.
 _JSON_KEYS = {"batches_b": "batches_B", "lam": "lambda"}
+
+# The most memory a config may ask for, as the decoder estimates it, and the
+# most descent steps a training run may take.
+MAX_CONFIG_BYTES = 2**32
+MAX_TRAIN_STEPS = 10**6
 
 # Keys a JSON config must give although their fields have defaults.
 _JSON_REQUIRED = (
@@ -295,6 +302,7 @@ class ExperimentConfig(_Codec):
                 raise ConfigError(
                     f"{role}.width={model.width} is narrower than the {self.task.d_token}-wide tokens"
                 )
+        self._check_sizes()
         if self.regime == "isometric":
             if self.source_model.activation != "identity" or self.target_model.activation != "identity":
                 raise ConfigError("isometric regime requires identity activations on both models")
@@ -302,6 +310,44 @@ class ExperimentConfig(_Codec):
                 raise ConfigError("isometric regime requires equal depths")
             if self.target_model.width < self.source_model.width:
                 raise ConfigError("isometric regime requires target width >= source width")
+
+    def _check_sizes(self):
+        """Bound the float64 arrays the size fields ask for before any is made.
+
+        Keys are checked in order, each estimate growing the one before it by
+        that key's factor, and the first over ``MAX_CONFIG_BYTES`` is named:
+        one layer's weights, then the stack; then the activations a
+        full-batch forward pass keeps for one sequence (each layer's input
+        and output, and the stack's output), times each split's sequence
+        count. Step counts allocate nothing that grows with them, so they are
+        bounded by count.
+        """
+        estimates = []
+        for role in ("source_model", "target_model"):
+            model = getattr(self, role)
+            estimates.append((f"{role}.width", 8 * model.width**2))
+            estimates.append((f"{role}.depth", 8 * model.width**2 * model.depth))
+        width = max(self.source_model.width, self.target_model.width)
+        depth = max(self.source_model.depth, self.target_model.depth)
+        per_sequence = 8 * width * (2 * depth + 1) * self.task.tokens
+        estimates.append(("task.tokens", per_sequence))
+        for split in ("train", "val", "test", "pretrain"):
+            count = getattr(self.task, f"{split}_per_class")
+            estimates.append((f"task.{split}_per_class", self.task.n_classes * count * per_sequence))
+        estimates.append(("batch_size", self.batch_size * per_sequence))
+        estimates.append(("batches_B", self.batches_b * self.batch_size * per_sequence))
+        for key, size in estimates:
+            if size > MAX_CONFIG_BYTES:
+                raise ConfigError(
+                    f"config key '{key}' asks for more than the "
+                    f"{MAX_CONFIG_BYTES // 2**30} GiB of arrays a config may use"
+                )
+        for name in ("pretrain_steps", "finetune_steps"):
+            if getattr(self.train, name) > MAX_TRAIN_STEPS:
+                raise ConfigError(
+                    f"config key 'train.{name}' must be at most {MAX_TRAIN_STEPS}, "
+                    f"got {getattr(self.train, name)}"
+                )
 
     def transport_config(self, method: str, strategy: str | None = None) -> TransportConfig:
         """The transport settings of one method; ``strategy`` overrides seq_align."""

@@ -465,6 +465,9 @@ def transport_task_vector(
             "calibration inputs must be 3-D and pair the same samples "
             f"(got shapes {ca.shape} and {cb.shape})"
         )
+    # One layer's activations per model at a time: h_* are replaced by the
+    # activated outputs, and z_* and ca/cb are deleted rather than left bound
+    # while the next layer makes its own arrays.
     h_a = forward_inputs(theta_a, ca)
     h_b = forward_inputs(theta_b, cb)
     del ca, cb

@@ -2,9 +2,10 @@
 
 The norm identity, rotation recovery and closed-form optimality all hold for a
 transposed or mis-indexed map too, since such a map still preserves norms.
-These properties relabel one side's hidden units, or reorder the calibration
-sequences, and check that the transported update follows exactly as the
-geometry says it must.
+These properties relabel one side's hidden units, rotate the hidden units of
+an identity-activation target, or reorder the calibration sequences, and
+check that the transported update follows exactly as the geometry says it
+must.
 
 Data are generic and full rank, so each Procrustes solution and each Gram
 inverse is unique: seeded Gaussian weights, biases and inputs, no layer more
@@ -28,11 +29,12 @@ GEOMETRY_METHODS = ("theseus", "pinv")
 TOKENS_A, TOKENS_B = 4, 9  # 2x2 and 3x3 grids, so interp2d applies
 
 
-def stack(widths, rng):
-    """ReLU stack with an identity readout and generic nonzero biases."""
+def stack(widths, rng, hidden="relu"):
+    """Stack with ``hidden`` activations, an identity readout and generic
+    nonzero biases."""
     specs = [
         LayerSpec(widths[i], widths[i + 1], has_bias=True,
-                  activation="relu" if i < len(widths) - 2 else "identity")
+                  activation=hidden if i < len(widths) - 2 else "identity")
         for i in range(len(widths) - 1)
     ]
     weights = [rng.standard_normal((s.d_out, s.d_in)) / np.sqrt(s.d_in) for s in specs]
@@ -53,46 +55,56 @@ def full_rank(ckpt, calib, strategy) -> bool:
     return True
 
 
-def relabel(weights, biases, perms):
-    """Permute the hidden units: perms[k] reorders the outputs of layer k
-    (rows of W_k and b_k) and the inputs of layer k + 1 (columns of W_k+1)."""
-    weights = [w.copy() for w in weights]
-    biases = [None if b is None else b.copy() for b in biases]
-    for k, p in enumerate(perms):
-        weights[k] = weights[k][p]
-        biases[k] = biases[k][p]
-        weights[k + 1] = weights[k + 1][:, p]
+def change_basis(weights, biases, bases):
+    """Change the basis of the hidden units: the orthogonal bases[k] maps the
+    outputs of layer k (W_k and b_k from the left) and the inputs of layer
+    k + 1 (W_k+1 from the right, by its transpose). A permutation matrix
+    relabels the units."""
+    weights = list(weights)
+    biases = list(biases)
+    for k, q in enumerate(bases):
+        weights[k] = q @ weights[k]
+        biases[k] = q @ biases[k]
+        weights[k + 1] = weights[k + 1] @ q.T
     return weights, biases
 
 
-def relabel_checkpoint(ckpt, perms):
-    weights, biases = relabel(ckpt.weights, ckpt.biases, perms)
+def change_basis_checkpoint(ckpt, bases):
+    weights, biases = change_basis(ckpt.weights, ckpt.biases, bases)
     return Checkpoint(layer_specs=list(ckpt.layer_specs), weights=weights, biases=biases)
 
 
 @st.composite
-def widths(draw):
+def widths(draw, affine=False):
     """Four interface widths, each at most one more than the one before: an
     affine layer's pre-activation outputs have rank at most d_in + 1, and a
-    wider layer would leave its output-side maps undetermined."""
+    wider layer would leave its output-side maps undetermined. An ``affine``
+    stack (identity activations) is one affine map up to each interface, so
+    there every width is at most one more than the input width."""
     out = [draw(st.integers(2, 6))]
     for _ in range(3):
-        out.append(draw(st.integers(2, min(6, out[-1] + 1))))
+        out.append(draw(st.integers(2, min(6, (out[0] if affine else out[-1]) + 1))))
     return out
 
 
+def permutation_matrices(widths, rng):
+    return [np.eye(w)[rng.permutation(w)] for w in widths]
+
+
 @st.composite
-def instances(draw):
-    """Two depth-3 stacks of drawn widths, a fine-tune of the source, paired
-    calibration inputs, a method and a strategy."""
-    widths_a, widths_b = draw(widths()), draw(widths())
+def instances(draw, target_hidden="relu"):
+    """Two depth-3 stacks of drawn widths, the target with ``target_hidden``
+    activations, a fine-tune of the source, paired calibration inputs, a
+    method and a strategy; and relabelings of the hidden units of each stack
+    and of the sequences."""
+    widths_a, widths_b = draw(widths()), draw(widths(affine=target_hidden == "identity"))
     method = draw(st.sampled_from(GEOMETRY_METHODS))
     strategy = draw(st.sampled_from(STRATEGIES))
     seqs = draw(st.integers(8, 12))  # > every width, so `mean` rows stay full rank
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 808)))
     theta_a = stack(widths_a, rng)
-    theta_b = stack(widths_b, rng)
+    theta_b = stack(widths_b, rng, target_hidden)
     ft = [w + 0.1 * rng.standard_normal(w.shape) for w in theta_a.weights]
     ft_b = [b + 0.1 * rng.standard_normal(b.shape) for b in theta_a.biases]
     theta_a_ft = Checkpoint(layer_specs=list(theta_a.layer_specs), weights=ft, biases=ft_b)
@@ -102,8 +114,8 @@ def instances(draw):
     calib_a = raw @ rng.standard_normal((6, widths_a[0]))
     calib_b = align_sequence(raw, TOKENS_B, "interp2d") @ rng.standard_normal((6, widths_b[0]))
     assume(full_rank(theta_a, calib_a, strategy) and full_rank(theta_b, calib_b, strategy))
-    perms_a = [rng.permutation(w) for w in widths_a[1:-1]]
-    perms_b = [rng.permutation(w) for w in widths_b[1:-1]]
+    perms_a = permutation_matrices(widths_a[1:-1], rng)
+    perms_b = permutation_matrices(widths_b[1:-1], rng)
     order = rng.permutation(seqs)
     cfg = TransportConfig(method=method, strategy=strategy)
     return theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, perms_a, perms_b, order
@@ -123,9 +135,25 @@ def assert_updates_close(got: TaskVector, want: TaskVector):
 def test_target_relabeling_permutes_the_output(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, perms_b, _ = inst
     base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
-    relabeled = relabel_checkpoint(theta_b, perms_b)
+    relabeled = change_basis_checkpoint(theta_b, perms_b)
     got, _ = transport_task_vector(theta_a, theta_a_ft, relabeled, calib_a, calib_b, cfg)
-    want = TaskVector(*relabel(base.deltas, base.bias_deltas, perms_b))
+    want = TaskVector(*change_basis(base.deltas, base.bias_deltas, perms_b))
+    assert_updates_close(got, want)
+
+
+@settings(max_examples=50)
+@given(instances(target_hidden="identity"), st.integers(0, 2**16))
+def test_target_change_of_basis_carries_the_output(inst, seed):
+    # An identity-activation stack computes the same function in any
+    # orthogonal basis of its hidden units, not only a permuted one.
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, _, _ = inst
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 809)))
+    bases = [np.linalg.qr(rng.standard_normal((s.d_out, s.d_out)))[0]
+             for s in theta_b.layer_specs[:-1]]
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    rotated = change_basis_checkpoint(theta_b, bases)
+    got, _ = transport_task_vector(theta_a, theta_a_ft, rotated, calib_a, calib_b, cfg)
+    want = TaskVector(*change_basis(base.deltas, base.bias_deltas, bases))
     assert_updates_close(got, want)
 
 
@@ -135,7 +163,7 @@ def test_source_relabeling_with_its_update_leaves_the_output(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, perms_a, _, _ = inst
     base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
     got, _ = transport_task_vector(
-        relabel_checkpoint(theta_a, perms_a), relabel_checkpoint(theta_a_ft, perms_a),
+        change_basis_checkpoint(theta_a, perms_a), change_basis_checkpoint(theta_a_ft, perms_a),
         theta_b, calib_a, calib_b, cfg,
     )
     assert_updates_close(got, base)

@@ -420,6 +420,26 @@ def test_config_sections_type_check_direct_construction(cls, kwargs, key):
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"source_model": {"width": 10**6}}, "source_model.width"),
+    ({"target_model": {"width": 10**400}}, "target_model.width"),
+    ({"target_model": {"width": 10, "depth": 10**8}}, "target_model.depth"),
+    ({"task": {"tokens": 10**8, "d_raw": 4 * 10**8}}, "task.tokens"),
+    ({"task": {"train_per_class": 10**9}}, "task.train_per_class"),
+    ({"task": {"test_per_class": 10**9}}, "task.test_per_class"),
+    ({"task": {"pretrain_per_class": 10**9}}, "task.pretrain_per_class"),
+    ({"batch_size": 10**9}, "batch_size"),
+    ({"batches_B": 10**7}, "batches_B"),
+    ({"train": {"pretrain_steps": 10**7}}, "train.pretrain_steps"),
+    ({"train": {"finetune_steps": 2**70}}, "train.finetune_steps"),
+])
+def test_config_decoder_bounds_sizes(overrides, key):
+    # The decoder alone rejects these; nothing of their size is allocated.
+    with pytest.raises(ConfigError, match=f"^config key '{key}' ") as info:
+        fast_config(**overrides)
+    assert info.value.kind == "bad_config"
+
+
 def test_config_rcond_follows_the_transport_rule():
     assert fast_config(rcond=0).rcond == 0.0
     with pytest.raises(ConfigError, match="rcond must be finite and non-negative"):

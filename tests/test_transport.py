@@ -645,7 +645,7 @@ def test_transport_forward_errors_name_their_layer_once():
 def test_transport_overflowing_layer_is_one_non_finite_error():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=60)
     theta_b.weights[1] = 1e300 * theta_b.weights[1]  # layer 1's outputs overflow
-    with np.errstate(all="raise"), pytest.raises(NonFiniteError) as info:
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(NonFiniteError) as info:
         transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
     message = str(info.value)
     assert message.startswith("layer 1: ") and message.count("layer") == 1, message
