@@ -112,7 +112,8 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
     size = np.abs(w)
-    keep = (size > 0.0) & (size >= rcond * size.max())
+    # In Python floats a cutoff past the float range is inf, keeping nothing, without a warning.
+    keep = (size > 0.0) & (size >= float(rcond) * float(size.max()))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return (v * inv) @ v.T

@@ -9,7 +9,7 @@ resampling along the token axis. Three strategies:
   leading extra token that is passed through untouched (length g*g + 1);
   the grid is resampled bilinearly with corner positions pinned.
 
-Every strategy is a fixed linear map of the input tokens.
+Every strategy is a fixed linear map of the input tokens: ``token_map``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "flatten_tokens",
     "resample_weights",
     "grid_side",
+    "token_map",
 ]
 
 STRATEGIES = ("mean", "interp1d", "interp2d")
@@ -51,16 +52,9 @@ def resample_weights(l_src: int, l_target: int) -> np.ndarray:
     if l_src < 1 or l_target < 1:
         raise DimensionError(f"token counts must be positive, got {l_src} -> {l_target}")
     w = np.zeros((l_target, l_src))
-    if l_src == 1:
-        w[:, 0] = 1.0
-        return w
-    if l_target == 1:
-        w[0, 0] = 1.0
-        return w
-    denom = l_target - 1
+    denom = max(l_target - 1, 1)  # one target token takes the first source token
     for j in range(l_target):
-        num = j * (l_src - 1)
-        i0, rem = divmod(num, denom)
+        i0, rem = divmod(j * (l_src - 1), denom)
         if rem == 0:
             w[j, i0] = 1.0
         else:
@@ -86,26 +80,21 @@ def grid_side(length: int) -> tuple[int, bool]:
     )
 
 
-def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
-    """Resample (N, L_src, d) finite activations to l_target tokens."""
-    h = require_finite(_as_tokens(h), "activations")
+def token_map(l_src: int, l_target: int, strategy: str) -> np.ndarray:
+    """The strategy as one (L_out, l_src) matrix of token weights.
+
+    ``interp1d`` is ``resample_weights``; ``interp2d`` its Kronecker square over
+    the grid, with a 1x1 block passing an extra leading token through; ``mean``
+    a row of ones, the token sum that ``align_sequence`` divides by l_src.
+    """
     if strategy not in STRATEGIES:
         raise DimensionError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     if l_target < 1:
         raise DimensionError(f"l_target must be positive, got {l_target}")
-    l_src = h.shape[1]
-
     if strategy == "mean":
-        return h.mean(axis=1, keepdims=True)
-
+        return np.ones((1, l_src))
     if strategy == "interp1d":
-        if l_src == l_target:
-            return h.copy()
-        w = resample_weights(l_src, l_target)
-        return np.einsum("ts,nsd->ntd", w, h)
-
-    # interp2d: validate both layouts before the equal-length fast path so a
-    # non-grid count is always rejected.
+        return resample_weights(l_src, l_target)
     g_src, extra_src = grid_side(l_src)
     g_tgt, extra_tgt = grid_side(l_target)
     if extra_src != extra_tgt:
@@ -113,16 +102,24 @@ def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
             f"grid alignment cannot map token count {l_src} to {l_target}: "
             f"only one side carries the extra leading token"
         )
-    if l_src == l_target:
-        return h.copy()
-    start = 1 if extra_src else 0
-    n, _, d = h.shape
-    grid = h[:, start:, :].reshape(n, g_src, g_src, d)
     w = resample_weights(g_src, g_tgt)
-    resampled = np.einsum("ra,cb,nabd->nrcd", w, w, grid).reshape(n, g_tgt * g_tgt, d)
+    m = np.kron(w, w)
     if extra_src:
-        resampled = np.concatenate([h[:, :1, :], resampled], axis=1)
-    return resampled
+        m = np.pad(m, ((1, 0), (1, 0)))
+        m[0, 0] = 1.0
+    return m
+
+
+def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
+    """Apply ``token_map`` to (N, L_src, d) finite activations; a map that
+    keeps the token count is the identity, so the input is copied."""
+    h = require_finite(_as_tokens(h), "activations")
+    l_src = h.shape[1]
+    m = token_map(l_src, l_target, strategy)
+    if m.shape[0] == l_src:
+        return h.copy()
+    out = np.einsum("ts,nsd->ntd", m, h)
+    return out / l_src if strategy == "mean" else out
 
 
 def flatten_tokens(h) -> np.ndarray:

@@ -42,7 +42,7 @@ from .model import (
     forward_layer,
     task_vector,
 )
-from .seqalign import STRATEGIES, align_sequence, flatten_tokens
+from .seqalign import STRATEGIES, align_sequence, flatten_tokens, resample_weights
 
 __all__ = [
     "METHODS",
@@ -299,13 +299,23 @@ def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     return _guarded_distance(aa, bb, ab, from_rows)
 
 
+def _blend(arrays, row, layers):
+    """Copy the one layer a resampling row picks, or blend the two it weights."""
+    if arrays[0] is None:
+        return None
+    if len(layers) == 1:
+        return arrays[layers[0]].copy()
+    i, j = layers
+    return row[i] * arrays[i] + row[j] * arrays[j]
+
+
 def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
     """Grow a uniform stack to target_depth by linear interpolation in layer space.
 
-    New layer l sits at fractional position l * (depth-1) / (target_depth-1) in
-    the source stack; endpoint layers are copied bitwise. Requires every layer
-    to share one spec (square, same bias/activation flags); shrinking is not
-    supported.
+    Layer positions come from ``resample_weights(depth, target_depth)``: a new
+    layer on a source layer (the endpoints among them) is a bitwise copy, any
+    other blends its two neighbours. Requires every layer to share one spec
+    (square, same bias/activation flags); shrinking is not supported.
     """
     depth = ckpt.depth
     if depth < 1:
@@ -324,23 +334,13 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
                 f"({spec.d_in}, {spec.d_out}, bias={spec.has_bias}, {spec.activation}) "
                 f"differs from layer 0"
             )
-    out = ckpt.copy()
     if target_depth == depth:
-        return out
+        return ckpt.copy()
     weights, biases = [], []
-    denom = target_depth - 1
-    for new_idx in range(target_depth):
-        i0, rem = divmod(new_idx * (depth - 1), denom)
-        if rem == 0:
-            weights.append(ckpt.weights[i0].copy())
-            biases.append(None if ckpt.biases[i0] is None else ckpt.biases[i0].copy())
-        else:
-            frac = rem / denom
-            weights.append((1.0 - frac) * ckpt.weights[i0] + frac * ckpt.weights[i0 + 1])
-            if ckpt.biases[i0] is None:
-                biases.append(None)
-            else:
-                biases.append((1.0 - frac) * ckpt.biases[i0] + frac * ckpt.biases[i0 + 1])
+    for row in resample_weights(depth, target_depth):
+        layers = np.flatnonzero(row)
+        weights.append(_blend(ckpt.weights, row, layers))
+        biases.append(_blend(ckpt.biases, row, layers))
     meta = dict(ckpt.meta)
     meta["depth_expanded_from"] = str(depth)
     return Checkpoint(

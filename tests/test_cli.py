@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskport import cli
 from taskport.cli import main
@@ -581,3 +581,111 @@ def test_missing_subcommand_exits_with_usage(capsys):
         main([])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+# -- argv sweep -------------------------------------------------------------------
+
+_FLOAT_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "0", "-0.0", "-1",
+                 "1e-320", "0x10", "1_0", "", "abc")
+_INT_VALUES = ("-1", "0", "-0", "18446744073709551616", "1" + "0" * 400, "1.5", "1e3", "", "abc")
+_WORD_VALUES = ("", "THESEUS", "pinv_tikhonov", "interp", " mean", "é", "-x")
+_PATH_FLAGS = ("--source", "--finetuned", "--target", "--calib")
+_PATH_CHOICES = FIXTURE_NAMES + (".", "missing.tpk")
+_TRANSPORT_INPUTS = FIXTURE_NAMES[:4]
+
+
+def _flag_values(convert, values):
+    return st.sampled_from(values).map(lambda value: (convert, value))
+
+
+_TRANSPORT_VALUES = {
+    "--method": _flag_values(str, tuple(cli._METHOD_TOKENS) + _WORD_VALUES),
+    "--seq-align": _flag_values(str, ("mean", "interp1d", "interp2d") + _WORD_VALUES),
+    "--alpha": _flag_values(float, _FLOAT_VALUES),
+    "--rcond": _flag_values(float, _FLOAT_VALUES),
+    "--lambda": _flag_values(float, _FLOAT_VALUES),
+    "--seed": _flag_values(int, _INT_VALUES),
+}
+
+
+def _transport_argv(method, inputs=_TRANSPORT_INPUTS):
+    argv = ["transport", "--output", "out.tpk", "--method", method]
+    for flag, name in zip(_PATH_FLAGS, inputs):
+        argv += [flag, f"fx/{name}"]
+    return argv
+
+
+@st.composite
+def hostile_argv(draw):
+    """A valid command line with one flag's value swapped for a hostile one.
+
+    Returns (argv, convert, value): ``convert`` is the flag's argparse type
+    and ``value`` the swapped string, or (argv, None, None) for a path swap."""
+    command = draw(st.sampled_from(["transport", "make-fixtures", "inspect"]))
+    if command == "inspect":
+        return ["inspect", "fx/" + draw(st.sampled_from(_PATH_CHOICES))], None, None
+    if command == "make-fixtures":
+        flag = draw(st.sampled_from(["--seed", "--outdir"]))
+        if flag == "--seed":
+            convert, value = draw(_flag_values(int, _INT_VALUES))
+            return ["make-fixtures", "--seed", value, "--outdir", "made"], convert, value
+        outdir = draw(st.sampled_from(["made", "made/deeper", "fx/calib.tpc", "", "."]))
+        return ["make-fixtures", "--seed", "1", "--outdir", outdir], None, None
+    paths = dict(zip(_PATH_FLAGS, _TRANSPORT_INPUTS))
+    flag = draw(st.sampled_from(_PATH_FLAGS + tuple(_TRANSPORT_VALUES)))
+    convert = value = None
+    extra = []
+    if flag in paths:
+        paths[flag] = draw(st.sampled_from(_PATH_CHOICES))
+    else:
+        convert, value = draw(_TRANSPORT_VALUES[flag])
+        extra = [flag, value]
+    # Later flags override earlier ones, so a swapped --method replaces the drawn one.
+    argv = _transport_argv(draw(st.sampled_from(sorted(cli._METHOD_TOKENS))), paths.values())
+    return argv + extra, convert, value
+
+
+def _argparse_rejects(parser, convert, value) -> bool:
+    """Whether argparse itself refuses ``value``: it reads it as a flag, or
+    the flag's type cannot convert it."""
+    if value is None:
+        return False
+    if value.startswith("-") and not parser._negative_number_matcher.match(value):
+        return True
+    try:
+        convert(value)
+    except ValueError:
+        return True
+    return False
+
+
+def test_cli_survives_one_hostile_value_per_flag(fixtures_dir, tmp_path, monkeypatch):
+    (tmp_path / "fx").mkdir()
+    for name in FIXTURE_NAMES:
+        (tmp_path / "fx" / name).write_bytes((fixtures_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+
+    @settings(max_examples=500)
+    @given(hostile_argv())
+    @example(([*_transport_argv("pinv"), "--rcond", "1e308"], float, "1e308"))
+    def check(case):
+        argv, convert, value = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        # A warning is a line on stderr in a real process.
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        if code == 2:
+            assert _argparse_rejects(parser, convert, value), (argv, lines)
+        elif code == 0:
+            assert lines == [], (argv, lines)
+        else:
+            assert code == 1 and len(lines) == 1 and re.match(r"^[a-z_]+: ", lines[0]), (argv, lines)
+
+    check()

@@ -106,6 +106,19 @@ def test_pinv_truncates_small_singular_values():
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pinv_cutoff_past_the_float_range_keeps_nothing():
+    # rcond * max|w| overflows here; the infinite cutoff drops every eigenvalue.
+    a = np.diag([4.0, 2.0])
+    for rcond in (1e308, np.finfo(float).max, np.inf):
+        np.testing.assert_array_equal(pseudo_inverse(a, rcond), np.zeros((2, 2)))
+    np.testing.assert_array_equal(pseudo_inverse(np.zeros((2, 2)), np.inf), np.zeros((2, 2)))
+    # The largest finite cutoffs still keep what reaches them.
+    np.testing.assert_array_equal(pseudo_inverse(np.diag([1.0, 0.5]), 1.0), np.diag([1.0, 0.0]))
+    big = np.finfo(float).max
+    np.testing.assert_array_equal(pseudo_inverse(np.diag([big, 1.0]), 1.0), np.diag([1.0 / big, 0.0]))
+
+
 def _symmetric_of_rank(n, rank, seed, rotate):
     """A symmetric n x n matrix of the given rank, nonzero |eigenvalues| in [0.1, 10].
 

@@ -9,6 +9,7 @@ from taskport.seqalign import (
     flatten_tokens,
     grid_side,
     resample_weights,
+    token_map,
 )
 
 # Token counts every strategy accepts: squares work for interp2d and anything
@@ -129,6 +130,38 @@ def test_resample_weights_rejects_non_positive():
         resample_weights(0, 3)
     with pytest.raises(DimensionError):
         align_sequence(np.zeros((1, 2, 1)), 0, "interp1d")
+
+
+@given(st.data())
+def test_interpolating_maps_have_rows_summing_to_one(data):
+    """Every output token is an affine blend of input tokens, so a bias added
+    to every token passes through alignment unchanged."""
+    strategy = data.draw(st.sampled_from(["interp1d", "interp2d"]))
+    if strategy == "interp1d":
+        l_src, l_target = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 64))
+    else:
+        extra = data.draw(st.integers(0, 1))
+        l_src, l_target = (data.draw(st.integers(1, 8)) ** 2 + extra for _ in range(2))
+    m = token_map(l_src, l_target, strategy)
+    assert m.shape == (l_target, l_src)
+    np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    h = np.random.default_rng(l_src * 100 + l_target).standard_normal((2, l_src, 3))
+    bias = np.array([0.5, -2.0, 3.0])
+    np.testing.assert_allclose(align_sequence(h + bias, l_target, strategy),
+                               align_sequence(h, l_target, strategy) + bias, atol=1e-12)
+
+
+def test_interp2d_map_is_the_kronecker_square():
+    w = resample_weights(3, 5)
+    np.testing.assert_array_equal(token_map(9, 25, "interp2d"), np.kron(w, w))
+    with_extra = token_map(10, 26, "interp2d")
+    np.testing.assert_array_equal(with_extra[1:, 1:], np.kron(w, w))
+    assert with_extra[0, 0] == 1.0
+    assert not with_extra[0, 1:].any() and not with_extra[1:, 0].any()
+
+
+def test_mean_map_is_a_row_of_ones():
+    np.testing.assert_array_equal(token_map(7, 3, "mean"), np.ones((1, 7)))
 
 
 def test_grid_side_forms():

@@ -9,6 +9,7 @@ from helpers import assert_checkpoint_equal, full_rank_activations, small_checkp
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
 from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
+from taskport.seqalign import align_sequence
 from taskport.transport import (
     METHODS,
     LayerStats,
@@ -405,9 +406,14 @@ def test_depth_expand_two_to_three_interpolates_middle():
 
 def test_depth_expand_endpoints_bitwise():
     ckpt = uniform_stack(3, 2, seed=30)
+    # A -0.0 survives only a copy: a weighted sum would turn it into +0.0.
+    for w, b in zip(ckpt.weights, ckpt.biases):
+        w[0, 0] = b[0] = -0.0
     out = depth_expand(ckpt, 7)
-    assert out.weights[0].tobytes() == ckpt.weights[0].tobytes()
-    assert out.weights[-1].tobytes() == ckpt.weights[-1].tobytes()
+    # New layers 0, 3 and 6 sit exactly on source layers 0, 1 and 2.
+    for new_idx, src_idx in ((0, 0), (3, 1), (6, 2)):
+        assert out.weights[new_idx].tobytes() == ckpt.weights[src_idx].tobytes()
+        assert out.biases[new_idx].tobytes() == ckpt.biases[src_idx].tobytes()
 
 
 def test_depth_expand_rejects_non_uniform_and_shrink():
@@ -434,6 +440,25 @@ def relu_pair(seed, widths_a=(3, 4, 2), widths_b=(3, 5, 2)):
         else rng.standard_normal((16, 4, widths_b[0]))
     )
     return theta_a, theta_a_ft, theta_b, calib_a, calib_b
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_equal_token_counts_are_left_untouched(method):
+    # Three tokens form no grid, so interp2d cannot align them; sides of one
+    # length are never aligned, so interp2d transports exactly as interp1d.
+    theta_a, theta_a_ft, theta_b, _, _ = relu_pair(seed=44)
+    calib = np.random.default_rng(np.random.SeedSequence((44, 3))).standard_normal((16, 3, 3))
+    with pytest.raises(DimensionError, match="not a square grid"):
+        align_sequence(calib, 3, "interp2d")
+    results = [
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib,
+                              TransportConfig(method=method, strategy=strategy))
+        for strategy in ("interp1d", "interp2d")
+    ]
+    (tv_1d, report_1d), (tv_2d, report_2d) = results
+    for a, b in zip(tv_1d.deltas + tv_1d.bias_deltas, tv_2d.deltas + tv_2d.bias_deltas):
+        assert a.tobytes() == b.tobytes()
+    assert report_1d["layers"] == report_2d["layers"]
 
 
 @pytest.mark.parametrize("method", METHODS)
