@@ -195,7 +195,7 @@ def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         z = h.reshape(n * l, spec.d_in) @ w.T
         if b is not None:
-            z = z + b
+            z += b
     return z.reshape(n, l, spec.d_out)
 
 
