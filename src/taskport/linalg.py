@@ -104,7 +104,7 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     result stays the pseudo-inverse where rounding leaves a PSD Gram with tiny
     negative eigenvalues. ``eigh`` reads the lower triangle of ``a``.
     """
-    if rcond < 0:
+    if not rcond >= 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
     a = as_symmetric(a, "pseudo-inverse input")
     try:

@@ -23,6 +23,7 @@ from taskport.model import (
     save_calibration,
     save_checkpoint,
 )
+from taskport.seqalign import STRATEGIES
 
 FIXTURE_NAMES = (
     "source_a.tpk", "source_a_ft.tpk", "target_b.tpk", "calib.tpc", "demo_config.json"
@@ -600,7 +601,7 @@ def _flag_values(convert, values):
 
 _TRANSPORT_VALUES = {
     "--method": _flag_values(str, tuple(cli._METHOD_TOKENS) + _WORD_VALUES),
-    "--seq-align": _flag_values(str, ("mean", "interp1d", "interp2d") + _WORD_VALUES),
+    "--seq-align": _flag_values(str, STRATEGIES + _WORD_VALUES),
     "--alpha": _flag_values(float, _FLOAT_VALUES),
     "--rcond": _flag_values(float, _FLOAT_VALUES),
     "--lambda": _flag_values(float, _FLOAT_VALUES),

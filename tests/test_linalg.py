@@ -119,6 +119,13 @@ def test_pinv_cutoff_past_the_float_range_keeps_nothing():
     np.testing.assert_array_equal(pseudo_inverse(np.diag([big, 1.0]), 1.0), np.diag([1.0 / big, 0.0]))
 
 
+@pytest.mark.parametrize("rcond", [-1e-10, np.nan])
+def test_pinv_refuses_negative_and_nan_rcond(rcond):
+    # A NaN cutoff compares false with every eigenvalue; refused, not read as "keep nothing".
+    with pytest.raises(ValueError, match="rcond must be non-negative"):
+        pseudo_inverse(np.eye(2), rcond)
+
+
 def _symmetric_of_rank(n, rank, seed, rotate):
     """A symmetric n x n matrix of the given rank, nonzero |eigenvalues| in [0.1, 10].
 
