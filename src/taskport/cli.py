@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import logging
 import os
 import sys
@@ -85,6 +86,24 @@ def _resolve_method(token: str) -> str:
     return _METHOD_TOKENS[token]
 
 
+def _check_destinations(*paths) -> None:
+    """Raise the OSError that writing to each path would raise, before any
+    work: an empty path, a directory, or a missing parent. '-' is stdout."""
+    for path in paths:
+        if path == "-":
+            continue
+        parent = os.path.dirname(path) or "."
+        if not path or not os.path.exists(parent):
+            code = errno.ENOENT
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_transport(args) -> int:
     cfg = TransportConfig(
         method=_resolve_method(args.method),
@@ -93,6 +112,7 @@ def cmd_transport(args) -> int:
     )
     if not np.isfinite(args.alpha):
         raise ConfigError(f"alpha must be finite, got {args.alpha}")
+    _check_destinations(args.output, args.report)
     theta_a = load_checkpoint(args.source)
     theta_a_ft = load_checkpoint(args.finetuned)
     theta_b = load_checkpoint(args.target)
@@ -113,6 +133,7 @@ def cmd_transport(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     dest = args.output if args.output is not None else (cfg.output_path or "-")
+    _check_destinations(dest)
     result = run_experiment(cfg, output_path=dest)
     if dest == "-":
         write_json(result, "-")
@@ -122,6 +143,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ablate_seqalign(args) -> int:
+    _check_destinations(args.output)
     cfg = load_config(args.config)
     write_csv(ablate_seqalign(cfg), args.output)
     if args.output != "-":
@@ -130,11 +152,11 @@ def cmd_ablate_seqalign(args) -> int:
 
 
 def cmd_make_fixtures(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     seed = int(args.seed)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     specs = [LayerSpec(d_in=6, d_out=6, has_bias=True, activation="identity")] * 2
     theta_a = init_checkpoint(specs, np.random.SeedSequence((seed, 0)))
@@ -278,7 +300,9 @@ def _hold_heap():
     hands every free page back when the command ends. Under glibc's default
     trimming, the pages a transport faulted in depended on where earlier work
     had left numpy's small cached buffers in the heap (19k or 33k from one run
-    to the next). The settings stay for the process; without glibc, no-op."""
+    to the next). It lowers the faults of a ``pinv`` transport but does not
+    steady them: single ops still scatter several-fold within one run. The
+    settings stay for the process; without glibc, no-op."""
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim

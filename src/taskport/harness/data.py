@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError, DimensionError
-from ..linalg import random_orthonormal_rows
+from ..linalg import as_batch, random_orthonormal_rows
 
 __all__ = ["SPLITS", "SyntheticTask", "make_dataset", "input_projection", "render_tokens"]
 
@@ -109,9 +109,9 @@ def input_projection(d_token: int, width: int, seed) -> np.ndarray:
 
 def render_tokens(inputs, projection) -> np.ndarray:
     """Map raw (N, L, d_token) sequences into a model's input space."""
-    x = np.asarray(inputs, dtype=np.float64)
+    x = as_batch(inputs, "inputs")
     p = np.asarray(projection, dtype=np.float64)
-    if x.ndim != 3 or p.ndim != 2 or x.shape[2] != p.shape[0]:
+    if p.ndim != 2 or x.shape[2] != p.shape[0]:
         raise DimensionError(
             f"cannot render tokens of shape {x.shape} through a projection of shape {p.shape}"
         )

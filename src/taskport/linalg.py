@@ -2,10 +2,13 @@
 symmetric pseudo-inverse (by ``eigh``), ridge solve, seeded orthonormal
 sampling.
 
-All functions take and return plain 2-D ``numpy.float64`` arrays (C order) and
-never modify their inputs. Entries must be finite; NaN/Inf anywhere is an error,
-not a silent propagation. The two Gram solves, ``pseudo_inverse`` and
-``tikhonov_solve``, take square symmetric matrices only (``as_symmetric``).
+The input checks are the package's one check per array kind, each coercing
+to float64 without copying a float64 input: ``as_vector`` (1-D of a length),
+``as_matrix`` (2-D), ``as_symmetric`` (square) and ``as_batch`` (3-D:
+sequences, tokens, features). All but ``as_batch`` reject NaN/Inf; a batch's
+caller scans it with ``require_finite`` where it must. The solvers take and
+return plain 2-D arrays (C order) and never modify their inputs; the two Gram
+solves, ``pseudo_inverse`` and ``tikhonov_solve``, take ``as_symmetric`` input.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "as_symmetric",
+    "as_batch",
     "require_finite",
     "cross_covariance",
     "svd",
@@ -55,6 +59,19 @@ def as_vector(a, length: int, name="vector"):
     if out.shape != (length,):
         raise DimensionError(f"{name} has shape {out.shape}, expected ({length},)")
     return require_finite(out, name)
+
+
+def as_batch(a, name="batch"):
+    """Coerce to a 3-D (sequences, tokens, features) float64 array with at
+    least one of each; the entries are not scanned (see ``require_finite``)."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.ndim != 3:
+        raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {out.shape}")
+    if out.shape[0] < 1 or out.shape[1] < 1:
+        raise DimensionError(f"{name} must contain at least one sequence and one token, got shape {out.shape}")
+    if out.shape[2] < 1:
+        raise DimensionError(f"{name} must have at least one feature, got shape {out.shape}")
+    return out
 
 
 def as_symmetric(a, name="matrix"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .linalg import require_finite
+from .linalg import as_batch, as_matrix, as_vector, require_finite
 
 __all__ = [
     "ACTIVATIONS",
@@ -79,24 +79,17 @@ class Checkpoint:
                 f"{len(self.biases)} bias slots; counts must agree"
             )
         for idx, (spec, w, b) in enumerate(zip(self.layer_specs, self.weights, self.biases)):
-            w = np.asarray(w, dtype=np.float64)
+            w = as_matrix(w, f"layer {idx} weights")
             if w.shape != (spec.d_out, spec.d_in):
                 raise DimensionError(
                     f"layer {idx}: weight shape {w.shape} does not match spec "
                     f"({spec.d_out}, {spec.d_in})"
                 )
-            require_finite(w, f"layer {idx} weights")
             self.weights[idx] = w
             if spec.has_bias:
                 if b is None:
                     raise DimensionError(f"layer {idx}: spec has a bias but none was given")
-                b = np.asarray(b, dtype=np.float64)
-                if b.shape != (spec.d_out,):
-                    raise DimensionError(
-                        f"layer {idx}: bias shape {b.shape} does not match ({spec.d_out},)"
-                    )
-                require_finite(b, f"layer {idx} bias")
-                self.biases[idx] = b
+                self.biases[idx] = as_vector(b, spec.d_out, f"layer {idx} bias")
             elif b is not None:
                 raise DimensionError(f"layer {idx}: spec has no bias but one was given")
         for idx in range(len(self.layer_specs) - 1):
@@ -132,11 +125,7 @@ class TaskVector:
                 f"{len(self.deltas)} weight deltas vs {len(self.bias_deltas)} bias slots"
             )
         for idx, d in enumerate(self.deltas):
-            d = np.asarray(d, dtype=np.float64)
-            if d.ndim != 2:
-                raise DimensionError(f"delta {idx} must be 2-D, got shape {d.shape}")
-            require_finite(d, f"delta {idx}")
-            self.deltas[idx] = d
+            self.deltas[idx] = as_matrix(d, f"delta {idx}")
         for idx, b in enumerate(self.bias_deltas):
             if b is None:
                 continue
@@ -165,24 +154,16 @@ class ActivationRecord:
     h_out: np.ndarray
 
 
-def _as_batch(inputs, d_expected: int, what: str = "inputs") -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError(f"{what} must be 3-D (sequences, tokens, features), got shape {x.shape}")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise DimensionError(f"{what} must contain at least one sequence and one token, got shape {x.shape}")
-    if x.shape[2] != d_expected:
-        raise DimensionError(f"{what} have {x.shape[2]} features, layer 0 expects {d_expected}")
-    require_finite(x, what)
-    return x
-
-
 def forward_inputs(ckpt: Checkpoint, inputs) -> np.ndarray:
     """``inputs`` checked as a finite (N, L, d_in) float64 batch for the
     stack's first layer."""
     if not ckpt.layer_specs:
         raise DimensionError("cannot run a forward pass on an empty checkpoint")
-    return _as_batch(inputs, ckpt.layer_specs[0].d_in)
+    x = as_batch(inputs, "inputs")
+    d_in = ckpt.layer_specs[0].d_in
+    if x.shape[2] != d_in:
+        raise DimensionError(f"inputs have {x.shape[2]} features, layer 0 expects {d_in}")
+    return require_finite(x, "inputs")
 
 
 def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
@@ -393,11 +374,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_calibration(inputs_a, inputs_b, path) -> None:
-    """Write paired calibration inputs: the same N samples in each model's input space."""
-    a = np.asarray(inputs_a, dtype=np.float64)
-    b = np.asarray(inputs_b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3:
-        raise DimensionError("calibration inputs must be 3-D (sequences, tokens, features)")
+    """Write paired calibration inputs: the same N samples in each model's input space.
+
+    Refuses, before creating the file, what ``load_calibration`` refuses."""
+    a = require_finite(as_batch(inputs_a, "inputs_a"), "inputs_a")
+    b = require_finite(as_batch(inputs_b, "inputs_b"), "inputs_b")
     if a.shape[0] != b.shape[0]:
         raise DimensionError(
             f"calibration sides pair the same samples, got {a.shape[0]} vs {b.shape[0]} sequences"

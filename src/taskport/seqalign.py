@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import require_finite
+from .linalg import as_batch, require_finite
 
 __all__ = [
     "STRATEGIES",
@@ -31,15 +31,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("mean", "interp1d", "interp2d")
-
-
-def _as_tokens(h, name="activations") -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 3:
-        raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {h.shape}")
-    if min(h.shape) < 1:
-        raise DimensionError(f"{name} must be non-empty, got shape {h.shape}")
-    return h
 
 
 def resample_weights(l_src: int, l_target: int) -> np.ndarray:
@@ -113,7 +104,7 @@ def token_map(l_src: int, l_target: int, strategy: str) -> np.ndarray:
 def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
     """Apply ``token_map`` to (N, L_src, d) finite activations; a map that
     keeps the token count is the identity, so the input is copied."""
-    h = require_finite(_as_tokens(h), "activations")
+    h = require_finite(as_batch(h, "activations"), "activations")
     l_src = h.shape[1]
     m = token_map(l_src, l_target, strategy)
     if m.shape[0] == l_src:
@@ -124,6 +115,6 @@ def align_sequence(h, l_target: int, strategy: str) -> np.ndarray:
 
 def flatten_tokens(h) -> np.ndarray:
     """(N, L, d) -> (N*L, d); row n*L + l is token l of sequence n (no scan)."""
-    h = _as_tokens(h)
+    h = as_batch(h, "activations")
     n, l, d = h.shape
     return h.reshape(n * l, d)

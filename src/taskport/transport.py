@@ -33,7 +33,6 @@ from . import baselines
 from .errors import ConfigError, DepthMismatchError, DimensionError, TaskportError
 from .linalg import DEFAULT_RCOND, as_matrix, as_vector, cross_covariance, require_finite, svd
 from .model import (
-    ActivationRecord,
     Checkpoint,
     TaskVector,
     activate,
@@ -348,13 +347,14 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
     )
 
 
-def _aligned_flat(rec_a: ActivationRecord, rec_b: ActivationRecord, strategy: str):
-    """Length-align one layer's activation records and flatten tokens into rows."""
-    length = 1 if strategy == "mean" else max(rec_a.h_in.shape[1], rec_b.h_in.shape[1])
+def _aligned_flat(acts, strategy: str):
+    """Length-align one layer's activations (hin_a, hout_a, hin_b, hout_b)
+    and flatten tokens into rows."""
+    length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
     return tuple(
         flatten_tokens(h if strategy != "mean" and h.shape[1] == length
                        else align_sequence(h, length, strategy))
-        for h in (rec_a.h_in, rec_a.h_out, rec_b.h_in, rec_b.h_out)
+        for h in acts
     )
 
 
@@ -411,8 +411,8 @@ _LAYER_METHODS = {
 METHODS = tuple(_LAYER_METHODS)
 
 
-def _transport_layer(layer_index, spec_b, rec_a, rec_b, delta, bias_delta, cfg: TransportConfig):
-    stats = LayerStats(*_aligned_flat(rec_a, rec_b, cfg.strategy))
+def _transport_layer(layer_index, spec_b, acts, delta, bias_delta, cfg: TransportConfig):
+    stats = LayerStats(*_aligned_flat(acts, cfg.strategy))
     bias = bias_delta if spec_b.has_bias else None
     new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
         stats, delta, bias, spec_b, cfg, cfg.seed + layer_index
@@ -458,19 +458,15 @@ def transport_task_vector(
             f"expand the shallower stack first"
         )
     update_a = task_vector(theta_a, theta_a_ft)
-    ca = np.asarray(calib_inputs_a, dtype=np.float64)
-    cb = np.asarray(calib_inputs_b, dtype=np.float64)
-    if ca.ndim != 3 or cb.ndim != 3 or ca.shape[0] != cb.shape[0]:
-        raise DimensionError(
-            "calibration inputs must be 3-D and pair the same samples "
-            f"(got shapes {ca.shape} and {cb.shape})"
-        )
     # One layer's activations per model at a time: h_* are replaced by the
-    # activated outputs, and z_* and ca/cb are deleted rather than left bound
-    # while the next layer makes its own arrays.
-    h_a = forward_inputs(theta_a, ca)
-    h_b = forward_inputs(theta_b, cb)
-    del ca, cb
+    # activated outputs, and z_* are deleted rather than left bound while the
+    # next layer makes its own arrays.
+    h_a = forward_inputs(theta_a, calib_inputs_a)
+    h_b = forward_inputs(theta_b, calib_inputs_b)
+    if h_a.shape[0] != h_b.shape[0]:
+        raise DimensionError(
+            f"calibration inputs must pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
+        )
 
     results = []
     for idx in range(theta_a.depth):
@@ -478,8 +474,7 @@ def transport_task_vector(
         z_b = forward_layer(theta_b, idx, h_b)
         try:
             results.append(_transport_layer(
-                idx, theta_b.layer_specs[idx],
-                ActivationRecord(h_a, z_a), ActivationRecord(h_b, z_b),
+                idx, theta_b.layer_specs[idx], (h_a, z_a, h_b, z_b),
                 update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
             ))
         except TaskportError as exc:
