@@ -90,17 +90,13 @@ def _check_destinations(*paths) -> None:
     """Raise the OSError that writing to each path would raise, before any
     work: an empty path, a directory, or a missing parent. '-' is stdout."""
     for path in paths:
-        if path == "-":
-            continue
         parent = os.path.dirname(path) or "."
-        if not path or not os.path.exists(parent):
-            code = errno.ENOENT
-        elif not os.path.isdir(parent):
-            code = errno.ENOTDIR
-        elif os.path.isdir(path):
+        if path == "-" or (path and os.path.isdir(parent) and not os.path.isdir(path)):
+            continue
+        if os.path.isdir(path):
             code = errno.EISDIR
         else:
-            continue
+            code = errno.ENOTDIR if path and os.path.exists(parent) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
 
 
@@ -298,11 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _hold_heap():
     """Keep what a command frees in glibc's heap for reuse; the returned call
     hands every free page back when the command ends. Under glibc's default
-    trimming, the pages a transport faulted in depended on where earlier work
-    had left numpy's small cached buffers in the heap (19k or 33k from one run
-    to the next). It lowers the faults of a ``pinv`` transport but does not
-    steady them: single ops still scatter several-fold within one run. The
-    settings stay for the process; without glibc, no-op."""
+    trimming, a transport's page faults depended on where earlier work had left
+    numpy's cached buffers. This lowers a ``pinv`` transport's faults but does
+    not steady them. Settings stay for the process; no-op without glibc."""
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim

@@ -2,13 +2,10 @@
 symmetric pseudo-inverse (by ``eigh``), ridge solve, seeded orthonormal
 sampling.
 
-The input checks are the package's one check per array kind, each coercing
-to float64 without copying a float64 input: ``as_vector`` (1-D of a length),
-``as_matrix`` (2-D), ``as_symmetric`` (square) and ``as_batch`` (3-D:
-sequences, tokens, features). All but ``as_batch`` reject NaN/Inf; a batch's
-caller scans it with ``require_finite`` where it must. The solvers take and
-return plain 2-D arrays (C order) and never modify their inputs; the two Gram
-solves, ``pseudo_inverse`` and ``tikhonov_solve``, take ``as_symmetric`` input.
+One input check per array kind: ``as_vector`` (1-D), ``as_matrix`` (2-D),
+``as_symmetric`` (square Grams) and ``as_batch`` (sequences x tokens x
+features); none copies a float64 input, and all but ``as_batch`` reject NaN/Inf.
+The solvers take and return 2-D C-order arrays and never modify their inputs.
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ def as_vector(a, length: int, name="vector"):
 
 
 def as_batch(a, name="batch"):
-    """Coerce to a 3-D (sequences, tokens, features) float64 array with at
-    least one of each; the entries are not scanned (see ``require_finite``)."""
+    """Coerce to a 3-D (sequences, tokens, features) float64 array, one of each at least; no scan."""
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 3:
         raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {out.shape}")

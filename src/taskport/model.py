@@ -374,15 +374,16 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_calibration(inputs_a, inputs_b, path) -> None:
-    """Write paired calibration inputs: the same N samples in each model's input space.
-
-    Refuses, before creating the file, what ``load_calibration`` refuses."""
-    a = require_finite(as_batch(inputs_a, "inputs_a"), "inputs_a")
-    b = require_finite(as_batch(inputs_b, "inputs_b"), "inputs_b")
+    """Write paired calibration inputs, the same N samples in each model's input
+    space; refuses, before creating the file, what ``load_calibration`` refuses."""
+    a = as_batch(inputs_a, "inputs_a")
+    b = as_batch(inputs_b, "inputs_b")
     if a.shape[0] != b.shape[0]:
         raise DimensionError(
             f"calibration sides pair the same samples, got {a.shape[0]} vs {b.shape[0]} sequences"
         )
+    require_finite(a, "inputs_a")
+    require_finite(b, "inputs_b")
     with open(path, "wb") as f:
         f.write(_MAGIC_CALIBRATION)
         f.write(struct.pack("<IIIII", a.shape[0], a.shape[1], a.shape[2], b.shape[1], b.shape[2]))

@@ -458,16 +458,16 @@ def transport_task_vector(
             f"expand the shallower stack first"
         )
     update_a = task_vector(theta_a, theta_a_ft)
-    # One layer's activations per model at a time: h_* are replaced by the
-    # activated outputs, and z_* are deleted rather than left bound while the
-    # next layer makes its own arrays.
     h_a = forward_inputs(theta_a, calib_inputs_a)
     h_b = forward_inputs(theta_b, calib_inputs_b)
     if h_a.shape[0] != h_b.shape[0]:
         raise DimensionError(
-            f"calibration inputs must pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
+            f"calibration sides pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
         )
 
+    # One layer's activations per model at a time: h_* are replaced by the
+    # activated outputs, and z_* are deleted rather than left bound while the
+    # next layer makes its own arrays.
     results = []
     for idx in range(theta_a.depth):
         z_a = forward_layer(theta_a, idx, h_a)

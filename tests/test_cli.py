@@ -201,6 +201,47 @@ def test_negative_seeds_are_one_error_line(fixtures_dir, tmp_path, capsys, comma
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bad_config: "), err
+    # Nothing is written, make-fixtures' --outdir included.
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if command == "experiment" else [])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the destination check")
+
+
+def _one_io_error_and_nothing_written(capsys, workdir, kept=()):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io_error: "), err
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(kept)
+
+
+@pytest.mark.parametrize("flag, dest", [
+    ("--report", "nodir/r.json"), ("--report", "."), ("--report", ""),
+    ("--output", "nodir/out.tpk"), ("--output", "."), ("--output", ""),
+])
+def test_transport_checks_destinations_before_loading(fixtures_dir, tmp_path, capsys, monkeypatch,
+                                                      flag, dest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    assert main(transport_args(fixtures_dir, "out.tpk") + [flag, dest]) == 1
+    _one_io_error_and_nothing_written(capsys, tmp_path)
+
+
+_RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}
+
+
+# dest None: experiment takes the config's output_path.
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command in _RUNNERS for dest in ("nodir/x.out", ".", "")
+] + [("experiment", None)])
+def test_commands_check_their_output_before_running(tmp_path, capsys, monkeypatch, command, dest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, _RUNNERS[command], _never)
+    payload = tiny_config_payload(output_path="nodir/x.json" if dest is None else None)
+    (tmp_path / "cfg.json").write_text(json.dumps(payload))
+    argv = [command, "cfg.json"] + ([] if dest is None else ["--output", dest])
+    assert main(argv) == 1
+    _one_io_error_and_nothing_written(capsys, tmp_path, kept=["cfg.json"])
 
 
 def test_transport_missing_input_reports_io_error(fixtures_dir, tmp_path, capsys):
@@ -593,6 +634,8 @@ _WORD_VALUES = ("", "THESEUS", "pinv_tikhonov", "interp", " mean", "é", "-x")
 _PATH_FLAGS = ("--source", "--finetuned", "--target", "--calib")
 _PATH_CHOICES = FIXTURE_NAMES + (".", "missing.tpk")
 _TRANSPORT_INPUTS = FIXTURE_NAMES[:4]
+# A missing directory, an existing directory, an empty path.
+_HOSTILE_DESTINATIONS = ("missing/out", "fx", "")
 
 
 def _flag_values(convert, values):
@@ -622,7 +665,10 @@ def hostile_argv(draw):
 
     Returns (argv, convert, value): ``convert`` is the flag's argparse type
     and ``value`` the swapped string, or (argv, None, None) for a path swap."""
-    command = draw(st.sampled_from(["transport", "make-fixtures", "inspect"]))
+    command = draw(st.sampled_from(["transport", "make-fixtures", "inspect", "experiment",
+                                    "ablate-seqalign"]))
+    if command in ("experiment", "ablate-seqalign"):
+        return [command, "fx/tiny.json", "--output", draw(st.sampled_from(_HOSTILE_DESTINATIONS))], None, None
     if command == "inspect":
         return ["inspect", "fx/" + draw(st.sampled_from(_PATH_CHOICES))], None, None
     if command == "make-fixtures":
@@ -633,11 +679,13 @@ def hostile_argv(draw):
         outdir = draw(st.sampled_from(["made", "made/deeper", "fx/calib.tpc", "", "."]))
         return ["make-fixtures", "--seed", "1", "--outdir", outdir], None, None
     paths = dict(zip(_PATH_FLAGS, _TRANSPORT_INPUTS))
-    flag = draw(st.sampled_from(_PATH_FLAGS + tuple(_TRANSPORT_VALUES)))
+    flag = draw(st.sampled_from(_PATH_FLAGS + tuple(_TRANSPORT_VALUES) + ("--output", "--report")))
     convert = value = None
     extra = []
     if flag in paths:
         paths[flag] = draw(st.sampled_from(_PATH_CHOICES))
+    elif flag in ("--output", "--report"):
+        extra = [flag, draw(st.sampled_from(_HOSTILE_DESTINATIONS))]
     else:
         convert, value = draw(_TRANSPORT_VALUES[flag])
         extra = [flag, value]
@@ -660,12 +708,18 @@ def _argparse_rejects(parser, convert, value) -> bool:
     return False
 
 
+def _tree(root):
+    return {p.relative_to(root) for p in root.rglob("*")}
+
+
 def test_cli_survives_one_hostile_value_per_flag(fixtures_dir, tmp_path, monkeypatch):
     (tmp_path / "fx").mkdir()
     for name in FIXTURE_NAMES:
         (tmp_path / "fx" / name).write_bytes((fixtures_dir / name).read_bytes())
+    (tmp_path / "fx" / "tiny.json").write_text(json.dumps(tiny_config_payload()))
     monkeypatch.chdir(tmp_path)
     parser = cli.build_parser()
+    tree = _tree(tmp_path)
 
     @settings(max_examples=500)
     @given(hostile_argv())
@@ -682,6 +736,13 @@ def test_cli_survives_one_hostile_value_per_flag(fixtures_dir, tmp_path, monkeyp
                 code = exc.code
         # A warning is a line on stderr in a real process.
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        made = _tree(tmp_path) - tree
+        for path in sorted(made, key=lambda p: len(p.parts), reverse=True):
+            if (tmp_path / path).is_dir():
+                (tmp_path / path).rmdir()
+            else:
+                (tmp_path / path).unlink()
+        assert code == 0 or not made, (argv, sorted(map(str, made)))
         if code == 2:
             assert _argparse_rejects(parser, convert, value), (argv, lines)
         elif code == 0:

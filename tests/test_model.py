@@ -1,10 +1,14 @@
+import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import assert_checkpoint_equal, small_checkpoint
-from taskport.errors import DimensionError, FormatError, NonFiniteError
+from taskport.errors import DimensionError, FormatError, NonFiniteError, TaskportError
 from taskport.model import (
     Checkpoint,
     LayerSpec,
@@ -243,6 +247,59 @@ def test_calibration_round_trip_bitwise(tmp_path):
 def test_calibration_rejects_unpaired_counts(tmp_path):
     with pytest.raises(DimensionError, match="pair"):
         save_calibration(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)), tmp_path / "x.tpc")
+
+
+@st.composite
+def calibration_pairs(draw):
+    """Two (N, L, d) sides; either may have an empty axis, a NaN or Inf entry,
+    or a sequence count of its own."""
+    sides = []
+    n = draw(st.integers(0, 3))
+    for _ in range(2):
+        shape = (draw(st.sampled_from([n, n + 1])), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        side = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) - 2.5
+        if side.size and draw(st.booleans()):
+            side.flat[draw(st.integers(0, side.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        sides.append(side)
+    return sides
+
+
+def _reader_refusal(a, b, path):
+    """What ``load_calibration`` raises on the pair written raw, field by
+    field as the TPC1 layout says; None when it reads the pair."""
+    header = struct.pack("<4sIIIII", b"TPC1", a.shape[0], *a.shape[1:], *b.shape[1:])
+    path.write_bytes(header + a.astype("<f8").tobytes() + b.astype("<f8").tobytes())
+    try:
+        load_calibration(path)
+    except TaskportError as exc:
+        return exc
+    return None
+
+
+@given(calibration_pairs())
+def test_calibration_writer_refuses_what_the_reader_refuses(pair):
+    a, b = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cal.tpc"
+        try:
+            save_calibration(a, b, path)
+        except TaskportError as exc:
+            assert not path.exists()
+            refused = exc
+        else:
+            got_a, got_b = load_calibration(path)
+            assert got_a.tobytes() == a.tobytes() and got_a.shape == a.shape
+            assert got_b.tobytes() == b.tobytes() and got_b.shape == b.shape
+            return
+        if a.shape[0] != b.shape[0]:  # TPC1 holds one sequence count
+            assert isinstance(refused, DimensionError)
+            return
+        reader = _reader_refusal(a, b, Path(tmp) / "raw.tpc")
+    if min(a.shape + b.shape) == 0:
+        # An empty axis: the reader refuses the header, the writer the array.
+        assert reader.kind == "bad_format" and isinstance(refused, DimensionError)
+    else:
+        assert type(refused) is type(reader) is NonFiniteError and str(refused) == str(reader)
 
 
 def test_calibration_truncated(tmp_path):
