@@ -295,8 +295,8 @@ def _hold_heap():
     """Keep what a command frees in glibc's heap for reuse; the returned call
     hands every free page back when the command ends. Under glibc's default
     trimming, a transport's page faults depended on where earlier work had left
-    numpy's cached buffers. This lowers a ``pinv`` transport's faults but does
-    not steady them. Settings stay for the process; no-op without glibc."""
+    numpy's cached buffers; this lowers one benchmark transport's faults (which
+    one varies) but does not steady them. Settings stay; no-op without glibc."""
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim

@@ -239,8 +239,8 @@ def assert_close(got, want, what):
 def test_pipeline_matches_the_reference(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, rows = inst
     want = [
-        reference_layer(cfg.method, layer_rows_, wf - wa, bf - ba, cfg.seed + idx)
-        for idx, (layer_rows_, wa, wf, ba, bf) in enumerate(zip(
+        reference_layer(cfg.method, layer, wf - wa, bf - ba, cfg.seed + idx)
+        for idx, (layer, wa, wf, ba, bf) in enumerate(zip(
             rows, theta_a.weights, theta_a_ft.weights, theta_a.biases, theta_a_ft.biases))
     ]
     if any(layer is None for layer in want):
