@@ -16,9 +16,11 @@ Each entry holds a SHA-256 hash and a Frobenius norm, plus the values needed to
 say how far two fingerprints differ. ``--compare`` prints one line per entry:
 "bitwise", the largest relative deviation (of an array, relative to its
 largest entry; of a report, the largest over its numbers), or old -> new for a
-changed error message or experiment number. Hashes depend on the BLAS build
-and the CPU, so compare fingerprints made on one machine. ``--tiny`` shrinks
-the calibration set and swaps the stock experiment for a seconds-long one.
+changed error message or experiment number. When any number moved, the
+summary line also names the entry with the largest relative deviation. Hashes
+depend on the BLAS build and the CPU, so compare fingerprints made on one
+machine. ``--tiny`` shrinks the calibration set and swaps the stock experiment
+for a seconds-long one.
 """
 
 from __future__ import annotations
@@ -174,45 +176,53 @@ def _relative(old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old != 0.0 else (0.0 if new == 0.0 else math.inf)
 
 
-def describe(key: str, old: dict, new: dict) -> str:
-    """One line saying how far entry ``new`` is from ``old``."""
+def describe(key: str, old: dict, new: dict) -> tuple[str, float | None]:
+    """One line saying how far entry ``new`` is from ``old``, and the largest
+    relative deviation of its numbers, or None when no number can say it."""
     if old["sha256"] == new["sha256"]:
-        return "bitwise"
+        return "bitwise", None
     if "error" in old or "error" in new:
-        return f"{old.get('error', '(no error)')!r} -> {new.get('error', '(no error)')!r}"
+        return f"{old.get('error', '(no error)')!r} -> {new.get('error', '(no error)')!r}", None
     if "values" in old and "values" in new:
         a, b = np.asarray(old["values"]), np.asarray(new["values"])
         if a.shape != b.shape:
-            return f"shape {a.shape} -> {b.shape}"
+            return f"shape {a.shape} -> {b.shape}", None
         scale = float(np.max(np.abs(a))) if a.size else 0.0
         dev = float(np.max(np.abs(a - b))) if a.size else 0.0
-        return f"max relative deviation {dev / scale if scale else dev:.3e}"
+        rel = dev / scale if scale else dev
+        return f"max relative deviation {rel:.3e}", rel
     if "doc" not in old or "doc" not in new:
-        return "bytes differ"
+        return "bytes differ", None
     old_nums, new_nums = dict(_numbers(old["doc"])), dict(_numbers(new["doc"]))
     if old_nums.keys() != new_nums.keys():
-        return "document structure changed"
+        return "document structure changed", None
     moved = {p: (v, new_nums[p]) for p, v in old_nums.items() if v != new_nums[p]}
     if not moved:
-        return "numbers bitwise, text differs"
-    if key == "experiment":
-        return "; ".join(f"{p}: {o!r} -> {n!r}" for p, (o, n) in moved.items())
+        return "numbers bitwise, text differs", None
     worst = max(moved, key=lambda p: _relative(*moved[p]))
-    return f"max relative deviation {_relative(*moved[worst]):.3e} ({worst})"
+    rel = _relative(*moved[worst])
+    if key == "experiment":
+        return "; ".join(f"{p}: {o!r} -> {n!r}" for p, (o, n) in moved.items()), rel
+    return f"max relative deviation {rel:.3e} ({worst})", rel
 
 
 def compare(path_a, path_b) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
-    same = 0
+    same, worst = 0, None
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             print(f"{key}: only in {path_a if key in a else path_b}")
             continue
-        line = describe(key, a[key], b[key])
+        line, rel = describe(key, a[key], b[key])
         same += line == "bitwise"
+        if rel is not None and (worst is None or rel > worst[0]):
+            worst = (rel, key)
         print(f"{key}: {line}")
-    print(f"{same} of {len(a.keys() | b.keys())} entries bitwise")
+    summary = f"{same} of {len(a.keys() | b.keys())} entries bitwise"
+    if worst is not None:
+        summary += f"; largest relative deviation {worst[0]:.3e} ({worst[1]})"
+    print(summary)
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import DEFAULT_RCOND, as_matrix, as_vector, pseudo_inverse, tikhonov_solve
+from .linalg import DEFAULT_RCOND, as_matrix, as_vector, pseudo_inverse, ridge_inverse
 
 __all__ = [
     "zero_pad_update",
@@ -56,12 +56,10 @@ def random_update(d_out: int, d_in: int, target_norm: float, seed) -> np.ndarray
 
 
 def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray:
-    """The one solve against a target Gram matrix.
-
-    Applies the rcond-truncated pseudo-inverse of ``gram`` when rcond is
-    given, else the ridge inverse ``(gram + lam I)^-1``; lam=None resolves to
-    1e-3 times the mean diagonal, an explicit lam must be positive.
-    """
+    """The one solve against a target Gram: an inverse from one ``eigh`` of ``gram``, times
+    ``rhs``. The rcond-truncated pseudo-inverse when rcond is given, else the ridge inverse
+    ``(gram + lam I)^-1``; lam=None resolves to 1e-3 times the mean diagonal, an explicit
+    lam must be positive."""
     if rcond is not None:
         return pseudo_inverse(gram, rcond) @ rhs
     if lam is None:
@@ -69,7 +67,7 @@ def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray
         lam = 1e-3 * max(float(np.mean(np.diag(gram))), 1e-9)
     elif not float(lam) > 0:
         raise DimensionError(f"lam must be positive, got {lam}")
-    return tikhonov_solve(gram, rhs, float(lam))
+    return ridge_inverse(gram, float(lam)) @ rhs
 
 
 def gram_transport(stats, update_a, bias_delta=None,

@@ -108,6 +108,8 @@ def cmd_transport(args) -> int:
     )
     if not np.isfinite(args.alpha):
         raise ConfigError(f"alpha must be finite, got {args.alpha}")
+    if args.output == "-":
+        raise ConfigError("--output takes a file path: a TPK1 checkpoint is binary, not for stdout")
     _check_destinations(args.output, args.report)
     theta_a = load_checkpoint(args.source)
     theta_a_ft = load_checkpoint(args.finetuned)
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random baselines")
     p.add_argument("--depth-expand", action="store_true",
                    help="expand the source stack to the target depth first")
-    p.add_argument("--output", required=True, help="path for the transported checkpoint")
+    p.add_argument("--output", required=True, help="path for the transported checkpoint (not '-')")
     p.add_argument("--report", default="-", help="path for the JSON report ('-' = stdout)")
     p.set_defaults(func=cmd_transport)
 

@@ -1,6 +1,6 @@
 """Dense float64 linear algebra: input checks, cross-covariances, SVD, the
-symmetric pseudo-inverse (by ``eigh``), ridge solve, seeded orthonormal
-sampling.
+two inverses of a symmetric Gram from one ``eigh`` (the truncated
+pseudo-inverse and the ridge inverse), seeded orthonormal sampling.
 
 One input check per array kind: ``as_vector`` (1-D), ``as_matrix`` (2-D),
 ``as_symmetric`` (square Grams) and ``as_batch`` (sequences x tokens x
@@ -20,11 +20,12 @@ __all__ = [
     "as_vector",
     "as_symmetric",
     "as_batch",
+    "require_batch_shape",
     "require_finite",
     "cross_covariance",
     "svd",
     "pseudo_inverse",
-    "tikhonov_solve",
+    "ridge_inverse",
     "random_orthonormal_rows",
 ]
 
@@ -58,15 +59,21 @@ def as_vector(a, length: int, name="vector"):
     return require_finite(out, name)
 
 
+def require_batch_shape(shape, name="batch"):
+    """Raise DimensionError unless ``shape`` is (sequences, tokens, features), one of each at least."""
+    if len(shape) != 3:
+        raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {shape}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise DimensionError(f"{name} must contain at least one sequence and one token, got shape {shape}")
+    if shape[2] < 1:
+        raise DimensionError(f"{name} must have at least one feature, got shape {shape}")
+    return shape
+
+
 def as_batch(a, name="batch"):
-    """Coerce to a 3-D (sequences, tokens, features) float64 array, one of each at least; no scan."""
+    """Coerce to a float64 array of a ``require_batch_shape`` shape; no scan."""
     out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 3:
-        raise DimensionError(f"{name} must be 3-D (sequences, tokens, features), got shape {out.shape}")
-    if out.shape[0] < 1 or out.shape[1] < 1:
-        raise DimensionError(f"{name} must contain at least one sequence and one token, got shape {out.shape}")
-    if out.shape[2] < 1:
-        raise DimensionError(f"{name} must have at least one feature, got shape {out.shape}")
+    require_batch_shape(out.shape, name)
     return out
 
 
@@ -107,6 +114,15 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConvergenceError(f"SVD failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
 
+def _eigh(a, name):
+    """``eigh`` of ``as_symmetric(a)``, which reads its lower triangle; failure is ConvergenceError."""
+    a = as_symmetric(a, name)
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+
+
 def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a symmetric matrix, by one ``eigh``.
 
@@ -115,15 +131,11 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     zero, the set an SVD truncation would drop; ``rcond=0`` keeps every
     nonzero eigenvalue. Each kept eigenvalue is inverted with its sign, so the
     result stays the pseudo-inverse where rounding leaves a PSD Gram with tiny
-    negative eigenvalues. ``eigh`` reads the lower triangle of ``a``.
+    negative eigenvalues.
     """
     if not rcond >= 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    a = as_symmetric(a, "pseudo-inverse input")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+    w, v = _eigh(a, "pseudo-inverse input")
     size = np.abs(w)
     # In Python floats a cutoff past the float range is inf, keeping nothing, without a warning.
     keep = (size > 0.0) & (size >= float(rcond) * float(size.max()))
@@ -132,31 +144,19 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     return (v * inv) @ v.T
 
 
-def tikhonov_solve(gram, rhs, lam: float) -> np.ndarray:
-    """Solve ``(gram + lam * I) x = rhs`` for symmetric PSD ``gram`` and ``lam > 0``.
-
-    Uses a Cholesky factorization of the shifted matrix, so an indefinite input,
-    or a lam too small to lift a singular gram, fails loudly with
-    NotPositiveDefiniteError instead of returning garbage. ``rhs`` may be a
-    vector or a matrix of stacked right-hand sides; the output has the same
-    shape.
-    """
-    gram = as_symmetric(gram, "gram")
-    n = gram.shape[0]
+def ridge_inverse(gram, lam: float) -> np.ndarray:
+    """``(gram + lam I)^-1`` by one ``eigh``: the eigenvalues shifted by ``lam > 0``, then
+    inverted. NotPositiveDefiniteError unless the smallest shifted eigenvalue exceeds n * eps
+    times the largest (numpy's ``matrix_rank`` tolerance), so a lam too small to lift a
+    singular gram fails instead of amplifying rounding noise by 1 / lam."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    rhs = np.asarray(rhs, dtype=np.float64)
-    require_finite(rhs, "rhs")
-    if rhs.shape[0] != n:
-        raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {n}")
-    shifted = gram + lam * np.eye(n)
-    try:
-        chol = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"gram + lam*I is not positive definite (lam={lam}): {exc}"
-        ) from exc
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    w, v = _eigh(gram, "gram")
+    shifted = w + lam
+    if not shifted[0] > len(w) * np.finfo(np.float64).eps * shifted[-1]:
+        raise NotPositiveDefiniteError(f"gram + lam*I is not positive definite (lam={lam}): its smallest "
+                                       f"eigenvalue {shifted[0]:.3g} is not above n*eps times its largest")
+    return (v / shifted) @ v.T
 
 
 def random_orthonormal_rows(d_small: int, d_large: int, seed) -> np.ndarray:

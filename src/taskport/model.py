@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .linalg import as_batch, as_matrix, as_vector, require_finite
+from .linalg import as_batch, as_matrix, as_vector, require_batch_shape, require_finite
 
 __all__ = [
     "ACTIVATIONS",
@@ -395,10 +395,9 @@ def load_calibration(path) -> tuple[np.ndarray, np.ndarray]:
     r = _Reader(path)
     r.expect_magic(_MAGIC_CALIBRATION, "calibration file")
     n, l_a, d_a, l_b, d_b = (r.u32() for _ in range(5))
-    if min(n, l_a, d_a, l_b, d_b) < 1:
-        raise FormatError(f"{r.path}: non-positive dimension in header", kind="bad_format")
-    a = r.f64_array((n, l_a, d_a))
-    b = r.f64_array((n, l_b, d_b))
+    # The writer's shape rule, on the header, before any entry is read.
+    shapes = [require_batch_shape((n, l_a, d_a), "inputs_a"), require_batch_shape((n, l_b, d_b), "inputs_b")]
+    a, b = (r.f64_array(shape) for shape in shapes)
     r.done()
     require_finite(a, "inputs_a")
     require_finite(b, "inputs_b")

@@ -227,6 +227,16 @@ def test_transport_checks_destinations_before_loading(fixtures_dir, tmp_path, ca
     _one_io_error_and_nothing_written(capsys, tmp_path)
 
 
+def test_transport_refuses_output_to_stdout(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # A TPK1 checkpoint is binary; '-' is not stdout for it, nor a file name.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    assert main(transport_args(fixtures_dir, "-")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad_config: --output "), err
+    assert list(tmp_path.iterdir()) == []
+
+
 _RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}
 
 
@@ -685,7 +695,8 @@ def hostile_argv(draw):
     if flag in paths:
         paths[flag] = draw(st.sampled_from(_PATH_CHOICES))
     elif flag in ("--output", "--report"):
-        extra = [flag, draw(st.sampled_from(_HOSTILE_DESTINATIONS))]
+        # '-' is stdout for --report, and refused for the binary checkpoint.
+        extra = [flag, draw(st.sampled_from(_HOSTILE_DESTINATIONS + (("-",) if flag == "--output" else ())))]
     else:
         convert, value = draw(_TRANSPORT_VALUES[flag])
         extra = [flag, value]

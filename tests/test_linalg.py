@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from taskport.errors import ConvergenceError, DimensionError, NonFiniteError
+from taskport.baselines import gram_transport
+from taskport.errors import ConvergenceError, DimensionError, NonFiniteError, NotPositiveDefiniteError
 from taskport.linalg import (
     DEFAULT_RCOND,
     as_matrix,
     pseudo_inverse,
     random_orthonormal_rows,
+    ridge_inverse,
     svd,
-    tikhonov_solve,
 )
+from taskport.transport import LayerStats
 
 
 def test_svd_identity():
@@ -157,8 +159,8 @@ def test_pinv_matches_svd_definition(n, data, seed, rcond):
 
 @pytest.mark.parametrize(
     "solve",
-    [pseudo_inverse, lambda a: tikhonov_solve(a, np.zeros(len(a)), 1.0)],
-    ids=["pseudo_inverse", "tikhonov_solve"],
+    [pseudo_inverse, lambda a: ridge_inverse(a, 1.0)],
+    ids=["pseudo_inverse", "ridge_inverse"],
 )
 def test_gram_solves_reject_rectangular_and_asymmetric(solve):
     with pytest.raises(DimensionError):
@@ -170,6 +172,7 @@ def test_gram_solves_reject_rectangular_and_asymmetric(solve):
 @pytest.mark.parametrize("name, call", [
     ("svd", lambda: svd(np.ones((3, 2)))),
     ("eigh", lambda: pseudo_inverse(np.eye(3))),
+    pytest.param("eigh", lambda: ridge_inverse(np.eye(3), 1.0), id="eigh-ridge_inverse"),
 ])
 def test_linalg_failures_are_convergence_errors(monkeypatch, name, call):
     def fail(*args, **kwargs):
@@ -181,11 +184,11 @@ def test_linalg_failures_are_convergence_errors(monkeypatch, name, call):
 
 
 def test_tikhonov_pure_regularizer():
-    np.testing.assert_allclose(tikhonov_solve(np.zeros((2, 2)), np.eye(2), 1.0), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(ridge_inverse(np.zeros((2, 2)), 1.0) @ np.eye(2), np.eye(2), atol=1e-14)
 
 
 def test_tikhonov_diagonal():
-    out = tikhonov_solve(np.diag([1.0, 3.0]), np.array([1.0, 1.0]), 1.0)
+    out = ridge_inverse(np.diag([1.0, 3.0]), 1.0) @ np.array([1.0, 1.0])
     np.testing.assert_allclose(out, [0.5, 0.25], atol=1e-14)
 
 
@@ -195,7 +198,7 @@ def test_tikhonov_large_lambda_bound():
     gram = h.T @ h
     rhs = rng.standard_normal((4, 2))
     for lam in (1e3, 1e6):
-        x = tikhonov_solve(gram, rhs, lam)
+        x = ridge_inverse(gram, lam) @ rhs
         assert np.linalg.norm(x) <= np.linalg.norm(rhs) / lam
 
 
@@ -207,16 +210,62 @@ def test_tikhonov_gradient_vanishes():
         gram = h.T @ h
         rhs = rng.standard_normal(n)
         lam = float(10.0 ** rng.uniform(-6, 2))
-        x = tikhonov_solve(gram, rhs, lam)
+        x = ridge_inverse(gram, lam) @ rhs
         grad = (gram + lam * np.eye(n)) @ x - rhs
         assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
 
 
 def test_tikhonov_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        tikhonov_solve(np.zeros((2, 2)), np.zeros(2), 0.0)
-    with pytest.raises(DimensionError):
-        tikhonov_solve(np.zeros((2, 2)), np.zeros(3), 1.0)
+        ridge_inverse(np.zeros((2, 2)), 0.0)
+
+
+@given(st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1), st.floats(-1.0, 4.0), st.floats(-12.0, 3.0))
+def test_ridge_inverse_matches_solve_or_refuses(n, data, seed, log_scale, log_lam):
+    # Gram of m scaled Gaussian rows: rank min(m, n), so m < n is rank-deficient.
+    m = data.draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(seed)
+    h = 10.0 ** log_scale * rng.standard_normal((m, n))
+    gram, lam, rhs = h.T @ h, 10.0 ** log_lam, rng.standard_normal((n, 3))
+    shifted = np.linalg.eigh(gram)[0] + lam
+    eps = np.finfo(np.float64).eps
+    if not shifted[0] > n * eps * shifted[-1]:
+        with pytest.raises(NotPositiveDefiniteError):
+            ridge_inverse(gram, lam)
+        return
+    expected = np.linalg.solve(gram + lam * np.eye(n), rhs)
+    # Both solves are backward stable, so past 1e-8 they differ by the shifted
+    # Gram's rounding floor, n * eps times its condition number.
+    kappa = shifted[-1] / shifted[0]
+    rel = np.linalg.norm(ridge_inverse(gram, lam) @ rhs - expected) / np.linalg.norm(expected)
+    assert rel <= 1e-8 + 4 * n * eps * kappa
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_ridge_inverse_refuses_below_the_n_eps_threshold(factor):
+    # diag(1, 0) + lam I has shifted eigenvalues lam and 1 + lam; n * eps = 2 eps.
+    # The lower lam is one Cholesky accepts, returning the null direction times 1 / lam.
+    lam = factor * 2 * np.finfo(np.float64).eps
+    if factor < 1:
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            ridge_inverse(np.diag([1.0, 0.0]), lam)
+    else:
+        np.testing.assert_array_equal(ridge_inverse(np.diag([1.0, 0.0]), lam), np.diag([1.0 / (1.0 + lam), 1.0 / lam]))
+
+
+def test_ridge_gram_transport_runs_one_eigh_per_target_gram(monkeypatch):
+    rng = np.random.default_rng(4)
+    stats = LayerStats(*(rng.standard_normal((20, d)) for d in (3, 4, 5, 6)))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    gram_transport(stats, rng.standard_normal((4, 3)), rng.standard_normal(4), lam=1e-3)
+    assert calls == [(5, 5), (6, 6)]
 
 
 def test_orthonormal_rows_square():

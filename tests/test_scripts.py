@@ -71,3 +71,24 @@ def test_fingerprint_repeats_bitwise(tmp_path, capsys):
     capsys.readouterr()
     assert module.main(["--compare", str(first), str(second)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"{len(entries)} of {len(entries)} entries bitwise"
+
+
+def test_fingerprint_compare_names_the_worst_moved_entry(tmp_path, capsys):
+    module = load_script("fingerprint")
+    old = {"a/same": module._array_entry([1.0, 2.0]),
+           "b/array": module._array_entry([1.0, 4.0]),
+           "c/report": module._doc_entry({"x": 2.0, "y": [1.0, 8.0]}),
+           "d/bytes": {"sha256": "0", "norm": 0.0}}
+    new = {"a/same": module._array_entry([1.0, 2.0]),
+           "b/array": module._array_entry([1.0, 4.0 + 4e-12]),
+           "c/report": module._doc_entry({"x": 2.0, "y": [1.0 + 3e-10, 8.0]}),
+           "d/bytes": {"sha256": "1", "norm": 0.0}}
+    paths = []
+    for name, doc in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert module.main(["--compare", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["a/same: bitwise", "b/array: max relative deviation 1.000e-12",
+                         "c/report: max relative deviation 3.000e-10 (y[0])", "d/bytes: bytes differ"]
+    assert lines[4] == "1 of 4 entries bitwise; largest relative deviation 3.000e-10 (c/report)"
