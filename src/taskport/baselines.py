@@ -95,7 +95,7 @@ def gram_transport(stats, update_a, bias_delta=None,
         b = as_vector(bias_delta, update_a.shape[0], "bias delta")
         rhs = np.column_stack([rhs, cross_out.T @ b])
     out = _gram_solve(side_out.gram_b, rhs, rcond, lam)
-    d_in_b = side_in.h_b.shape[1]
+    d_in_b = side_in.d_b
     new_bias = None if bias_delta is None else out[:, d_in_b].copy()
     return np.ascontiguousarray(out[:, :d_in_b]), new_bias
 

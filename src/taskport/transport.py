@@ -19,6 +19,7 @@ every unswapped side and that no swapped side grows the norm.
 
 The solves and diagnostics read a layer's aligned rows only through
 ``LayerStats``, feature-space statistics computed and checked once per layer.
+The rows are not kept: a fallback whose guard fires aligns them again.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .linalg import DEFAULT_RCOND, as_matrix, as_vector, cross_covariance, requi
 from .model import (
     Checkpoint,
     TaskVector,
-    activate,
     apply_update,
     forward_inputs,
     forward_layer,
@@ -135,14 +135,17 @@ class TransportConfig:
 
 
 class SideStats:
-    """One side of a layer's statistics: source and target rows ``h_a``, ``h_b``,
-    their Grams, and their cross-covariance ``cross`` as the Procrustes SVD
-    takes it, narrow side first (``h_b.T @ h_a`` when ``swapped``, the source
-    wider); ``cross_ab`` is ``h_a.T @ h_b`` either way, as a view."""
+    """One side of a layer's statistics: the widths ``d_a``, ``d_b`` of the
+    source and target rows, their Grams, and their cross-covariance ``cross``
+    as the Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
+    ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either way,
+    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again."""
 
-    def __init__(self, h_a, h_b, name: str):
-        self.h_a, self.h_b = h_a, h_b
-        self.swapped = h_a.shape[1] > h_b.shape[1]
+    def __init__(self, rows, name: str):
+        self.rows = rows
+        h_a, h_b = rows()
+        self.d_a, self.d_b = h_a.shape[1], h_b.shape[1]
+        self.swapped = self.d_a > self.d_b
         # Non-finite or overflowing rows give non-finite products, rejected here.
         with np.errstate(over="ignore", invalid="ignore"):
             self.gram_a = require_finite(h_a.T @ h_a, f"{name}_a.T @ {name}_a")
@@ -163,6 +166,8 @@ class LayerStats:
     of rows, and this is where the rows are checked: they must pair, and the
     six products must be finite. A NaN or Inf in a row reaches its Gram's
     diagonal, so this rejects bad rows scanning features x features entries.
+    Each side keeps its products and widths; a firing guard reads the rows
+    given here, or on the transport path (``_of_layer``) aligns them again.
     """
 
     def __init__(self, hin_a, hout_a, hin_b, hout_b):
@@ -172,13 +177,31 @@ class LayerStats:
                 raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {h.shape}")
         if len({h.shape[0] for h in rows}) != 1:
             raise DimensionError("all four activation matrices must have the same number of rows")
-        self.in_side = SideStats(rows[0], rows[2], "hin")
-        self.out_side = SideStats(rows[1], rows[3], "hout")
+        self.in_side = SideStats(lambda: (rows[0], rows[2]), "hin")
+        self.out_side = SideStats(lambda: (rows[1], rows[3]), "hout")
+
+    @classmethod
+    def _of_layer(cls, acts, strategy: str) -> "LayerStats":
+        """Statistics of one layer's activations (hin_a, hout_a, hin_b, hout_b),
+        each side length-aligned per strategy and flattened into rows, which
+        pair by construction, whenever its row maker is called."""
+        length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
+
+        def rows(h_a, h_b):
+            return lambda: tuple(
+                flatten_tokens(h if strategy != "mean" and h.shape[1] == length
+                               else align_sequence(h, length, strategy))
+                for h in (h_a, h_b))
+
+        stats = cls.__new__(cls)
+        stats.in_side = SideStats(rows(acts[0], acts[2]), "hin")
+        stats.out_side = SideStats(rows(acts[1], acts[3]), "hout")
+        return stats
 
     def check_update(self, update, model: str, name: str) -> np.ndarray:
         """``update`` as float64, checked to be (d_out, d_in) of model ``"a"`` or ``"b"``."""
         update = np.asarray(update, dtype=np.float64)
-        shape = tuple(getattr(side, f"h_{model}").shape[1] for side in (self.out_side, self.in_side))
+        shape = tuple(getattr(side, f"d_{model}") for side in (self.out_side, self.in_side))
         if update.shape != shape:
             raise DimensionError(f"{name} shape {update.shape} does not match activations {shape}")
         return update
@@ -203,11 +226,12 @@ def procrustes_align(side: SideStats) -> tuple[np.ndarray, float]:
     """
     u, sigma, vt = svd(side.cross)
     t = u @ vt
-    narrow, wide = (side.h_b, side.h_a) if side.swapped else (side.h_a, side.h_b)
-    residual = _guarded_distance(
-        np.trace(side.gram_a), np.trace(side.gram_b), np.sum(sigma),
-        lambda: np.linalg.norm(narrow @ t - wide),
-    )
+
+    def direct():  # |narrow @ t - wide|
+        h_a, h_b = side.rows()
+        return np.linalg.norm(h_b @ t - h_a if side.swapped else h_a @ t - h_b)
+
+    residual = _guarded_distance(np.trace(side.gram_a), np.trace(side.gram_b), np.sum(sigma), direct)
     return (t.T if side.swapped else t), residual
 
 
@@ -275,9 +299,9 @@ def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     calibration rows; the rows x rows couplings are never formed. The squared
     distance ``|C_a|^2 + |C_b|^2 - 2 <C_a, C_b>`` is taken from traces of the
     layer's statistics. Where it cancels, the distance is taken again from
-    the rows: with ``[hout_a, hout_b] = Q R`` the coupling difference is
-    ``[shifted_a, -shifted_b] @ R.T @ Q.T``, whose norm is that of the
-    rows x features product ``[shifted_a, -shifted_b] @ R.T``.
+    the rows, which the sides make again: with ``[hout_a, hout_b] = Q R`` the
+    coupling difference is ``[shifted_a, -shifted_b] @ R.T @ Q.T``, whose
+    norm is that of the rows x features product ``[shifted_a, -shifted_b] @ R.T``.
     """
     side_in, side_out = stats.in_side, stats.out_side
     update_a = stats.check_update(update_a, "a", "update_a")
@@ -287,11 +311,11 @@ def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     ab = _coupling_inner(update_a, side_in.cross_ab, side_out.cross_ab, update_b)
 
     def from_rows():
-        shifted_a = side_in.h_a @ update_a.T
-        shifted_b = side_in.h_b @ update_b.T
+        hin_a, hin_b = side_in.rows()
+        shifted_a, shifted_b = hin_a @ update_a.T, hin_b @ update_b.T
         # R is upper triangular, so hout_a's columns reach only its first o_a rows.
-        o_a = side_out.h_a.shape[1]
-        r = np.linalg.qr(np.hstack([side_out.h_a, side_out.h_b]), mode="r")
+        o_a = side_out.d_a
+        r = np.linalg.qr(np.hstack(side_out.rows()), mode="r")
         top = shifted_a @ r[:o_a, :o_a].T - shifted_b @ r[:o_a, o_a:].T
         return np.hypot(np.linalg.norm(top), np.linalg.norm(shifted_b @ r[o_a:, o_a:].T))
 
@@ -344,17 +368,6 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
     meta["depth_expanded_from"] = str(depth)
     return Checkpoint(
         layer_specs=[spec0] * target_depth, weights=weights, biases=biases, meta=meta
-    )
-
-
-def _aligned_flat(acts, strategy: str):
-    """Length-align one layer's activations (hin_a, hout_a, hin_b, hout_b)
-    and flatten tokens into rows."""
-    length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
-    return tuple(
-        flatten_tokens(h if strategy != "mean" and h.shape[1] == length
-                       else align_sequence(h, length, strategy))
-        for h in acts
     )
 
 
@@ -412,7 +425,7 @@ METHODS = tuple(_LAYER_METHODS)
 
 
 def _transport_layer(layer_index, spec_b, acts, delta, bias_delta, cfg: TransportConfig):
-    stats = LayerStats(*_aligned_flat(acts, cfg.strategy))
+    stats = LayerStats._of_layer(acts, cfg.strategy)
     bias = bias_delta if spec_b.has_bias else None
     new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
         stats, delta, bias, spec_b, cfg, cfg.seed + layer_index
@@ -465,9 +478,9 @@ def transport_task_vector(
             f"calibration sides pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
         )
 
-    # One layer's activations per model at a time: h_* are replaced by the
-    # activated outputs, and z_* are deleted rather than left bound while the
-    # next layer makes its own arrays.
+    # One layer's activations per model at a time: each layer's output array
+    # replaces its input and is activated in place, as nothing else holds it
+    # (the caller's calibration arrays are only ever read).
     results = []
     for idx in range(theta_a.depth):
         z_a = forward_layer(theta_a, idx, h_a)
@@ -479,9 +492,10 @@ def transport_task_vector(
             ))
         except TaskportError as exc:
             raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
-        h_a = activate(theta_a.layer_specs[idx], z_a)
-        h_b = activate(theta_b.layer_specs[idx], z_b)
-        del z_a, z_b
+        h_a, h_b = z_a, z_b
+        for ckpt, h in ((theta_a, h_a), (theta_b, h_b)):
+            if ckpt.layer_specs[idx].activation == "relu":
+                np.maximum(h, 0.0, out=h)
 
     deltas = [r[0] for r in results]
     bias_deltas = [r[1] for r in results]

@@ -237,6 +237,26 @@ def test_transport_refuses_output_to_stdout(fixtures_dir, tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "absolute", "symlink"])
+def test_transport_refuses_report_over_its_output(fixtures_dir, tmp_path, capsys, monkeypatch,
+                                                  spelling):
+    # The JSON report, written last, would overwrite the checkpoint.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    kept = []
+    report = {"same": "out.tpk", "absolute": str(tmp_path / "out.tpk"), "symlink": "link.json"}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "out.tpk").write_bytes(b"old")
+        (tmp_path / "link.json").symlink_to("out.tpk")
+        kept = ["link.json", "out.tpk"]
+    assert main(transport_args(fixtures_dir, "out.tpk", report=report)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad_config: --output and --report "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
+    if kept:
+        assert (tmp_path / "out.tpk").read_bytes() == b"old"
+
+
 _RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}
 
 
@@ -695,8 +715,10 @@ def hostile_argv(draw):
     if flag in paths:
         paths[flag] = draw(st.sampled_from(_PATH_CHOICES))
     elif flag in ("--output", "--report"):
-        # '-' is stdout for --report, and refused for the binary checkpoint.
-        extra = [flag, draw(st.sampled_from(_HOSTILE_DESTINATIONS + (("-",) if flag == "--output" else ())))]
+        # '-' is stdout for --report, and refused for the binary checkpoint;
+        # a report over the checkpoint's own path is refused.
+        own = ("-",) if flag == "--output" else ("out.tpk",)
+        extra = [flag, draw(st.sampled_from(_HOSTILE_DESTINATIONS + own))]
     else:
         convert, value = draw(_TRANSPORT_VALUES[flag])
         extra = [flag, value]

@@ -601,15 +601,16 @@ def test_transport_rejects_unpaired_calibration():
         transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b[:-1], TransportConfig())
 
 
-def traced_peak(depth, width, seqs, tokens):
+def traced_peak(depth, width, seqs, tokens, source_tokens=None):
     """Peak traced bytes of one theseus transport between two ReLU stacks
-    of ``depth`` layers, all ``width`` wide."""
+    of ``depth`` layers, all ``width`` wide; the source's inputs have
+    ``source_tokens`` tokens, by default as many as the target's."""
     widths = (width,) * (depth + 1)
     theta_a = small_checkpoint(widths=widths, seed=54)
     theta_a_ft = small_checkpoint(widths=widths, seed=55)
     theta_b = small_checkpoint(widths=widths, seed=56)
     rng = np.random.default_rng(np.random.SeedSequence((57, depth)))
-    calib_a = rng.standard_normal((seqs, tokens, width))
+    calib_a = rng.standard_normal((seqs, source_tokens or tokens, width))
     calib_b = rng.standard_normal((seqs, tokens, width))
     cfg = TransportConfig(method="theseus", strategy="interp1d")
     tracemalloc.start()
@@ -628,6 +629,19 @@ def test_transport_memory_does_not_grow_with_depth():
     shallow = traced_peak(2, width, seqs, tokens)
     deep = traced_peak(6, width, seqs, tokens)
     assert abs(deep - shallow) < one_layer, (shallow, deep, one_layer)
+
+
+def test_transport_keeps_no_aligned_source_rows():
+    # A 17-token source is aligned to the target's 26 tokens one side at a
+    # time, and each side's aligned rows are dropped once its products are
+    # formed. A 26-token source aligns nothing. Keeping both sides' aligned
+    # rows through the layer, as row-holding statistics did, peaked about 1.3
+    # aligned arrays above the 26-token run here; dropping them, about 0.2.
+    width, seqs = 32, 64
+    aligned = seqs * 26 * width * 8
+    unaligned = traced_peak(2, width, seqs, 26)
+    resampled = traced_peak(2, width, seqs, 26, source_tokens=17)
+    assert resampled - unaligned < aligned, (unaligned, resampled, aligned)
 
 
 @pytest.mark.parametrize("case, error, message", [
@@ -674,3 +688,65 @@ def test_transport_overflowing_layer_is_one_non_finite_error():
         transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
     message = str(info.value)
     assert message.startswith("layer 1: ") and message.count("layer") == 1, message
+
+
+
+def _near_exact_unequal_tokens():
+    """Identity stacks whose target is an exact isometric image of the source,
+    on a 17-token source and its 26-token interp2d alignment: every Procrustes
+    residual and every coupling residual cancels, so every guard fires."""
+    from taskport.harness.isometry import build_isometric_target
+
+    widths_a = (5, 4, 6, 3)
+    theta_a = small_checkpoint(widths=widths_a, seed=70, activation="identity")
+    theta_b, maps = build_isometric_target(theta_a, widths=[7, 6, 8, 5], seed=71)
+    finetuned = small_checkpoint(widths=widths_a, seed=72, activation="identity")
+    theta_a_ft = apply_update(theta_a, task_vector(theta_a, finetuned), 1.0)
+    calib_a = np.random.default_rng(73).standard_normal((24, 17, 5))
+    calib_b = align_sequence(calib_a, 26, "interp2d") @ maps[0].in_map
+    return theta_a, theta_a_ft, theta_b, calib_a, calib_b
+
+
+@pytest.mark.parametrize("method, fallbacks", [("theseus", 9), ("pinv", 3)])
+def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallbacks):
+    # A fallback aligns its layer's rows again; it must read exactly the rows
+    # that statistics built on explicitly aligned rows would have kept.
+    from taskport import transport
+
+    fired = []
+    guarded = transport._guarded_distance
+    monkeypatch.setattr(transport, "_guarded_distance",
+                        lambda aa, bb, ab, direct: guarded(aa, bb, ab, lambda: fired.append(1) or direct()))
+    args = (*_near_exact_unequal_tokens(), TransportConfig(method=method, strategy="interp2d"))
+    made_again, made_again_report = transport_task_vector(*args)
+    assert len(fired) == fallbacks
+
+    of_layer = LayerStats._of_layer
+
+    def on_kept_rows(acts, strategy):
+        made = of_layer(acts, strategy)
+        (hin_a, hin_b), (hout_a, hout_b) = made.in_side.rows(), made.out_side.rows()
+        return LayerStats(hin_a, hout_a, hin_b, hout_b)
+
+    monkeypatch.setattr(LayerStats, "_of_layer", on_kept_rows)
+    kept, kept_report = transport_task_vector(*args)
+    assert len(fired) == 2 * fallbacks
+    assert json.dumps(made_again_report) == json.dumps(kept_report)
+    for got, want in zip(made_again.deltas + made_again.bias_deltas, kept.deltas + kept.bias_deltas):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_transport_writes_no_calibration_and_collect_keeps_pre_activations():
+    # Transport applies ReLU in place to arrays it made; the calibration
+    # arrays are never written, and forward_collect's records keep z.
+    theta_a, theta_a_ft, theta_b, calib_a, _ = relu_pair(seed=74)
+    calib_b = np.random.default_rng(75).standard_normal((16, 9, 3))
+    before = calib_a.tobytes(), calib_b.tobytes()
+    transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b,
+                          TransportConfig(strategy="interp2d"))
+    assert (calib_a.tobytes(), calib_b.tobytes()) == before
+    _, records = forward_collect(theta_a, calib_a)
+    assert calib_a.tobytes() == before[0]
+    for record, following in zip(records, records[1:]):
+        assert (record.h_out < 0).any()
+        np.testing.assert_array_equal(following.h_in, np.maximum(record.h_out, 0.0))
