@@ -110,8 +110,10 @@ def cmd_transport(args) -> int:
         raise ConfigError(f"alpha must be finite, got {args.alpha}")
     if args.output == "-":
         raise ConfigError("--output takes a file path: a TPK1 checkpoint is binary, not for stdout")
-    _check_destinations(args.output, args.report)
-    if args.report != "-" and os.path.realpath(args.output) == os.path.realpath(args.report):
+    dests = (args.output, args.report)
+    _check_destinations(*dests)
+    if args.report != "-" and (os.path.samefile(*dests) if all(map(os.path.exists, dests))
+                               else os.path.realpath(args.output) == os.path.realpath(args.report)):
         raise ConfigError(f"--output and --report name the same file: {args.report}")
     theta_a = load_checkpoint(args.source)
     theta_a_ft = load_checkpoint(args.finetuned)

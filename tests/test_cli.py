@@ -237,17 +237,17 @@ def test_transport_refuses_output_to_stdout(fixtures_dir, tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("spelling", ["same", "absolute", "symlink"])
+@pytest.mark.parametrize("spelling", ["same", "absolute", "symlink", "hardlink"])
 def test_transport_refuses_report_over_its_output(fixtures_dir, tmp_path, capsys, monkeypatch,
                                                   spelling):
     # The JSON report, written last, would overwrite the checkpoint.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "load_checkpoint", _never)
     kept = []
-    report = {"same": "out.tpk", "absolute": str(tmp_path / "out.tpk"), "symlink": "link.json"}[spelling]
-    if spelling == "symlink":
+    report = {"same": "out.tpk", "absolute": str(tmp_path / "out.tpk")}.get(spelling, "link.json")
+    if spelling in ("symlink", "hardlink"):
         (tmp_path / "out.tpk").write_bytes(b"old")
-        (tmp_path / "link.json").symlink_to("out.tpk")
+        getattr(tmp_path / "link.json", f"{spelling}_to")("out.tpk")
         kept = ["link.json", "out.tpk"]
     assert main(transport_args(fixtures_dir, "out.tpk", report=report)) == 1
     err = capsys.readouterr().err.splitlines()

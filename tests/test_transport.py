@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import assert_checkpoint_equal, full_rank_activations, small_checkpoint
+from taskport import transport
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
 from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
@@ -690,7 +691,6 @@ def test_transport_overflowing_layer_is_one_non_finite_error():
     assert message.startswith("layer 1: ") and message.count("layer") == 1, message
 
 
-
 def _near_exact_unequal_tokens():
     """Identity stacks whose target is an exact isometric image of the source,
     on a 17-token source and its 26-token interp2d alignment: every Procrustes
@@ -711,8 +711,6 @@ def _near_exact_unequal_tokens():
 def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallbacks):
     # A fallback aligns its layer's rows again; it must read exactly the rows
     # that statistics built on explicitly aligned rows would have kept.
-    from taskport import transport
-
     fired = []
     guarded = transport._guarded_distance
     monkeypatch.setattr(transport, "_guarded_distance",
