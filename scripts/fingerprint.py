@@ -17,7 +17,9 @@ say how far two fingerprints differ. ``--compare`` prints one line per entry:
 "bitwise", the largest relative deviation (of an array, relative to its
 largest entry; of a report, the largest over its numbers), or old -> new for a
 changed error message or experiment number. When any number moved, the
-summary line also names the entry with the largest relative deviation. Hashes
+summary line also names the entry with the largest relative deviation; when
+any entry moved, one line per method follows it (the experiment is one more),
+with its count of moved entries and its largest relative deviation. Hashes
 depend on the BLAS build and the CPU, so compare fingerprints made on one
 machine. ``--tiny`` shrinks the calibration set and swaps the stock experiment
 for a seconds-long one.
@@ -206,23 +208,50 @@ def describe(key: str, old: dict, new: dict) -> tuple[str, float | None]:
     return f"max relative deviation {rel:.3e} ({worst})", rel
 
 
+def method_of(key: str) -> str:
+    """The method an entry belongs to, in config spelling; ``experiment`` and
+    other entries group by their first path part."""
+    parts = key.split("/")
+    if parts[0] == "transport" and len(parts) > 3:
+        return parts[3]
+    if parts[0] == "demo" and len(parts) > 1:
+        return dict(zip(CLI_METHODS, METHODS)).get(parts[1], parts[1])
+    return parts[0]
+
+
 def compare(path_a, path_b) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
     same, worst = 0, None
+    groups = {}  # method -> [entries, moved, worst (relative deviation, key) or None]
     for key in sorted(a.keys() | b.keys()):
+        group = groups.setdefault(method_of(key), [0, 0, None])
+        group[0] += 1
         if key not in a or key not in b:
+            group[1] += 1
             print(f"{key}: only in {path_a if key in a else path_b}")
             continue
         line, rel = describe(key, a[key], b[key])
         same += line == "bitwise"
+        group[1] += line != "bitwise"
         if rel is not None and (worst is None or rel > worst[0]):
             worst = (rel, key)
+        if rel is not None and (group[2] is None or rel > group[2][0]):
+            group[2] = (rel, key)
         print(f"{key}: {line}")
     summary = f"{same} of {len(a.keys() | b.keys())} entries bitwise"
     if worst is not None:
         summary += f"; largest relative deviation {worst[0]:.3e} ({worst[1]})"
     print(summary)
+    if same < len(a.keys() | b.keys()):
+        print("moved entries by method:")
+        order = {m: i for i, m in enumerate(METHODS)}
+        for method in sorted(groups, key=lambda m: (order.get(m, len(order)), m)):
+            entries, moved, group_worst = groups[method]
+            line = f"  {method}: {moved} of {entries} moved"
+            if group_worst is not None:
+                line += f"; largest relative deviation {group_worst[0]:.3e} ({group_worst[1]})"
+            print(line)
     return 0
 
 

@@ -278,10 +278,11 @@ class _Reader:
     def __init__(self, path):
         self.path = str(path)
         with open(path, "rb") as f:
-            self.buf = f.read()
+            # A view: an array is cut from it without a copy, then copied once.
+            self.buf = memoryview(f.read())
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def view(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise FormatError(
                 f"{self.path}: truncated, wanted {n} bytes at offset {self.pos}, "
@@ -292,14 +293,16 @@ class _Reader:
         self.pos += n
         return out
 
+    def take(self, n: int) -> bytes:
+        return bytes(self.view(n))
+
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, shape) -> np.ndarray:
-        # Python ints, so huge header dims cannot wrap before take() checks the length.
+        # Python ints, so huge header dims cannot wrap before view() checks the length.
         count = math.prod(shape)
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        return np.frombuffer(self.view(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
 
     def expect_magic(self, magic: bytes, what: str):
         got = self.take(4)

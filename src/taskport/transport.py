@@ -19,7 +19,9 @@ every unswapped side and that no swapped side grows the norm.
 
 The solves and diagnostics read a layer's aligned rows only through
 ``LayerStats``, feature-space statistics computed and checked once per layer.
-The rows are not kept: a fallback whose guard fires aligns them again.
+On the transport path they are taken on each model's own tokens, with an
+``interp1d``/``interp2d`` token map folded in, so its aligned rows are never
+made; a fallback whose guard fires aligns them explicitly.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .model import (
     forward_layer,
     task_vector,
 )
-from .seqalign import STRATEGIES, align_sequence, flatten_tokens, resample_weights
+from .seqalign import STRATEGIES, align_sequence, flatten_tokens, resample_weights, token_map
 
 __all__ = [
     "METHODS",
@@ -139,23 +141,51 @@ class SideStats:
     source and target rows, their Grams, and their cross-covariance ``cross``
     as the Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
     ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either way,
-    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again."""
+    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again.
 
-    def __init__(self, rows, name: str):
+    The products are taken on the rows, or on the pairs (x, y) that
+    ``pairs()`` yields, whose products ``x.T @ y`` are the rows' gram_a,
+    gram_b and cross; each pair is dropped before the next is made."""
+
+    def __init__(self, rows, name: str, pairs=None):
         self.rows = rows
-        h_a, h_b = rows()
-        self.d_a, self.d_b = h_a.shape[1], h_b.shape[1]
-        self.swapped = self.d_a > self.d_b
+        products = []
         # Non-finite or overflowing rows give non-finite products, rejected here.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.gram_a = require_finite(h_a.T @ h_a, f"{name}_a.T @ {name}_a")
-            self.gram_b = require_finite(h_b.T @ h_b, f"{name}_b.T @ {name}_b")
-            cross = h_b.T @ h_a if self.swapped else h_a.T @ h_b
-        self.cross = require_finite(cross, f"the {name} cross-covariance")
+            for x, y in pairs() if pairs else _row_pairs(*rows()):
+                products.append(x.T @ y)
+                del x, y
+        self.gram_a = require_finite(products[0], f"{name}_a.T @ {name}_a")
+        self.gram_b = require_finite(products[1], f"{name}_b.T @ {name}_b")
+        self.cross = require_finite(products[2], f"the {name} cross-covariance")
+        self.d_a, self.d_b = len(self.gram_a), len(self.gram_b)
+        self.swapped = self.d_a > self.d_b
 
     @property
     def cross_ab(self) -> np.ndarray:
         return self.cross.T if self.swapped else self.cross
+
+
+def _row_pairs(h_a, h_b):
+    """The pairs whose products are the Grams of rows h_a, h_b and their
+    cross-covariance, narrow side first."""
+    return (h_a, h_a), (h_b, h_b), ((h_b, h_a) if h_a.shape[1] > h_b.shape[1] else (h_a, h_b))
+
+
+def _folded_pairs(h_a, h_b, m, r):
+    """The pairs of one side's aligned rows, made one at a time on each
+    model's own tokens, where the token map ``m`` (with ``m.T @ m = r.T @ r``)
+    resamples the shorter model's activations h_s to the longer model's h_l:
+    the aligned rows m h_s have the Gram of r h_s, and their cross-covariance
+    with h_l is that of h_s with m.T h_l, both on N * L_s rows; h_l keeps
+    its own Gram."""
+    short = 0 if h_a.shape[1] < h_b.shape[1] else 1
+    for i, h in enumerate((h_a, h_b)):
+        rows = flatten_tokens(r @ h if i == short else h)
+        yield rows, rows
+        del rows
+    c_a, c_b = (flatten_tokens(h if i == short else m.T @ h) for i, h in enumerate((h_a, h_b)))
+    yield (c_b, c_a) if c_a.shape[1] > c_b.shape[1] else (c_a, c_b)
 
 
 class LayerStats:
@@ -167,7 +197,7 @@ class LayerStats:
     six products must be finite. A NaN or Inf in a row reaches its Gram's
     diagonal, so this rejects bad rows scanning features x features entries.
     Each side keeps its products and widths; a firing guard reads the rows
-    given here, or on the transport path (``_of_layer``) aligns them again.
+    given here, or on the transport path (``_of_layer``) aligns them.
     """
 
     def __init__(self, hin_a, hout_a, hin_b, hout_b):
@@ -182,20 +212,33 @@ class LayerStats:
 
     @classmethod
     def _of_layer(cls, acts, strategy: str) -> "LayerStats":
-        """Statistics of one layer's activations (hin_a, hout_a, hin_b, hout_b),
-        each side length-aligned per strategy and flattened into rows, which
-        pair by construction, whenever its row maker is called."""
-        length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
+        """Statistics of one layer's activations (hin_a, hout_a, hin_b, hout_b).
 
-        def rows(h_a, h_b):
-            return lambda: tuple(
-                flatten_tokens(h if strategy != "mean" and h.shape[1] == length
-                               else align_sequence(h, length, strategy))
-                for h in (h_a, h_b))
+        Each side's rows are both models' activations, length-aligned per
+        strategy and flattened, which pair by construction; they are made only
+        when a guard calls the side's row maker. Where ``interp1d``/``interp2d``
+        resample the shorter model's L_s tokens by the token map M, the
+        products are taken on N * L_s rows instead (``_folded_pairs``, with R
+        from the thin QR factorization M = Q R, taken once per layer);
+        ``mean`` and equal token counts take them on the rows.
+        """
+        l_a, l_b = acts[0].shape[1], acts[2].shape[1]
+        length = 1 if strategy == "mean" else max(l_a, l_b)
+        fold = strategy != "mean" and l_a != l_b
+        if fold:
+            m = token_map(min(l_a, l_b), length, strategy)
+            r = np.linalg.qr(m, mode="r")
+
+        def side(h_a, h_b, name):
+            def rows():
+                return tuple(flatten_tokens(h if strategy != "mean" and h.shape[1] == length
+                                            else align_sequence(h, length, strategy))
+                             for h in (h_a, h_b))
+            return SideStats(rows, name, (lambda: _folded_pairs(h_a, h_b, m, r)) if fold else None)
 
         stats = cls.__new__(cls)
-        stats.in_side = SideStats(rows(acts[0], acts[2]), "hin")
-        stats.out_side = SideStats(rows(acts[1], acts[3]), "hout")
+        stats.in_side = side(acts[0], acts[2], "hin")
+        stats.out_side = side(acts[1], acts[3], "hout")
         return stats
 
     def check_update(self, update, model: str, name: str) -> np.ndarray:

@@ -34,6 +34,29 @@ def test_svd_seeded_reconstruction():
     np.testing.assert_allclose(vt @ vt.T, np.eye(5), atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(24, 40), (40, 24), (32, 32)], ids=["wide", "tall", "square"])
+def test_svd_returns_the_factors_of_its_input(shape):
+    # A wide input is factored through its transpose; the factors are its own.
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    u, sigma, vt = svd(a)
+    k = min(shape)
+    assert u.shape == (shape[0], k) and sigma.shape == (k,) and vt.shape == (k, shape[1])
+    np.testing.assert_allclose((u * sigma) @ vt, a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.T @ u, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vt @ vt.T, np.eye(k), rtol=0, atol=1e-12)
+    assert np.all(np.diff(sigma) <= 0.0)
+    np.testing.assert_allclose(sigma, np.linalg.svd(a, compute_uv=False), rtol=1e-12)
+
+
+def test_svd_failure_names_the_input_shape(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="on a 3x5 matrix"):
+        svd(np.ones((3, 5)))
+
+
 def test_svd_shape_sweep():
     # >= 100 seeded shapes in 1..64, every third one rank-deficient.
     rng = np.random.default_rng(1234)

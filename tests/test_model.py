@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -242,6 +243,30 @@ def test_calibration_round_trip_bitwise(tmp_path):
     la, lb = load_calibration(path)
     assert la.tobytes() == a.tobytes()
     assert lb.tobytes() == b.tobytes()
+
+
+def test_loaded_arrays_are_copied_once_and_own_their_memory(tmp_path):
+    # The reader cuts each array from a view of the file and copies it once,
+    # so the traced peak is the file and its arrays, about twice the file; a
+    # second copy of each array would add the larger side again (2.5 here).
+    rng = np.random.default_rng(34)
+    a, b = rng.standard_normal((64, 16, 32)), rng.standard_normal((64, 16, 32))
+    path = tmp_path / "cal.tpc"
+    save_calibration(a, b, path)
+    tracemalloc.start()
+    try:
+        loaded = load_calibration(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * path.stat().st_size, (peak, path.stat().st_size)
+    ckpt_path = tmp_path / "ckpt.tpk"
+    save_checkpoint(init_checkpoint([LayerSpec(3, 4, has_bias=True, activation="relu")], seed=35), ckpt_path)
+    ckpt = load_checkpoint(ckpt_path)
+    for got in (*loaded, *ckpt.weights, *ckpt.biases):
+        assert got.flags.owndata and got.flags.writeable
+    for got, want in zip(loaded, (a, b)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_calibration_rejects_unpaired_counts(tmp_path):

@@ -92,3 +92,36 @@ def test_fingerprint_compare_names_the_worst_moved_entry(tmp_path, capsys):
     assert lines[:4] == ["a/same: bitwise", "b/array: max relative deviation 1.000e-12",
                          "c/report: max relative deviation 3.000e-10 (y[0])", "d/bytes: bytes differ"]
     assert lines[4] == "1 of 4 entries bitwise; largest relative deviation 3.000e-10 (c/report)"
+
+
+def test_fingerprint_compare_summarizes_moved_entries_by_method(tmp_path, capsys):
+    module = load_script("fingerprint")
+    old = {"transport/equal/mean/theseus/delta0": module._array_entry([1.0, 2.0]),
+           "transport/equal/mean/theseus/report": module._doc_entry({"x": 2.0}),
+           "transport/equal/mean/pinv/delta0": module._array_entry([1.0, 2.0]),
+           "demo/pinv-tikh/weights": module._array_entry([4.0]),
+           "demo/theseus/checkpoint_bytes": {"sha256": "0", "norm": 0.0},
+           "experiment": module._doc_entry({"accuracy": 0.5})}
+    new = {**old,
+           "transport/equal/mean/theseus/report": module._doc_entry({"x": 2.0 + 2e-9}),
+           "demo/pinv-tikh/weights": module._array_entry([4.0 + 4e-12]),
+           "demo/theseus/checkpoint_bytes": {"sha256": "1", "norm": 0.0},
+           "experiment": module._doc_entry({"accuracy": 0.25})}
+    paths = []
+    for name, doc in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert module.main(["--compare", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6:] == [
+        "2 of 6 entries bitwise; largest relative deviation 5.000e-01 (experiment)",
+        "moved entries by method:",
+        "  theseus: 2 of 3 moved; largest relative deviation 1.000e-09 "
+        "(transport/equal/mean/theseus/report)",
+        "  pinv: 0 of 1 moved",
+        "  pinv_tikhonov: 1 of 1 moved; largest relative deviation 1.000e-12 (demo/pinv-tikh/weights)",
+        "  experiment: 1 of 1 moved; largest relative deviation 5.000e-01 (experiment)",
+    ]
+    # An all-bitwise comparison ends at its summary line, as before.
+    assert module.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "6 of 6 entries bitwise"

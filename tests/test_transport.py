@@ -10,7 +10,7 @@ from taskport import transport
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
 from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
-from taskport.seqalign import align_sequence
+from taskport.seqalign import STRATEGIES, align_sequence, flatten_tokens
 from taskport.transport import (
     METHODS,
     LayerStats,
@@ -633,11 +633,13 @@ def test_transport_memory_does_not_grow_with_depth():
 
 
 def test_transport_keeps_no_aligned_source_rows():
-    # A 17-token source is aligned to the target's 26 tokens one side at a
-    # time, and each side's aligned rows are dropped once its products are
-    # formed. A 26-token source aligns nothing. Keeping both sides' aligned
-    # rows through the layer, as row-holding statistics did, peaked about 1.3
-    # aligned arrays above the 26-token run here; dropping them, about 0.2.
+    # A 17-token source is never aligned to the target's 26 tokens: each
+    # side's products are taken on 17-token arrays, made one at a time and
+    # dropped once used. A 26-token source aligns nothing. Keeping both
+    # sides' aligned rows through the layer, as row-holding statistics did,
+    # peaked about 1.3 aligned arrays above the 26-token run here; aligning
+    # each side and dropping it, about 0.2; the 17-token products, about 0.2
+    # below it, as the source's own activations are smaller.
     width, seqs = 32, 64
     aligned = seqs * 26 * width * 8
     unaligned = traced_peak(2, width, seqs, 26)
@@ -710,7 +712,8 @@ def _near_exact_unequal_tokens():
 @pytest.mark.parametrize("method, fallbacks", [("theseus", 9), ("pinv", 3)])
 def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallbacks):
     # A fallback aligns its layer's rows again; it must read exactly the rows
-    # that statistics built on explicitly aligned rows would have kept.
+    # that an explicit alignment of the layer's activations keeps. The
+    # comparison keeps the same statistics and swaps only where rows come from.
     fired = []
     guarded = transport._guarded_distance
     monkeypatch.setattr(transport, "_guarded_distance",
@@ -723,8 +726,11 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
 
     def on_kept_rows(acts, strategy):
         made = of_layer(acts, strategy)
-        (hin_a, hin_b), (hout_a, hout_b) = made.in_side.rows(), made.out_side.rows()
-        return LayerStats(hin_a, hout_a, hin_b, hout_b)
+        length = max(acts[0].shape[1], acts[2].shape[1])
+        for side, pair in ((made.in_side, acts[0::2]), (made.out_side, acts[1::2])):
+            kept = tuple(flatten_tokens(align_sequence(h, length, strategy)) for h in pair)
+            side.rows = lambda kept=kept: kept
+        return made
 
     monkeypatch.setattr(LayerStats, "_of_layer", on_kept_rows)
     kept, kept_report = transport_task_vector(*args)
@@ -732,6 +738,31 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
     assert json.dumps(made_again_report) == json.dumps(kept_report)
     for got, want in zip(made_again.deltas + made_again.bias_deltas, kept.deltas + kept.bias_deltas):
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STRATEGIES), st.booleans(), st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.integers(1, 6), min_size=4, max_size=4), st.integers(1, 4), st.integers(0, 2**16))
+def test_statistics_on_own_tokens_match_statistics_on_aligned_rows(
+        strategy, extra, g_a, g_b, widths, seqs, seed):
+    # Token counts g*g (+ 1): grids for interp2d, so the source is shorter,
+    # longer or as long; widths (hin_a, hout_a, hin_b, hout_b), swapped or not.
+    rng = np.random.default_rng(seed)
+    acts = tuple(rng.standard_normal((seqs, g * g + extra, d))
+                 for g, d in zip((g_a, g_a, g_b, g_b), widths))
+    length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
+    aligned = [flatten_tokens(align_sequence(h, length, strategy)) for h in acts]
+    want = LayerStats(*aligned)
+    got = LayerStats._of_layer(acts, strategy)
+    for side, ref, rows in ((got.in_side, want.in_side, aligned[0::2]),
+                            (got.out_side, want.out_side, aligned[1::2])):
+        assert (side.d_a, side.d_b, side.swapped) == (ref.d_a, ref.d_b, ref.swapped)
+        for name in ("gram_a", "gram_b", "cross"):
+            product, expected = getattr(side, name), getattr(ref, name)
+            assert product.shape == expected.shape
+            assert np.abs(product - expected).max() <= 1e-12 * np.abs(expected).max(), name
+        for made, kept in zip(side.rows(), rows):
+            assert made.shape == kept.shape and made.tobytes() == kept.tobytes()
 
 
 def test_transport_writes_no_calibration_and_collect_keeps_pre_activations():
