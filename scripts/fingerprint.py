@@ -39,14 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from taskport.cli import main as cli_main
-from taskport.errors import TaskportError
-from taskport.harness.experiment import (
-    ExperimentConfig, ModelConfig, TaskConfig, TrainConfig, run_experiment,
-)
-from taskport.model import Checkpoint, LayerSpec, load_checkpoint
-from taskport.seqalign import STRATEGIES
-from taskport.transport import METHODS, TransportConfig, transport_task_vector
+# Fingerprint this checkout's taskport, whatever PYTHONPATH says; it is
+# imported only to make a fingerprint, as comparing two needs none.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 # Interface widths (source, target) per case; inputs differ in width too.
 WIDTH_CASES = {
@@ -56,10 +51,14 @@ WIDTH_CASES = {
     "equal": ((6, 10, 10, 4), (6, 10, 10, 4)),
 }
 TOKENS = (9, 16)  # 3x3 and 4x4 grids, so every strategy applies
-CLI_METHODS = ("theseus", "pinv", "pinv-tikh", "zero-pad", "random", "random-source")
+# CLI spelling -> config spelling, in the order of the library's METHODS.
+CLI_METHODS = {"theseus": "theseus", "pinv": "pinv", "pinv-tikh": "pinv_tikhonov",
+               "zero-pad": "zero_pad", "random": "random", "random-source": "random_source"}
 
 
-def _stack(widths, rng) -> Checkpoint:
+def _stack(widths, rng):
+    from taskport.model import Checkpoint, LayerSpec
+
     specs = [LayerSpec(widths[i], widths[i + 1], has_bias=True,
                        activation="relu" if i < len(widths) - 2 else "identity")
              for i in range(len(widths) - 1)]
@@ -101,6 +100,10 @@ def _error_entry(message: str) -> dict:
 
 
 def transport_entries(seqs: int) -> dict:
+    from taskport.errors import TaskportError
+    from taskport.seqalign import STRATEGIES
+    from taskport.transport import METHODS, TransportConfig, transport_task_vector
+
     entries = {}
     for case_index, (case, (widths_a, widths_b)) in enumerate(WIDTH_CASES.items()):
         rng = np.random.default_rng(np.random.SeedSequence((case_index, 4242)))
@@ -125,6 +128,10 @@ def transport_entries(seqs: int) -> dict:
 
 
 def experiment_entry(tiny: bool) -> dict:
+    from taskport.harness.experiment import (
+        ExperimentConfig, ModelConfig, TaskConfig, TrainConfig, run_experiment,
+    )
+
     cfg = ExperimentConfig()
     if tiny:
         cfg = ExperimentConfig(
@@ -141,6 +148,9 @@ def experiment_entry(tiny: bool) -> dict:
 
 
 def demo_entries() -> dict:
+    from taskport.cli import main as cli_main
+    from taskport.model import load_checkpoint
+
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         demo = Path(tmp)
@@ -215,7 +225,7 @@ def method_of(key: str) -> str:
     if parts[0] == "transport" and len(parts) > 3:
         return parts[3]
     if parts[0] == "demo" and len(parts) > 1:
-        return dict(zip(CLI_METHODS, METHODS)).get(parts[1], parts[1])
+        return CLI_METHODS.get(parts[1], parts[1])
     return parts[0]
 
 
@@ -245,7 +255,7 @@ def compare(path_a, path_b) -> int:
     print(summary)
     if same < len(a.keys() | b.keys()):
         print("moved entries by method:")
-        order = {m: i for i, m in enumerate(METHODS)}
+        order = {m: i for i, m in enumerate(CLI_METHODS.values())}
         for method in sorted(groups, key=lambda m: (order.get(m, len(order)), m)):
             entries, moved, group_worst = groups[method]
             line = f"  {method}: {moved} of {entries} moved"

@@ -21,13 +21,18 @@ The solves and diagnostics read a layer's aligned rows only through
 ``LayerStats``, feature-space statistics computed and checked once per layer.
 On the transport path they are taken on each model's own tokens, with an
 ``interp1d``/``interp2d`` token map folded in, so its aligned rows are never
-made; a fallback whose guard fires aligns them explicitly.
+made. A layer's input statistics are taken before its forward pass and each
+model's input is dropped once its output exists, so one activation per model
+is alive through the layer's solve; a fallback whose guard fires makes its
+rows again from the calibration batch and aligns them explicitly.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -141,18 +146,19 @@ class SideStats:
     source and target rows, their Grams, and their cross-covariance ``cross``
     as the Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
     ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either way,
-    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again.
+    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again, and
+    only a firing guard calls it.
 
-    The products are taken on the rows, or on the pairs (x, y) that
-    ``pairs()`` yields, whose products ``x.T @ y`` are the rows' gram_a,
-    gram_b and cross; each pair is dropped before the next is made."""
+    The products are those of the pairs (x, y) that ``pairs`` yields, whose
+    products ``x.T @ y`` are the rows' gram_a, gram_b and cross; a pair that
+    is made on demand is dropped before the next is made."""
 
-    def __init__(self, rows, name: str, pairs=None):
+    def __init__(self, pairs, rows, name: str):
         self.rows = rows
         products = []
         # Non-finite or overflowing rows give non-finite products, rejected here.
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, y in pairs() if pairs else _row_pairs(*rows()):
+            for x, y in pairs:
                 products.append(x.T @ y)
                 del x, y
         self.gram_a = require_finite(products[0], f"{name}_a.T @ {name}_a")
@@ -188,6 +194,36 @@ def _folded_pairs(h_a, h_b, m, r):
     yield (c_b, c_a) if c_a.shape[1] > c_b.shape[1] else (c_a, c_b)
 
 
+def _aligned_rows(h_a, h_b, strategy: str):
+    """Both models' (N, L, d) activations, length-aligned per strategy and
+    flattened: one side's rows, which pair by construction."""
+    length = 1 if strategy == "mean" else max(h_a.shape[1], h_b.shape[1])
+    return tuple(flatten_tokens(h if strategy != "mean" and h.shape[1] == length
+                                else align_sequence(h, length, strategy))
+                 for h in (h_a, h_b))
+
+
+def _side_stats(h_a, h_b, strategy: str, name: str, remake) -> SideStats:
+    """One side's statistics from both models' activations on their own
+    tokens, h_a (N, L_a, d_a) and h_b (N, L_b, d_b); neither is kept.
+
+    The side's row maker aligns and flattens the pair that ``remake()`` makes
+    again. Where ``interp1d``/``interp2d`` resample the shorter model's L_s
+    tokens by the token map M, the products are taken on N * L_s rows
+    instead of the aligned rows (``_folded_pairs``, with R from the thin QR
+    factorization M = Q R); ``mean`` and equal token counts take them on the
+    aligned rows.
+    """
+    def rows():
+        return _aligned_rows(*remake(), strategy)
+
+    l_a, l_b = h_a.shape[1], h_b.shape[1]
+    if strategy == "mean" or l_a == l_b:
+        return SideStats(_row_pairs(*_aligned_rows(h_a, h_b, strategy)), rows, name)
+    m = token_map(min(l_a, l_b), max(l_a, l_b), strategy)
+    return SideStats(_folded_pairs(h_a, h_b, m, np.linalg.qr(m, mode="r")), rows, name)
+
+
 class LayerStats:
     """Four Grams and two cross-covariances of one layer's aligned rows
     (hin_a, hout_a, hin_b, hout_b), as ``in_side`` and ``out_side``.
@@ -197,7 +233,9 @@ class LayerStats:
     six products must be finite. A NaN or Inf in a row reaches its Gram's
     diagonal, so this rejects bad rows scanning features x features entries.
     Each side keeps its products and widths; a firing guard reads the rows
-    given here, or on the transport path (``_of_layer``) aligns them.
+    given here. On the transport path each side is built on its own
+    (``_side_stats``), and a firing guard's rows are made again from the
+    calibration batch.
     """
 
     def __init__(self, hin_a, hout_a, hin_b, hout_b):
@@ -207,38 +245,13 @@ class LayerStats:
                 raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {h.shape}")
         if len({h.shape[0] for h in rows}) != 1:
             raise DimensionError("all four activation matrices must have the same number of rows")
-        self.in_side = SideStats(lambda: (rows[0], rows[2]), "hin")
-        self.out_side = SideStats(lambda: (rows[1], rows[3]), "hout")
+        self.in_side = SideStats(_row_pairs(rows[0], rows[2]), lambda: (rows[0], rows[2]), "hin")
+        self.out_side = SideStats(_row_pairs(rows[1], rows[3]), lambda: (rows[1], rows[3]), "hout")
 
     @classmethod
-    def _of_layer(cls, acts, strategy: str) -> "LayerStats":
-        """Statistics of one layer's activations (hin_a, hout_a, hin_b, hout_b).
-
-        Each side's rows are both models' activations, length-aligned per
-        strategy and flattened, which pair by construction; they are made only
-        when a guard calls the side's row maker. Where ``interp1d``/``interp2d``
-        resample the shorter model's L_s tokens by the token map M, the
-        products are taken on N * L_s rows instead (``_folded_pairs``, with R
-        from the thin QR factorization M = Q R, taken once per layer);
-        ``mean`` and equal token counts take them on the rows.
-        """
-        l_a, l_b = acts[0].shape[1], acts[2].shape[1]
-        length = 1 if strategy == "mean" else max(l_a, l_b)
-        fold = strategy != "mean" and l_a != l_b
-        if fold:
-            m = token_map(min(l_a, l_b), length, strategy)
-            r = np.linalg.qr(m, mode="r")
-
-        def side(h_a, h_b, name):
-            def rows():
-                return tuple(flatten_tokens(h if strategy != "mean" and h.shape[1] == length
-                                            else align_sequence(h, length, strategy))
-                             for h in (h_a, h_b))
-            return SideStats(rows, name, (lambda: _folded_pairs(h_a, h_b, m, r)) if fold else None)
-
+    def _of_sides(cls, in_side: SideStats, out_side: SideStats) -> "LayerStats":
         stats = cls.__new__(cls)
-        stats.in_side = side(acts[0], acts[2], "hin")
-        stats.out_side = side(acts[1], acts[3], "hout")
+        stats.in_side, stats.out_side = in_side, out_side
         return stats
 
     def check_update(self, update, model: str, name: str) -> np.ndarray:
@@ -467,8 +480,7 @@ _LAYER_METHODS = {
 METHODS = tuple(_LAYER_METHODS)
 
 
-def _transport_layer(layer_index, spec_b, acts, delta, bias_delta, cfg: TransportConfig):
-    stats = LayerStats._of_layer(acts, cfg.strategy)
+def _transport_layer(layer_index, spec_b, stats: LayerStats, delta, bias_delta, cfg: TransportConfig):
     bias = bias_delta if spec_b.has_bias else None
     new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
         stats, delta, bias, spec_b, cfg, cfg.seed + layer_index
@@ -491,6 +503,36 @@ def _transport_layer(layer_index, spec_b, acts, delta, bias_delta, cfg: Transpor
     return new_delta, new_bias, entry
 
 
+@contextmanager
+def _named_layer(idx: int):
+    """Name layer ``idx`` in a TaskportError raised inside."""
+    try:
+        yield
+    except TaskportError as exc:
+        raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
+
+
+def _activate_in_place(ckpt: Checkpoint, idx: int, z: np.ndarray) -> np.ndarray:
+    """Layer ``idx``'s activation applied to its pre-activation output z,
+    which only the caller holds."""
+    if ckpt.layer_specs[idx].activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _pair_again(models, idx: int, output: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``idx``'s input, or with ``output`` its pre-activation output, of
+    each (checkpoint, calibration inputs) in ``models``, made again from the
+    inputs one layer at a time, as ``transport_task_vector`` makes it."""
+    pair = []
+    for ckpt, inputs in models:
+        h = forward_inputs(ckpt, inputs)
+        for k in range(idx):
+            h = _activate_in_place(ckpt, k, forward_layer(ckpt, k, h))
+        pair.append(forward_layer(ckpt, idx, h) if output else h)
+    return tuple(pair)
+
+
 def transport_task_vector(
     theta_a: Checkpoint,
     theta_a_ft: Checkpoint,
@@ -503,10 +545,13 @@ def transport_task_vector(
 
     The two base models run on paired calibration inputs (the same underlying
     samples rendered in each model's input space) one layer at a time: each
-    layer's activations are length-aligned per cfg.strategy, reduced to its
-    statistics and used to fit that layer's maps per cfg.method, and are
-    dropped before the next layer runs, so memory does not grow with depth.
-    Returns the transported task vector and a per-layer report.
+    layer's activations are reduced to its statistics (length-aligned per
+    cfg.strategy), which fit that layer's maps per cfg.method. A layer's input
+    statistics are taken before its forward pass and each model's input is
+    dropped once its output exists, so one activation per model is alive
+    through the solve and memory does not grow with depth. A firing guard
+    makes its rows again from the calibration inputs. Returns the transported
+    task vector and a per-layer report.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
@@ -521,24 +566,27 @@ def transport_task_vector(
             f"calibration sides pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
         )
 
-    # One layer's activations per model at a time: each layer's output array
-    # replaces its input and is activated in place, as nothing else holds it
-    # (the caller's calibration arrays are only ever read).
+    # Each layer's output array replaces its input and is activated in place,
+    # as nothing else holds it (the caller's calibration arrays, layer 0's
+    # inputs, are only ever read).
+    models = ((theta_a, calib_inputs_a), (theta_b, calib_inputs_b))
     results = []
     for idx in range(theta_a.depth):
+        with _named_layer(idx):
+            in_side = _side_stats(h_a, h_b, cfg.strategy, "hin", partial(_pair_again, models, idx, False))
         z_a = forward_layer(theta_a, idx, h_a)
+        del h_a
         z_b = forward_layer(theta_b, idx, h_b)
-        try:
+        del h_b
+        with _named_layer(idx):
+            out_side = _side_stats(z_a, z_b, cfg.strategy, "hout", partial(_pair_again, models, idx, True))
             results.append(_transport_layer(
-                idx, theta_b.layer_specs[idx], (h_a, z_a, h_b, z_b),
+                idx, theta_b.layer_specs[idx], LayerStats._of_sides(in_side, out_side),
                 update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
             ))
-        except TaskportError as exc:
-            raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
-        h_a, h_b = z_a, z_b
-        for ckpt, h in ((theta_a, h_a), (theta_b, h_b)):
-            if ckpt.layer_specs[idx].activation == "relu":
-                np.maximum(h, 0.0, out=h)
+        del in_side, out_side  # else they outlive the next layer's input statistics
+        h_a = _activate_in_place(theta_a, idx, z_a)
+        h_b = _activate_in_place(theta_b, idx, z_b)
 
     deltas = [r[0] for r in results]
     bias_deltas = [r[1] for r in results]

@@ -9,13 +9,16 @@ must.
 
 Data are generic and full rank, so each Procrustes solution and each Gram
 inverse is unique: seeded Gaussian weights, biases and inputs, no layer more
-than one unit wider than its input, and every layer's rows, as the strategy
-lays them out, of full column rank with condition number below 1e3 (drawn
-examples that miss this, such as a ReLU unit dead on every row, are
-rejected). The ``mean`` strategy, whose rows are the sequences, is drawn
-only with more sequences than any width; ``mean`` with fewer rows than
-dimensions is excluded, because its rank-deficient cross-covariances leave
-the maps undetermined.
+than one unit wider than its input, every layer's rows, as the strategy lays
+them out, of full column rank with condition number below 1e3, and each
+side's cross-covariance between the two models' aligned rows with
+sigma_min/sigma_max above 1e-3 (drawn examples that miss this are rejected:
+a ReLU unit dead on every row, or rows of full rank on each model whose
+cross-covariance has a zero singular value, which fixes the Procrustes map
+only up to the sign of one column). The ``mean`` strategy, whose rows are
+the sequences, is drawn only with more sequences than any width; ``mean``
+with fewer rows than dimensions is excluded, because its rank-deficient
+cross-covariances leave the maps undetermined.
 """
 
 import numpy as np
@@ -42,15 +45,26 @@ def stack(widths, rng, hidden="relu"):
     return Checkpoint(layer_specs=specs, weights=weights, biases=biases)
 
 
-def full_rank(ckpt, calib, strategy) -> bool:
-    """Every layer's input and output rows, as the strategy lays them out,
-    have full column rank: no ReLU unit is dead on the whole calibration set."""
-    _, records = forward_collect(ckpt, calib)
-    for rec in records:
-        for h in (rec.h_in, rec.h_out):
-            rows = flatten_tokens(align_sequence(h, 1, "mean") if strategy == "mean" else h)
-            sigma = np.linalg.svd(rows, compute_uv=False)
-            if sigma[-1] <= 1e-3 * sigma[0]:
+def well_conditioned(m) -> bool:
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return sigma[-1] > 1e-3 * sigma[0]
+
+
+def full_rank(theta_a, calib_a, theta_b, calib_b, strategy) -> bool:
+    """Every layer's input and output rows of each model, as the strategy
+    lays them out, have full column rank (no ReLU unit is dead on the whole
+    calibration set), and so has each side's cross-covariance between the
+    two models' rows, aligned per strategy."""
+    records = [forward_collect(ckpt, calib)[1] for ckpt, calib in ((theta_a, calib_a), (theta_b, calib_b))]
+    for rec_a, rec_b in zip(*records):
+        for pair in ((rec_a.h_in, rec_b.h_in), (rec_a.h_out, rec_b.h_out)):
+            for h in pair:
+                own = align_sequence(h, 1, "mean") if strategy == "mean" else h
+                if not well_conditioned(flatten_tokens(own)):
+                    return False
+            length = 1 if strategy == "mean" else max(h.shape[1] for h in pair)
+            rows_a, rows_b = (flatten_tokens(align_sequence(h, length, strategy)) for h in pair)
+            if not well_conditioned(rows_a.T @ rows_b):
                 return False
     return True
 
@@ -113,7 +127,7 @@ def instances(draw, target_hidden="relu"):
     raw = rng.standard_normal((seqs, TOKENS_A, 6))
     calib_a = raw @ rng.standard_normal((6, widths_a[0]))
     calib_b = align_sequence(raw, TOKENS_B, "interp2d") @ rng.standard_normal((6, widths_b[0]))
-    assume(full_rank(theta_a, calib_a, strategy) and full_rank(theta_b, calib_b, strategy))
+    assume(full_rank(theta_a, calib_a, theta_b, calib_b, strategy))
     perms_a = permutation_matrices(widths_a[1:-1], rng)
     perms_b = permutation_matrices(widths_b[1:-1], rng)
     order = rng.permutation(seqs)

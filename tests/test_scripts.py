@@ -1,6 +1,9 @@
 import csv
 import json
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,16 @@ def test_fingerprint_compare_summarizes_moved_entries_by_method(tmp_path, capsys
     # An all-bitwise comparison ends at its summary line, as before.
     assert module.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6 of 6 entries bitwise"
+
+
+def test_fingerprint_compare_runs_from_anywhere_without_pythonpath(tmp_path):
+    # Comparing two fingerprints needs no taskport, so it runs from any
+    # directory without PYTHONPATH.
+    module = load_script("fingerprint")
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps({"a/array": module._array_entry([1.0, 2.0])}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, str(SCRIPTS / "fingerprint.py"), "--compare", str(path), str(path)]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["a/array: bitwise", "1 of 1 entries bitwise"]

@@ -647,6 +647,19 @@ def test_transport_keeps_no_aligned_source_rows():
     assert resampled - unaligned < aligned, (unaligned, resampled, aligned)
 
 
+@pytest.mark.parametrize("width, tokens, source_tokens", [(16, 32, None), (32, 26, 17)])
+def test_transport_holds_one_activation_per_model(width, tokens, source_tokens):
+    # A layer's input statistics are taken before its forward pass, and each
+    # model's input is dropped once its output exists, so only the outputs
+    # are alive through the solve: the peaks are about 3.37 and 3.02
+    # one-layer arrays. Holding each model's input beside its output through
+    # the solve peaked at 4.34 and 4.25.
+    seqs = 64
+    one_layer = seqs * tokens * width * 8
+    peak = traced_peak(4, width, seqs, tokens, source_tokens)
+    assert peak < 3.8 * one_layer, (peak / one_layer, peak, one_layer)
+
+
 @pytest.mark.parametrize("case, error, message", [
     ("features", DimensionError, "inputs have 2 features, layer 0 expects 3"),
     ("no_tokens", DimensionError,
@@ -711,33 +724,58 @@ def _near_exact_unequal_tokens():
 
 @pytest.mark.parametrize("method, fallbacks", [("theseus", 9), ("pinv", 3)])
 def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallbacks):
-    # A fallback aligns its layer's rows again; it must read exactly the rows
-    # that an explicit alignment of the layer's activations keeps. The
-    # comparison keeps the same statistics and swaps only where rows come from.
+    # A fallback makes its layer's rows again from the calibration batch; it
+    # must read exactly the rows that an explicit alignment of the layer's
+    # kept activations (forward_collect's records) gives. The comparison
+    # keeps the same statistics and swaps only where rows come from.
     fired = []
     guarded = transport._guarded_distance
     monkeypatch.setattr(transport, "_guarded_distance",
                         lambda aa, bb, ab, direct: guarded(aa, bb, ab, lambda: fired.append(1) or direct()))
-    args = (*_near_exact_unequal_tokens(), TransportConfig(method=method, strategy="interp2d"))
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = _near_exact_unequal_tokens()
+    before = calib_a.tobytes(), calib_b.tobytes()
+    cfg = TransportConfig(method=method, strategy="interp2d")
+    args = (theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
     made_again, made_again_report = transport_task_vector(*args)
     assert len(fired) == fallbacks
+    assert (calib_a.tobytes(), calib_b.tobytes()) == before
 
-    of_layer = LayerStats._of_layer
+    records = [forward_collect(theta, calib)[1] for theta, calib in ((theta_a, calib_a), (theta_b, calib_b))]
+    side_stats, built = transport._side_stats, {"hin": 0, "hout": 0}
 
-    def on_kept_rows(acts, strategy):
-        made = of_layer(acts, strategy)
-        length = max(acts[0].shape[1], acts[2].shape[1])
-        for side, pair in ((made.in_side, acts[0::2]), (made.out_side, acts[1::2])):
-            kept = tuple(flatten_tokens(align_sequence(h, length, strategy)) for h in pair)
-            side.rows = lambda kept=kept: kept
+    def on_kept_rows(h_a, h_b, strategy, name, remake):
+        made = side_stats(h_a, h_b, strategy, name, remake)
+        idx, built[name] = built[name], built[name] + 1  # sides are built layer by layer
+        pair = [getattr(r[idx], "h_in" if name == "hin" else "h_out") for r in records]
+        length = max(h.shape[1] for h in pair)
+        kept = tuple(flatten_tokens(align_sequence(h, length, strategy)) for h in pair)
+        made.rows = lambda: kept
         return made
 
-    monkeypatch.setattr(LayerStats, "_of_layer", on_kept_rows)
+    monkeypatch.setattr(transport, "_side_stats", on_kept_rows)
     kept, kept_report = transport_task_vector(*args)
     assert len(fired) == 2 * fallbacks
     assert json.dumps(made_again_report) == json.dumps(kept_report)
     for got, want in zip(made_again.deltas + made_again.bias_deltas, kept.deltas + kept.bias_deltas):
         assert got.tobytes() == want.tobytes()
+
+
+def test_rows_made_again_are_the_relu_pipelines_activations():
+    # The near-exact stacks above are affine; on ReLU stacks the second
+    # forward pass activates in place as transport does, and must give
+    # forward_collect's activations bitwise without writing the calibration.
+    theta_a, _, theta_b, calib_a, _ = relu_pair(seed=76, widths_a=(3, 4, 5, 2), widths_b=(3, 5, 6, 2))
+    calib_b = np.random.default_rng(77).standard_normal((16, 9, 3))
+    before = calib_a.tobytes(), calib_b.tobytes()
+    models = ((theta_a, calib_a), (theta_b, calib_b))
+    records = [forward_collect(theta, calib)[1] for theta, calib in models]
+    for idx in range(theta_a.depth):
+        for output, key in ((False, "h_in"), (True, "h_out")):
+            made = transport._pair_again(models, idx, output)
+            for got, record in zip(made, records):
+                want = getattr(record[idx], key)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (idx, key)
+    assert (calib_a.tobytes(), calib_b.tobytes()) == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,9 +791,11 @@ def test_statistics_on_own_tokens_match_statistics_on_aligned_rows(
     length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
     aligned = [flatten_tokens(align_sequence(h, length, strategy)) for h in acts]
     want = LayerStats(*aligned)
-    got = LayerStats._of_layer(acts, strategy)
-    for side, ref, rows in ((got.in_side, want.in_side, aligned[0::2]),
-                            (got.out_side, want.out_side, aligned[1::2])):
+    in_side, out_side = (transport._side_stats(acts[i], acts[i + 2], strategy, name,
+                                               lambda i=i: (acts[i], acts[i + 2]))
+                         for i, name in ((0, "hin"), (1, "hout")))
+    for side, ref, rows in ((in_side, want.in_side, aligned[0::2]),
+                            (out_side, want.out_side, aligned[1::2])):
         assert (side.d_a, side.d_b, side.swapped) == (ref.d_a, ref.d_b, ref.swapped)
         for name in ("gram_a", "gram_b", "cross"):
             product, expected = getattr(side, name), getattr(ref, name)
