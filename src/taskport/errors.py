@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``kind`` string; the CLI prints
 failures as a single ``kind: message`` line and exits nonzero.
 """
 
+from contextlib import contextmanager
+
 
 class TaskportError(Exception):
     """Base class for all errors raised by this package."""
@@ -48,3 +50,12 @@ class ConfigError(TaskportError):
 
 class TrainingError(TaskportError):
     kind = "training_failure"
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Prefix ``prefix: `` to a TaskportError raised inside, keeping its type and kind."""
+    try:
+        yield
+    except TaskportError as exc:
+        raise type(exc)(f"{prefix}: {exc}", kind=exc.kind) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, TaskportError
+from ..errors import ConfigError, prefixed
 from ..linalg import DEFAULT_RCOND
 from ..model import ACTIVATIONS, Checkpoint, LayerSpec, apply_update, init_checkpoint
 from ..seqalign import STRATEGIES
@@ -366,14 +366,6 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-@contextlib.contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except TaskportError as exc:
-        raise type(exc)(f"stage {name}: {exc}", kind=exc.kind) from exc
-
-
 @dataclass
 class PreparedExperiment:
     """Everything a method evaluation needs, computed once per config."""
@@ -401,7 +393,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
     seeds = cfg.seeds
     n_classes = cfg.task.n_classes
 
-    with _stage("data"):
+    with prefixed("stage data"):
         task = SyntheticTask.generate(
             n_classes=n_classes, d_raw=cfg.task.d_raw, tokens=cfg.task.tokens,
             noise_sigma=cfg.task.noise_sigma, seed=seeds.data,
@@ -418,7 +410,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
         calib_x, _ = make_dataset(task, math.ceil(n_calib / n_classes), "calib")
         calib_x = calib_x[:n_calib]
 
-    with _stage("train_source"):
+    with prefixed("stage train_source"):
         proj_a = input_projection(
             cfg.task.d_token, cfg.source_model.width,
             np.random.SeedSequence((seeds.init, _PROJ_SOURCE)),
@@ -432,13 +424,13 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             cfg.train.pretrain_steps, cfg.train.lr, n_classes=n_classes,
         )
 
-    with _stage("finetune_source"):
+    with prefixed("stage finetune_source"):
         theta_a_ft = train_classifier(
             theta_a, render_tokens(train_x, proj_a), train_y,
             cfg.train.finetune_steps, cfg.train.lr, n_classes=n_classes,
         )
 
-    with _stage("build_target"):
+    with prefixed("stage build_target"):
         if cfg.regime == "independent":
             proj_b = input_projection(
                 cfg.task.d_token, cfg.target_model.width,
@@ -463,7 +455,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> PreparedExperiment:
             )
             proj_b = proj_a @ true_maps[0].in_map
 
-    with _stage("calibration"):
+    with prefixed("stage calibration"):
         calib_a = render_tokens(calib_x, proj_a)
         calib_b = render_tokens(calib_x, proj_b)
         train_b = render_tokens(train_x, proj_b)
@@ -496,7 +488,7 @@ def _summarize_layers(layers: list) -> dict:
 
 def _transport(prep: PreparedExperiment, method: str, strategy: str | None = None):
     """The prepared source update, transported onto the prepared target with one method."""
-    with _stage(f"transport:{method}"):
+    with prefixed(f"stage transport:{method}"):
         return transport_task_vector(
             prep.theta_a, prep.theta_a_ft, prep.theta_b,
             prep.calib_a, prep.calib_b, prep.config.transport_config(method, strategy),
@@ -507,7 +499,7 @@ def evaluate_method(prep: PreparedExperiment, method: str, strategy: str | None 
     """Transport with one method, pick alpha on val, and score on test."""
     cfg = prep.config
     update_b, report = _transport(prep, method, strategy)
-    with _stage(f"evaluate:{method}"):
+    with prefixed(f"stage evaluate:{method}"):
         n_classes = cfg.task.n_classes
         best_alpha, val_acc = alpha_search(
             prep.theta_b, update_b, prep.val_b, prep.val_labels,
@@ -570,7 +562,7 @@ def warm_start_experiment(cfg: ExperimentConfig, steps: int = 150,
         prep.theta_b, update_b, prep.val_b, prep.val_labels,
         cfg.alpha_grid, n_classes=n_classes,
     )
-    with _stage("warm_start"):
+    with prefixed("stage warm_start"):
         curves = warm_start_compare(
             prep.theta_b, update_b, best_alpha,
             prep.train_b, prep.train_labels, prep.val_b, prep.val_labels,

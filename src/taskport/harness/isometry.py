@@ -8,7 +8,7 @@ import numpy as np
 from ..errors import DimensionError
 from ..linalg import random_orthonormal_rows
 from ..model import Checkpoint, LayerSpec
-from ..transport import ProcrustesMap
+from ..transport import ProcrustesMap, transport_bias, transport_update
 
 __all__ = ["build_isometric_target"]
 
@@ -19,7 +19,8 @@ def build_isometric_target(theta_a: Checkpoint, widths=None, seed: int = 0,
 
     For every interface l (layer inputs for l=0, layer l-1 outputs otherwise) a
     row-orthonormal map t_l of shape (d_a_l, widths[l]) is sampled, and target
-    weights are set to ``t_{l+1}.T @ w_a @ t_l`` (biases ride t_{l+1} alone), so
+    weights are the source's conjugated through them, ``t_{l+1}.T @ w_a @ t_l``
+    by ``transport_update`` (biases ride t_{l+1} alone, by ``transport_bias``), so
     the target's layer activations equal the source's mapped through t exactly,
     provided inputs are rendered through t_0. Only identity activations keep
     that exactness, so ReLU layers are rejected.
@@ -60,21 +61,18 @@ def build_isometric_target(theta_a: Checkpoint, widths=None, seed: int = 0,
         else:
             maps.append(random_orthonormal_rows(da, wb, np.random.SeedSequence((int(seed), l))))
 
-    specs_b, weights_b, biases_b = [], [], []
-    for idx, spec in enumerate(theta_a.layer_specs):
-        t_in, t_out = maps[idx], maps[idx + 1]
-        specs_b.append(
-            LayerSpec(d_in=widths[idx], d_out=widths[idx + 1],
-                      has_bias=spec.has_bias, activation="identity")
-        )
-        weights_b.append(t_out.T @ theta_a.weights[idx] @ t_in)
-        biases_b.append(None if theta_a.biases[idx] is None else t_out.T @ theta_a.biases[idx])
-    theta_b = Checkpoint(
-        layer_specs=specs_b, weights=weights_b, biases=biases_b,
-        meta={"construction": "isometric"},
-    )
     true_maps = [
         ProcrustesMap(in_map=maps[idx], out_map=maps[idx + 1], in_residual=0.0, out_residual=0.0)
         for idx in range(theta_a.depth)
     ]
+    specs_b = [
+        LayerSpec(d_in=widths[idx], d_out=widths[idx + 1], has_bias=spec.has_bias, activation="identity")
+        for idx, spec in enumerate(theta_a.layer_specs)
+    ]
+    theta_b = Checkpoint(
+        layer_specs=specs_b,
+        weights=[transport_update(w, pmap) for w, pmap in zip(theta_a.weights, true_maps)],
+        biases=[None if b is None else transport_bias(b, pmap) for b, pmap in zip(theta_a.biases, true_maps)],
+        meta={"construction": "isometric"},
+    )
     return theta_b, true_maps

@@ -180,9 +180,10 @@ def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
     return z.reshape(n, l, spec.d_out)
 
 
-def activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
-    """A layer's nonlinearity applied to its pre-activation output."""
-    return np.maximum(z, 0.0) if spec.activation == "relu" else z
+def activate(spec: LayerSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """A layer's nonlinearity applied to its pre-activation output; ReLU
+    writes into ``out`` when given (z itself, by a caller that alone holds z)."""
+    return np.maximum(z, 0.0, out=out) if spec.activation == "relu" else z
 
 
 def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[ActivationRecord]]:
@@ -320,29 +321,34 @@ class _Reader:
             )
 
 
-def _f64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _f64(a: np.ndarray) -> np.ndarray:
+    """``a`` as the little-endian f64 buffer a file takes; a copy only when
+    its dtype or layout differ."""
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    parts = [_MAGIC_CHECKPOINT, struct.pack("<I", ckpt.depth)]
+    """Write ``ckpt`` as TPK1. The header and metadata are encoded before the
+    file is opened; the arrays are written one at a time, none held twice."""
+    head = [_MAGIC_CHECKPOINT, struct.pack("<I", ckpt.depth)]
     for spec in ckpt.layer_specs:
-        parts.append(
+        head.append(
             struct.pack(
                 "<IIBB", spec.d_in, spec.d_out, int(spec.has_bias), _ACTIVATION_CODE[spec.activation]
             )
         )
-    for w, b in zip(ckpt.weights, ckpt.biases):
-        parts.append(_f64_bytes(w))
-        if b is not None:
-            parts.append(_f64_bytes(b))
     items = sorted(ckpt.meta.items())
-    parts.append(struct.pack("<I", len(items)))
+    tail = [struct.pack("<I", len(items))]
     for key, value in items:
         kb, vb = key.encode("utf-8"), str(value).encode("utf-8")
-        parts.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
+        tail.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(b"".join(head))
+        for w, b in zip(ckpt.weights, ckpt.biases):
+            f.write(_f64(w))
+            if b is not None:
+                f.write(_f64(b))
+        f.write(b"".join(tail))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -390,8 +396,8 @@ def save_calibration(inputs_a, inputs_b, path) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC_CALIBRATION)
         f.write(struct.pack("<IIIII", a.shape[0], a.shape[1], a.shape[2], b.shape[1], b.shape[2]))
-        f.write(_f64_bytes(a))
-        f.write(_f64_bytes(b))
+        f.write(_f64(a))
+        f.write(_f64(b))
 
 
 def load_calibration(path) -> tuple[np.ndarray, np.ndarray]:

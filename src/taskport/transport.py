@@ -18,19 +18,20 @@ can only shrink the norm. ``transport_update`` asserts the norm identity on
 every unswapped side and that no swapped side grows the norm.
 
 The solves and diagnostics read a layer's aligned rows only through
-``LayerStats``, feature-space statistics computed and checked once per layer.
-On the transport path they are taken on each model's own tokens, with an
-``interp1d``/``interp2d`` token map folded in, so its aligned rows are never
-made. A layer's input statistics are taken before its forward pass and each
-model's input is dropped once its output exists, so one activation per model
-is alive through the layer's solve; a fallback whose guard fires makes its
-rows again from the calibration batch and aligns them explicitly.
+``LayerStats``, its input and output ``SideStats``: feature-space statistics
+that ``SideStats``, the one builder, computes and checks once per side. They
+are taken on each model's own tokens, with an ``interp1d``/``interp2d`` token
+map folded in, so the aligned rows are never made. A layer's input
+statistics are taken before its forward pass and each model's input is
+dropped once its output exists, so one activation per model is alive
+through the layer's solve. A fallback whose guard fires aligns its rows
+explicitly: the input side's are made again from the calibration batch, the
+output side's are the layer's live outputs.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -38,11 +39,12 @@ from typing import Optional
 import numpy as np
 
 from . import baselines
-from .errors import ConfigError, DepthMismatchError, DimensionError, TaskportError
-from .linalg import DEFAULT_RCOND, as_matrix, as_vector, cross_covariance, require_finite, svd
+from .errors import ConfigError, DepthMismatchError, DimensionError, TaskportError, prefixed
+from .linalg import DEFAULT_RCOND, as_batch, as_matrix, as_vector, cross_covariance, require_finite, svd
 from .model import (
     Checkpoint,
     TaskVector,
+    activate,
     apply_update,
     forward_inputs,
     forward_layer,
@@ -53,6 +55,7 @@ from .seqalign import STRATEGIES, align_sequence, flatten_tokens, resample_weigh
 __all__ = [
     "METHODS",
     "LayerStats",
+    "SideStats",
     "ProcrustesMap",
     "TransportConfig",
     "cross_covariance",
@@ -141,37 +144,6 @@ class TransportConfig:
         }
 
 
-class SideStats:
-    """One side of a layer's statistics: the widths ``d_a``, ``d_b`` of the
-    source and target rows, their Grams, and their cross-covariance ``cross``
-    as the Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
-    ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either way,
-    as a view. The rows are not kept: ``rows()`` makes (h_a, h_b) again, and
-    only a firing guard calls it.
-
-    The products are those of the pairs (x, y) that ``pairs`` yields, whose
-    products ``x.T @ y`` are the rows' gram_a, gram_b and cross; a pair that
-    is made on demand is dropped before the next is made."""
-
-    def __init__(self, pairs, rows, name: str):
-        self.rows = rows
-        products = []
-        # Non-finite or overflowing rows give non-finite products, rejected here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x, y in pairs:
-                products.append(x.T @ y)
-                del x, y
-        self.gram_a = require_finite(products[0], f"{name}_a.T @ {name}_a")
-        self.gram_b = require_finite(products[1], f"{name}_b.T @ {name}_b")
-        self.cross = require_finite(products[2], f"the {name} cross-covariance")
-        self.d_a, self.d_b = len(self.gram_a), len(self.gram_b)
-        self.swapped = self.d_a > self.d_b
-
-    @property
-    def cross_ab(self) -> np.ndarray:
-        return self.cross.T if self.swapped else self.cross
-
-
 def _row_pairs(h_a, h_b):
     """The pairs whose products are the Grams of rows h_a, h_b and their
     cross-covariance, narrow side first."""
@@ -203,56 +175,81 @@ def _aligned_rows(h_a, h_b, strategy: str):
                  for h in (h_a, h_b))
 
 
-def _side_stats(h_a, h_b, strategy: str, name: str, remake) -> SideStats:
-    """One side's statistics from both models' activations on their own
-    tokens, h_a (N, L_a, d_a) and h_b (N, L_b, d_b); neither is kept.
+class SideStats:
+    """One side of a layer's statistics, from both models' activations on
+    their own tokens, h_a (N, L_a, d_a) and h_b (N, L_b, d_b), which must
+    pair the same N sequences.
 
-    The side's row maker aligns and flattens the pair that ``remake()`` makes
-    again. Where ``interp1d``/``interp2d`` resample the shorter model's L_s
-    tokens by the token map M, the products are taken on N * L_s rows
-    instead of the aligned rows (``_folded_pairs``, with R from the thin QR
-    factorization M = Q R); ``mean`` and equal token counts take them on the
-    aligned rows.
+    The side's rows are the two activations length-aligned per ``strategy``
+    and flattened. Kept are the widths ``d_a``, ``d_b``, the sequence count
+    ``n``, the rows' Grams, and their cross-covariance ``cross`` as the
+    Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
+    ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either
+    way, as a view. The three products must be finite: a NaN, an Inf or an
+    overflowing row reaches its Gram's diagonal, so this rejects bad rows
+    scanning features x features entries.
+
+    Where ``interp1d``/``interp2d`` resample the shorter model's L_s tokens
+    by the token map M, the products are taken on N * L_s rows instead of the
+    aligned rows (``_folded_pairs``, with R from the thin QR factorization
+    M = Q R); ``mean`` and equal token counts take them on the aligned rows.
+
+    The rows are not kept: ``rows()`` aligns and flattens the pair that
+    ``remake()`` returns, and only a firing guard calls it. By default that
+    pair is the arrays given, which the side then holds.
     """
-    def rows():
-        return _aligned_rows(*remake(), strategy)
 
-    l_a, l_b = h_a.shape[1], h_b.shape[1]
-    if strategy == "mean" or l_a == l_b:
-        return SideStats(_row_pairs(*_aligned_rows(h_a, h_b, strategy)), rows, name)
-    m = token_map(min(l_a, l_b), max(l_a, l_b), strategy)
-    return SideStats(_folded_pairs(h_a, h_b, m, np.linalg.qr(m, mode="r")), rows, name)
+    def __init__(self, h_a, h_b, strategy: str, name: str, remake=None):
+        h_a, h_b = as_batch(h_a, f"{name}_a"), as_batch(h_b, f"{name}_b")
+        if h_a.shape[0] != h_b.shape[0]:
+            raise DimensionError(f"{name}_a and {name}_b pair the same samples, "
+                                 f"got {h_a.shape[0]} vs {h_b.shape[0]} sequences")
+        self.n, self.strategy = h_a.shape[0], strategy
+        self.remake = (lambda: (h_a, h_b)) if remake is None else remake
+        l_a, l_b = h_a.shape[1], h_b.shape[1]
+        if strategy == "mean" or l_a == l_b:
+            pairs = _row_pairs(*_aligned_rows(h_a, h_b, strategy))
+        else:
+            m = token_map(min(l_a, l_b), max(l_a, l_b), strategy)
+            pairs = _folded_pairs(h_a, h_b, m, np.linalg.qr(m, mode="r"))
+        products = []
+        # Non-finite or overflowing rows give non-finite products, rejected here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in pairs:  # a pair made on demand is dropped before the next is made
+                products.append(x.T @ y)
+                del x, y
+        self.gram_a = require_finite(products[0], f"{name}_a.T @ {name}_a")
+        self.gram_b = require_finite(products[1], f"{name}_b.T @ {name}_b")
+        self.cross = require_finite(products[2], f"the {name} cross-covariance")
+        self.d_a, self.d_b = len(self.gram_a), len(self.gram_b)
+        self.swapped = self.d_a > self.d_b
+
+    @property
+    def cross_ab(self) -> np.ndarray:
+        return self.cross.T if self.swapped else self.cross
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return _aligned_rows(*self.remake(), self.strategy)
 
 
+@dataclass(frozen=True)
 class LayerStats:
-    """Four Grams and two cross-covariances of one layer's aligned rows
-    (hin_a, hout_a, hin_b, hout_b), as ``in_side`` and ``out_side``.
+    """One layer's statistics, its input side and its output side.
 
     Procrustes, the Gram solve and the coupling residual read these instead
-    of rows, and this is where the rows are checked: they must pair, and the
-    six products must be finite. A NaN or Inf in a row reaches its Gram's
-    diagonal, so this rejects bad rows scanning features x features entries.
-    Each side keeps its products and widths; a firing guard reads the rows
-    given here. On the transport path each side is built on its own
-    (``_side_stats``), and a firing guard's rows are made again from the
-    calibration batch.
+    of rows. Each side is built, and its rows checked, by ``SideStats``; the
+    two sides must pair the same sequences. On the transport path the input
+    side's rows are made again from the calibration batch by a firing guard,
+    and the output side's are the layer's live outputs.
     """
 
-    def __init__(self, hin_a, hout_a, hin_b, hout_b):
-        rows = [np.asarray(h, dtype=np.float64) for h in (hin_a, hout_a, hin_b, hout_b)]
-        for name, h in zip(("hin_a", "hout_a", "hin_b", "hout_b"), rows):
-            if h.ndim != 2 or min(h.shape) < 1:
-                raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {h.shape}")
-        if len({h.shape[0] for h in rows}) != 1:
-            raise DimensionError("all four activation matrices must have the same number of rows")
-        self.in_side = SideStats(_row_pairs(rows[0], rows[2]), lambda: (rows[0], rows[2]), "hin")
-        self.out_side = SideStats(_row_pairs(rows[1], rows[3]), lambda: (rows[1], rows[3]), "hout")
+    in_side: SideStats
+    out_side: SideStats
 
-    @classmethod
-    def _of_sides(cls, in_side: SideStats, out_side: SideStats) -> "LayerStats":
-        stats = cls.__new__(cls)
-        stats.in_side, stats.out_side = in_side, out_side
-        return stats
+    def __post_init__(self):
+        if self.in_side.n != self.out_side.n:
+            raise DimensionError(f"the input side pairs {self.in_side.n} sequences, "
+                                 f"the output side {self.out_side.n}; a layer's sides pair the same")
 
     def check_update(self, update, model: str, name: str) -> np.ndarray:
         """``update`` as float64, checked to be (d_out, d_in) of model ``"a"`` or ``"b"``."""
@@ -503,33 +500,17 @@ def _transport_layer(layer_index, spec_b, stats: LayerStats, delta, bias_delta, 
     return new_delta, new_bias, entry
 
 
-@contextmanager
-def _named_layer(idx: int):
-    """Name layer ``idx`` in a TaskportError raised inside."""
-    try:
-        yield
-    except TaskportError as exc:
-        raise type(exc)(f"layer {idx}: {exc}", kind=exc.kind) from exc
-
-
-def _activate_in_place(ckpt: Checkpoint, idx: int, z: np.ndarray) -> np.ndarray:
-    """Layer ``idx``'s activation applied to its pre-activation output z,
-    which only the caller holds."""
-    if ckpt.layer_specs[idx].activation == "relu":
-        np.maximum(z, 0.0, out=z)
-    return z
-
-
-def _pair_again(models, idx: int, output: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Layer ``idx``'s input, or with ``output`` its pre-activation output, of
-    each (checkpoint, calibration inputs) in ``models``, made again from the
-    inputs one layer at a time, as ``transport_task_vector`` makes it."""
+def _pair_again(models, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``idx``'s input of each (checkpoint, calibration inputs) in
+    ``models``, made again from the inputs one layer at a time, as
+    ``transport_task_vector`` makes it."""
     pair = []
     for ckpt, inputs in models:
         h = forward_inputs(ckpt, inputs)
         for k in range(idx):
-            h = _activate_in_place(ckpt, k, forward_layer(ckpt, k, h))
-        pair.append(forward_layer(ckpt, idx, h) if output else h)
+            z = forward_layer(ckpt, k, h)
+            h = activate(ckpt.layer_specs[k], z, out=z)
+        pair.append(h)
     return tuple(pair)
 
 
@@ -550,8 +531,9 @@ def transport_task_vector(
     statistics are taken before its forward pass and each model's input is
     dropped once its output exists, so one activation per model is alive
     through the solve and memory does not grow with depth. A firing guard
-    makes its rows again from the calibration inputs. Returns the transported
-    task vector and a per-layer report.
+    on the input side makes its rows again from the calibration inputs; one
+    on the output side reads the live outputs. Returns the transported task
+    vector and a per-layer report.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
@@ -561,32 +543,29 @@ def transport_task_vector(
     update_a = task_vector(theta_a, theta_a_ft)
     h_a = forward_inputs(theta_a, calib_inputs_a)
     h_b = forward_inputs(theta_b, calib_inputs_b)
-    if h_a.shape[0] != h_b.shape[0]:
-        raise DimensionError(
-            f"calibration sides pair the same samples, got {h_a.shape[0]} vs {h_b.shape[0]} sequences"
-        )
 
     # Each layer's output array replaces its input and is activated in place,
-    # as nothing else holds it (the caller's calibration arrays, layer 0's
-    # inputs, are only ever read).
+    # as nothing else holds it once the layer's statistics are dropped (the
+    # caller's calibration arrays, layer 0's inputs, are only ever read).
     models = ((theta_a, calib_inputs_a), (theta_b, calib_inputs_b))
     results = []
     for idx in range(theta_a.depth):
-        with _named_layer(idx):
-            in_side = _side_stats(h_a, h_b, cfg.strategy, "hin", partial(_pair_again, models, idx, False))
+        with prefixed(f"layer {idx}"):
+            in_side = SideStats(h_a, h_b, cfg.strategy, "hin", partial(_pair_again, models, idx))
         z_a = forward_layer(theta_a, idx, h_a)
         del h_a
         z_b = forward_layer(theta_b, idx, h_b)
         del h_b
-        with _named_layer(idx):
-            out_side = _side_stats(z_a, z_b, cfg.strategy, "hout", partial(_pair_again, models, idx, True))
+        with prefixed(f"layer {idx}"):
+            stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
             results.append(_transport_layer(
-                idx, theta_b.layer_specs[idx], LayerStats._of_sides(in_side, out_side),
-                update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
+                idx, theta_b.layer_specs[idx], stats, update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
             ))
-        del in_side, out_side  # else they outlive the next layer's input statistics
-        h_a = _activate_in_place(theta_a, idx, z_a)
-        h_b = _activate_in_place(theta_b, idx, z_b)
+        # Else they outlive the next layer's input statistics, and the output
+        # side's rows are the outputs that are activated in place next.
+        del in_side, stats
+        h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
+        h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
 
     deltas = [r[0] for r in results]
     bias_deltas = [r[1] for r in results]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from taskport.model import Checkpoint, LayerSpec, init_checkpoint
+from taskport.transport import LayerStats, SideStats
 
 
 def assert_checkpoint_equal(a: Checkpoint, b: Checkpoint, bitwise: bool = True):
@@ -29,6 +30,17 @@ def small_checkpoint(widths=(3, 4, 2), seed=0, activation="relu", has_bias=True)
         for i in range(len(widths) - 1)
     ]
     return init_checkpoint(specs, np.random.SeedSequence((seed, 77)))
+
+
+def layer_stats(hin_a, hout_a, hin_b, hout_b):
+    """``LayerStats`` of one layer's paired (rows, features) activations.
+
+    ``SideStats`` builds each side from its rows given as one-token
+    sequences; equal token counts take the products on the rows themselves,
+    bitwise, whatever the (non-mean) strategy, and a firing guard reads them.
+    """
+    return LayerStats(*(SideStats(np.asarray(a)[:, None], np.asarray(b)[:, None], "interp1d", name)
+                        for a, b, name in ((hin_a, hin_b, "hin"), (hout_a, hout_b, "hout"))))
 
 
 def full_rank_activations(m, d, seed, scale=1.0):

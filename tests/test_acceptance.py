@@ -16,6 +16,7 @@ import numpy as np
 from helpers import (
     assert_checkpoint_equal,
     full_rank_activations,
+    layer_stats,
     rank_deficient_witness,
     small_checkpoint,
 )
@@ -43,7 +44,6 @@ from taskport.model import (
 )
 from taskport.seqalign import align_sequence
 from taskport.transport import (
-    LayerStats,
     ProcrustesMap,
     bilinear_residual,
     procrustes_maps,
@@ -93,7 +93,7 @@ def test_recovers_exact_isometry():
             hout_a = rec_a[idx].h_out.reshape(256, -1)
             hin_b = rec_b[idx].h_in.reshape(256, -1)
             hout_b = rec_b[idx].h_out.reshape(256, -1)
-            pmap = procrustes_maps(LayerStats(hin_a, hout_a, hin_b, hout_b))
+            pmap = procrustes_maps(layer_stats(hin_a, hout_a, hin_b, hout_b))
             assert np.linalg.norm(hin_a @ pmap.in_map - hin_b) <= 1e-8
             assert np.linalg.norm(hout_a @ pmap.out_map - hout_b) <= 1e-8
 
@@ -143,7 +143,7 @@ def test_closed_form_solves_least_squares():
             hin_b = rng.standard_normal((m, d_in))
             hout_b = rng.standard_normal((m, d_out))
             update_a = rng.standard_normal((d_out, d_in))
-            solved, _ = gram_transport(LayerStats(hin_a, hout_a, hin_b, hout_b), update_a, rcond=DEFAULT_RCOND)
+            solved, _ = gram_transport(layer_stats(hin_a, hout_a, hin_b, hout_b), update_a, rcond=DEFAULT_RCOND)
 
             # Independent route: flatten the bilinear system and solve it as
             # one ordinary least-squares problem.
@@ -177,13 +177,13 @@ def test_pinv_matches_alignment_until_rank_drops():
             update_a = np.random.default_rng(
                 np.random.SeedSequence((13, trial, 5))
             ).standard_normal((3, 4))
-            stats = LayerStats(hin_a, hout_a, hin_b, hout_b)
+            stats = layer_stats(hin_a, hout_a, hin_b, hout_b)
             aligned = transport_update(update_a, procrustes_maps(stats))
             solved, _ = gram_transport(stats, update_a, rcond=DEFAULT_RCOND)
             assert np.max(np.abs(solved - aligned)) <= 1e-6
 
         fit, held_out, update = rank_deficient_witness()
-        fit_stats, held_out_stats = LayerStats(*fit), LayerStats(*held_out)
+        fit_stats, held_out_stats = layer_stats(*fit), layer_stats(*held_out)
         solved, _ = gram_transport(fit_stats, update, rcond=1e-10)
         aligned = transport_update(update, procrustes_maps(fit_stats))
         res_aligned = bilinear_residual(held_out_stats, update, aligned)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import full_rank_activations, rank_deficient_witness, small_checkpoint
+from helpers import full_rank_activations, layer_stats, rank_deficient_witness, small_checkpoint
 from taskport.baselines import gram_transport, pinv_transport, random_update, zero_pad_update
 from taskport.errors import DimensionError
 from taskport.linalg import DEFAULT_RCOND, random_orthonormal_rows
 from taskport.model import task_vector
 from taskport.transport import (
-    LayerStats,
     ProcrustesMap,
     TransportConfig,
     bilinear_residual,
@@ -93,14 +92,14 @@ def test_pinv_identity_sides_recover_update():
     hin = full_rank_activations(20, 3, seed=2)
     hout = full_rank_activations(20, 4, seed=3)
     tau = np.random.default_rng(4).standard_normal((4, 3))
-    out = pinv_transport(LayerStats(hin, hout, hin, hout), tau)
+    out = pinv_transport(layer_stats(hin, hout, hin, hout), tau)
     np.testing.assert_allclose(out, tau, atol=1e-7)
 
 
 def test_pinv_matches_closed_form_on_aligned_instance():
     hin_a, hout_a, hin_b, hout_b, tau_a, t_in, t_out = aligned_instance(40, 3, 5, 2, 4, seed=10)
     closed = transport_update(tau_a, ProcrustesMap(in_map=t_in, out_map=t_out))
-    solved = gram_transport(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, rcond=DEFAULT_RCOND)[0]
+    solved = gram_transport(layer_stats(hin_a, hout_a, hin_b, hout_b), tau_a, rcond=DEFAULT_RCOND)[0]
     np.testing.assert_allclose(solved, closed, atol=1e-6)
 
 
@@ -110,7 +109,7 @@ def test_pinv_degrades_on_rank_deficient_target():
     # matters is on held-out rows: the near-null Gram directions it inverts
     # are batch noise and do not generalize.
     fit, held_out, update = rank_deficient_witness()
-    fit_stats, held_out_stats = LayerStats(*fit), LayerStats(*held_out)
+    fit_stats, held_out_stats = layer_stats(*fit), layer_stats(*held_out)
     solved = gram_transport(fit_stats, update, rcond=1e-10)[0]
     assert np.all(np.isfinite(solved))
     aligned = transport_update(update, procrustes_maps(fit_stats))
@@ -126,7 +125,7 @@ def test_pinv_degrades_on_rank_deficient_target():
 def test_pinv_rejects_shape_mismatch():
     h = np.zeros((5, 2))
     with pytest.raises(DimensionError):
-        pinv_transport(LayerStats(h, h, h, h), np.zeros((3, 2)))
+        pinv_transport(layer_stats(h, h, h, h), np.zeros((3, 2)))
 
 
 # -- Tikhonov transport ------------------------------------------------------
@@ -140,7 +139,7 @@ def test_tikhonov_small_lambda_approaches_pinv():
     hin_b = full_rank_activations(40, 5, seed=14)
     hout_b = full_rank_activations(40, 4, seed=15)
     tau_a = np.random.default_rng(16).standard_normal((2, 3))
-    stats = LayerStats(hin_a, hout_a, hin_b, hout_b)
+    stats = layer_stats(hin_a, hout_a, hin_b, hout_b)
     plain = gram_transport(stats, tau_a, rcond=0.0)[0]
     ridged = gram_transport(stats, tau_a, lam=1e-9)[0]
     assert np.abs(ridged - plain).max() <= 1e-6 * max(1.0, np.abs(plain).max())
@@ -150,7 +149,7 @@ def test_tikhonov_large_lambda_norm_bound():
     hin_a, hout_a, hin_b, hout_b, tau_a, _, _ = aligned_instance(40, 3, 5, 2, 4, seed=13)
     coupling = hin_a @ tau_a.T @ hout_a.T
     numerator = np.linalg.norm(hin_b.T @ coupling @ hout_b)
-    stats = LayerStats(hin_a, hout_a, hin_b, hout_b)
+    stats = layer_stats(hin_a, hout_a, hin_b, hout_b)
     for lam in (1e2, 1e4, 1e6):
         out = gram_transport(stats, tau_a, lam=lam)[0]
         # Both regularized Gram solves contract by at least 1/lam, so the
@@ -163,7 +162,7 @@ def test_tikhonov_tames_ill_conditioned_instance():
     hin_a, hout_a, hin_b, hout_b, tau_a, _, _ = aligned_instance(40, 3, 5, 2, 4, seed=14)
     hin_b = hin_b.copy()
     hin_b[:, 0] *= 1e-7  # nearly dead direction blows up the pure pinv solve
-    stats = LayerStats(hin_a, hout_a, hin_b, hout_b)
+    stats = layer_stats(hin_a, hout_a, hin_b, hout_b)
     plain = gram_transport(stats, tau_a, rcond=0.0)[0]
     ridged = gram_transport(stats, tau_a, lam=1e-3)[0]
     assert np.linalg.norm(ridged) < np.linalg.norm(plain)
@@ -171,7 +170,7 @@ def test_tikhonov_tames_ill_conditioned_instance():
 
 def test_tikhonov_default_lambda_resolves_per_side():
     hin_a, hout_a, hin_b, hout_b, tau_a, _, _ = aligned_instance(40, 3, 5, 2, 4, seed=15)
-    stats = LayerStats(hin_a, hout_a, hin_b, hout_b)
+    stats = layer_stats(hin_a, hout_a, hin_b, hout_b)
     out = gram_transport(stats, tau_a, lam=None)[0]
     assert np.all(np.isfinite(out))
     with pytest.raises(DimensionError, match="positive"):
@@ -185,7 +184,7 @@ def test_gram_bias_identity_sides_recover_delta():
     hin = full_rank_activations(20, 3, seed=18)
     hout = full_rank_activations(20, 4, seed=16)
     delta = np.random.default_rng(17).standard_normal(4)
-    stats = LayerStats(hin, hout, hin, hout)
+    stats = layer_stats(hin, hout, hin, hout)
 
     def bias(**solve):
         return gram_transport(stats, np.zeros((4, 3)), delta, **solve)[1]
@@ -200,7 +199,7 @@ def test_gram_bias_identity_sides_recover_delta():
 def test_gram_bias_rejects_shape_mismatch():
     h = np.zeros((5, 2))
     with pytest.raises(DimensionError, match="bias delta"):
-        gram_transport(LayerStats(h, np.zeros((5, 3)), h, np.zeros((5, 4))), np.zeros((3, 2)), np.zeros(4))
+        gram_transport(layer_stats(h, np.zeros((5, 3)), h, np.zeros((5, 4))), np.zeros((3, 2)), np.zeros(4))
 
 
 # -- random-source transport -------------------------------------------------

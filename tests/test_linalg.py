@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import layer_stats
 from taskport.baselines import gram_transport
 from taskport.errors import ConvergenceError, DimensionError, NonFiniteError, NotPositiveDefiniteError
 from taskport.linalg import (
@@ -12,7 +13,6 @@ from taskport.linalg import (
     ridge_inverse,
     svd,
 )
-from taskport.transport import LayerStats
 
 
 def test_svd_identity():
@@ -278,7 +278,7 @@ def test_ridge_inverse_refuses_below_the_n_eps_threshold(factor):
 
 def test_ridge_gram_transport_runs_one_eigh_per_target_gram(monkeypatch):
     rng = np.random.default_rng(4)
-    stats = LayerStats(*(rng.standard_normal((20, d)) for d in (3, 4, 5, 6)))
+    stats = layer_stats(*(rng.standard_normal((20, d)) for d in (3, 4, 5, 6)))
     calls = []
     eigh = np.linalg.eigh
 

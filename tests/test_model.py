@@ -197,6 +197,22 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_writer_holds_no_array_twice(tmp_path):
+    # The arrays are written one at a time; joining every array's bytes
+    # before the write peaked at twice their total.
+    ckpt = init_checkpoint([LayerSpec(128, 128, has_bias=True, activation="relu")] * 4, seed=36)
+    array_bytes = sum(w.nbytes + b.nbytes for w, b in zip(ckpt.weights, ckpt.biases))
+    path = tmp_path / "c.tpk"
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * array_bytes, (peak / array_bytes, peak, array_bytes)
+    assert_checkpoint_equal(load_checkpoint(path), ckpt, bitwise=True)
+
+
 def test_checkpoint_empty_layer_list_round_trips(tmp_path):
     empty = Checkpoint(layer_specs=[], weights=[], biases=[], meta={"note": "none"})
     path = tmp_path / "empty.tpk"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_checkpoint_equal, full_rank_activations, small_checkpoint
+from helpers import assert_checkpoint_equal, full_rank_activations, layer_stats, small_checkpoint
 from taskport import transport
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
@@ -15,6 +15,7 @@ from taskport.transport import (
     METHODS,
     LayerStats,
     ProcrustesMap,
+    SideStats,
     TransportConfig,
     bilinear_residual,
     cross_covariance,
@@ -76,7 +77,7 @@ def test_cross_covariance_rejects_row_mismatch():
 def align(h_src, h_dst):
     """``procrustes_align`` on one side: the input side of a layer whose two
     sides carry the same rows."""
-    return procrustes_align(LayerStats(h_src, h_src, h_dst, h_dst).in_side)
+    return procrustes_align(layer_stats(h_src, h_src, h_dst, h_dst).in_side)
 
 
 def test_procrustes_self_alignment_is_identity():
@@ -118,13 +119,13 @@ def test_procrustes_maps_bundles_both_sides():
     hout_a = full_rank_activations(25, 2, seed=7)
     q_in = random_orthonormal_rows(3, 4, 12)
     q_out = random_orthonormal_rows(2, 5, 13)
-    pmap = procrustes_maps(LayerStats(hin_a, hout_a, hin_a @ q_in, hout_a @ q_out))
+    pmap = procrustes_maps(layer_stats(hin_a, hout_a, hin_a @ q_in, hout_a @ q_out))
     np.testing.assert_allclose(pmap.in_map, q_in, atol=1e-8)
     np.testing.assert_allclose(pmap.out_map, q_out, atol=1e-8)
     assert pmap.in_residual <= 1e-8 and pmap.out_residual <= 1e-8
     assert not pmap.in_swapped and not pmap.out_swapped
     # A wider source is solved target -> source and stored transposed, source -> target.
-    rev = procrustes_maps(LayerStats(hin_a @ q_in, hout_a, hin_a, hout_a @ q_out))
+    rev = procrustes_maps(layer_stats(hin_a @ q_in, hout_a, hin_a, hout_a @ q_out))
     assert rev.in_swapped and not rev.out_swapped
     np.testing.assert_allclose(rev.in_map, q_in.T, atol=1e-8)
 
@@ -264,8 +265,8 @@ def test_round_trip_through_recovered_maps():
     q_out = random_orthonormal_rows(3, 3, 20)
     hin_b, hout_b = hin_a @ q_in, hout_a @ q_out
     tau = np.random.default_rng(21).standard_normal((3, 4))
-    fwd = procrustes_maps(LayerStats(hin_a, hout_a, hin_b, hout_b))
-    rev = procrustes_maps(LayerStats(hin_b, hout_b, hin_a, hout_a))
+    fwd = procrustes_maps(layer_stats(hin_a, hout_a, hin_b, hout_b))
+    rev = procrustes_maps(layer_stats(hin_b, hout_b, hin_a, hout_a))
     back = transport_update(transport_update(tau, fwd), rev)
     np.testing.assert_allclose(back, tau, atol=1e-8)
 
@@ -275,14 +276,14 @@ def test_round_trip_through_recovered_maps():
 
 def test_bilinear_residual_zero_updates():
     h = full_rank_activations(6, 2, seed=22)
-    assert bilinear_residual(LayerStats(h, h, h, h), np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert bilinear_residual(layer_stats(h, h, h, h), np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
 
 def test_bilinear_residual_identical_instance():
     hin = full_rank_activations(6, 2, seed=23)
     hout = full_rank_activations(6, 3, seed=24)
     tau = np.random.default_rng(25).standard_normal((3, 2))
-    assert bilinear_residual(LayerStats(hin, hout, hin, hout), tau, tau) <= 1e-10
+    assert bilinear_residual(layer_stats(hin, hout, hin, hout), tau, tau) <= 1e-10
 
 
 def test_bilinear_residual_matches_direct_definition():
@@ -290,7 +291,7 @@ def test_bilinear_residual_matches_direct_definition():
     hin_a, hout_a = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
     hin_b, hout_b = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
     tau_a, tau_b = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
-    fact = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
+    fact = bilinear_residual(layer_stats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     # The raw definition materializes the rows x rows couplings.
     direct = np.linalg.norm(hin_a @ tau_a.T @ hout_a.T - hin_b @ tau_b.T @ hout_b.T)
     assert abs(fact - direct) <= 1e-12
@@ -310,16 +311,16 @@ def test_bilinear_residual_resolves_a_near_exact_transport(rows):
     tau_b = np.zeros((7, 5))
     tau_b[:4, :3] = tau_a + delta
     want = np.linalg.norm(hin_a @ (tau_b[:4, :3] - tau_a).T @ hout_a.T)
-    got = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
+    got = bilinear_residual(layer_stats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     assert abs(got - want) <= 1e-6 * want
 
 
 def test_bilinear_residual_rejects_mismatches():
     h = np.zeros((4, 2))
-    with pytest.raises(DimensionError, match="rows"):
-        bilinear_residual(LayerStats(h, h, np.zeros((5, 2)), np.zeros((5, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match="pair the same samples"):
+        bilinear_residual(layer_stats(h, h, np.zeros((5, 2)), np.zeros((5, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(DimensionError, match="update_a"):
-        bilinear_residual(LayerStats(h, h, h, h), np.zeros((3, 2)), np.zeros((2, 2)))
+        bilinear_residual(layer_stats(h, h, h, h), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
@@ -329,19 +330,29 @@ def test_layer_stats_rejects_non_finite_rows(bad):
     hout_b = full_rank_activations(6, 3, seed=30)
     hout_b[4, 1] = bad
     with pytest.raises(NonFiniteError, match=r"hout_b\.T @ hout_b"):
-        LayerStats(h, h, h, hout_b)
+        layer_stats(h, h, h, hout_b)
+
+
+def test_layer_stats_rejects_sides_of_different_sequence_counts():
+    # Each side pairs its own two models; the layer's two sides must pair the same sequences.
+    h = full_rank_activations(6, 2, seed=31)
+    in_side = SideStats(h[:, None], h[:, None], "interp1d", "hin")
+    out_side = SideStats(h[:5, None], h[:5, None], "interp1d", "hout")
+    with pytest.raises(DimensionError, match="input side pairs 6 sequences, the output side 5"):
+        LayerStats(in_side, out_side)
+    assert LayerStats(in_side, in_side).out_side is in_side
 
 
 def test_closed_form_minimizes_coupling_residual():
     hin_a, hout_a, hin_b, hout_b, tau_a, t_in, t_out = aligned_instance(12, 3, 5, 2, 4, seed=0)
     tau_b = t_out.T @ tau_a @ t_in
-    base = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
+    base = bilinear_residual(layer_stats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b)
     assert base <= 1e-8
     rng = np.random.default_rng(27)
     for _ in range(100):
         noise = rng.standard_normal(tau_b.shape)
         noise *= 1e-3 / np.linalg.norm(noise)
-        perturbed = bilinear_residual(LayerStats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b + noise)
+        perturbed = bilinear_residual(layer_stats(hin_a, hout_a, hin_b, hout_b), tau_a, tau_b + noise)
         assert base <= perturbed
 
 
@@ -724,10 +735,11 @@ def _near_exact_unequal_tokens():
 
 @pytest.mark.parametrize("method, fallbacks", [("theseus", 9), ("pinv", 3)])
 def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallbacks):
-    # A fallback makes its layer's rows again from the calibration batch; it
-    # must read exactly the rows that an explicit alignment of the layer's
-    # kept activations (forward_collect's records) gives. The comparison
-    # keeps the same statistics and swaps only where rows come from.
+    # An input-side fallback makes its layer's rows again from the
+    # calibration batch, an output-side one aligns the layer's live outputs;
+    # each must read exactly the rows that an explicit alignment of the
+    # layer's kept activations (forward_collect's records) gives. The
+    # comparison keeps the same statistics and swaps only where rows come from.
     fired = []
     guarded = transport._guarded_distance
     monkeypatch.setattr(transport, "_guarded_distance",
@@ -741,10 +753,10 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
     assert (calib_a.tobytes(), calib_b.tobytes()) == before
 
     records = [forward_collect(theta, calib)[1] for theta, calib in ((theta_a, calib_a), (theta_b, calib_b))]
-    side_stats, built = transport._side_stats, {"hin": 0, "hout": 0}
+    built = {"hin": 0, "hout": 0}
 
-    def on_kept_rows(h_a, h_b, strategy, name, remake):
-        made = side_stats(h_a, h_b, strategy, name, remake)
+    def on_kept_rows(h_a, h_b, strategy, name, remake=None):
+        made = SideStats(h_a, h_b, strategy, name, remake)
         idx, built[name] = built[name], built[name] + 1  # sides are built layer by layer
         pair = [getattr(r[idx], "h_in" if name == "hin" else "h_out") for r in records]
         length = max(h.shape[1] for h in pair)
@@ -752,7 +764,7 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
         made.rows = lambda: kept
         return made
 
-    monkeypatch.setattr(transport, "_side_stats", on_kept_rows)
+    monkeypatch.setattr(transport, "SideStats", on_kept_rows)
     kept, kept_report = transport_task_vector(*args)
     assert len(fired) == 2 * fallbacks
     assert json.dumps(made_again_report) == json.dumps(kept_report)
@@ -760,21 +772,34 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("method, forward_calls", [("theseus", 18), ("pinv", 12)])
+def test_output_side_fallback_runs_no_second_forward_pass(monkeypatch, method, forward_calls):
+    # Every guard fires on these depth-3 stacks. The pipeline runs 6 layer
+    # steps; an input-side fallback at layer idx runs 2 idx more, and the
+    # theseus Procrustes and coupling residual guards each read the input
+    # side (12 steps), pinv's coupling residual guard only (6). An output
+    # side's rows are the layer's live outputs, so its fallbacks run none:
+    # made again, as they once were, they took 42 and 24 steps.
+    calls = []
+    step = transport.forward_layer
+    monkeypatch.setattr(transport, "forward_layer", lambda *args: calls.append(1) or step(*args))
+    transport_task_vector(*_near_exact_unequal_tokens(), TransportConfig(method=method, strategy="interp2d"))
+    assert len(calls) == forward_calls
+
+
 def test_rows_made_again_are_the_relu_pipelines_activations():
     # The near-exact stacks above are affine; on ReLU stacks the second
     # forward pass activates in place as transport does, and must give
-    # forward_collect's activations bitwise without writing the calibration.
+    # forward_collect's layer inputs bitwise without writing the calibration.
     theta_a, _, theta_b, calib_a, _ = relu_pair(seed=76, widths_a=(3, 4, 5, 2), widths_b=(3, 5, 6, 2))
     calib_b = np.random.default_rng(77).standard_normal((16, 9, 3))
     before = calib_a.tobytes(), calib_b.tobytes()
     models = ((theta_a, calib_a), (theta_b, calib_b))
     records = [forward_collect(theta, calib)[1] for theta, calib in models]
     for idx in range(theta_a.depth):
-        for output, key in ((False, "h_in"), (True, "h_out")):
-            made = transport._pair_again(models, idx, output)
-            for got, record in zip(made, records):
-                want = getattr(record[idx], key)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (idx, key)
+        for got, record in zip(transport._pair_again(models, idx), records):
+            want = record[idx].h_in
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), idx
     assert (calib_a.tobytes(), calib_b.tobytes()) == before
 
 
@@ -790,10 +815,8 @@ def test_statistics_on_own_tokens_match_statistics_on_aligned_rows(
                  for g, d in zip((g_a, g_a, g_b, g_b), widths))
     length = 1 if strategy == "mean" else max(acts[0].shape[1], acts[2].shape[1])
     aligned = [flatten_tokens(align_sequence(h, length, strategy)) for h in acts]
-    want = LayerStats(*aligned)
-    in_side, out_side = (transport._side_stats(acts[i], acts[i + 2], strategy, name,
-                                               lambda i=i: (acts[i], acts[i + 2]))
-                         for i, name in ((0, "hin"), (1, "hout")))
+    want = layer_stats(*aligned)
+    in_side, out_side = (SideStats(acts[i], acts[i + 2], strategy, name) for i, name in ((0, "hin"), (1, "hout")))
     for side, ref, rows in ((in_side, want.in_side, aligned[0::2]),
                             (out_side, want.out_side, aligned[1::2])):
         assert (side.d_a, side.d_b, side.swapped) == (ref.d_a, ref.d_b, ref.swapped)
