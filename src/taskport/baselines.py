@@ -88,12 +88,11 @@ def gram_transport(stats, update_a, bias_delta=None,
     """
     side_in, side_out = stats.in_side, stats.out_side
     update_a = stats.check_update(update_a, "a", "update")
-    cross_out = side_out.cross_ab
-    mid = side_in.cross_ab.T @ update_a.T @ cross_out
+    mid = side_in.cross.T @ update_a.T @ side_out.cross
     rhs = _gram_solve(side_in.gram_b, mid, rcond, lam).T
     if bias_delta is not None:
         b = as_vector(bias_delta, update_a.shape[0], "bias delta")
-        rhs = np.column_stack([rhs, cross_out.T @ b])
+        rhs = np.column_stack([rhs, side_out.cross.T @ b])
     out = _gram_solve(side_out.gram_b, rhs, rcond, lam)
     d_in_b = side_in.d_b
     new_bias = None if bias_delta is None else out[:, d_in_b].copy()

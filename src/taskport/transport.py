@@ -9,13 +9,14 @@ conjugates the source update with those maps:
 
     new_update = out_map.T @ source_update @ in_map
 
-with each map stored and applied source -> target as a (d_src, d_dst) matrix.
-A side whose source is no wider than its target has a map with orthonormal
-rows, and conjugation keeps the update's Frobenius norm exactly. A side whose
-source is wider is solved with the Procrustes roles swapped, so its map has
-more rows than columns, is reported ``*_swapped``, has orthonormal columns and
-can only shrink the norm. ``transport_update`` asserts the norm identity on
-every unswapped side and that no swapped side grows the norm.
+with each map stored and applied source -> target as a (d_src, d_dst) matrix:
+the polar factor ``u @ vt`` of the side's cross-covariance ``h_a.T @ h_b``,
+one orientation for every side. Where the source is no wider than its
+target the map has orthonormal rows, and conjugation keeps the update's
+Frobenius norm exactly. Where the source is wider the map has orthonormal
+columns, is reported ``*_swapped``, and can only shrink the norm.
+``transport_update`` asserts the norm identity on every side whose source is
+no wider and that no other side grows the norm.
 
 The solves and diagnostics read a layer's aligned rows only through
 ``LayerStats``, its input and output ``SideStats``: feature-space statistics
@@ -77,9 +78,9 @@ class ProcrustesMap:
     ``in_map`` is (d_in_src, d_in_dst) and ``out_map`` is (d_out_src,
     d_out_dst), the orientation conjugation applies. Each map is orthonormal
     along its narrow side: rows when the source is no wider than the target,
-    columns otherwise. A map with more rows than columns was solved with the
-    roles swapped, which ``in_swapped``/``out_swapped`` report. The residuals
-    are the Frobenius misfits of the solved alignment at the optimum.
+    columns otherwise. ``in_swapped``/``out_swapped`` report that the source
+    is wider on this side, read off the map's shape. The residuals are the
+    Frobenius misfits of the alignment at the optimum.
     """
 
     in_map: np.ndarray
@@ -144,12 +145,6 @@ class TransportConfig:
         }
 
 
-def _row_pairs(h_a, h_b):
-    """The pairs whose products are the Grams of rows h_a, h_b and their
-    cross-covariance, narrow side first."""
-    return (h_a, h_a), (h_b, h_b), ((h_b, h_a) if h_a.shape[1] > h_b.shape[1] else (h_a, h_b))
-
-
 def _folded_pairs(h_a, h_b, m, r):
     """The pairs of one side's aligned rows, made one at a time on each
     model's own tokens, where the token map ``m`` (with ``m.T @ m = r.T @ r``)
@@ -162,8 +157,7 @@ def _folded_pairs(h_a, h_b, m, r):
         rows = flatten_tokens(r @ h if i == short else h)
         yield rows, rows
         del rows
-    c_a, c_b = (flatten_tokens(h if i == short else m.T @ h) for i, h in enumerate((h_a, h_b)))
-    yield (c_b, c_a) if c_a.shape[1] > c_b.shape[1] else (c_a, c_b)
+    yield tuple(flatten_tokens(h if i == short else m.T @ h) for i, h in enumerate((h_a, h_b)))
 
 
 def _aligned_rows(h_a, h_b, strategy: str):
@@ -182,10 +176,9 @@ class SideStats:
 
     The side's rows are the two activations length-aligned per ``strategy``
     and flattened. Kept are the widths ``d_a``, ``d_b``, the sequence count
-    ``n``, the rows' Grams, and their cross-covariance ``cross`` as the
-    Procrustes SVD takes it, narrow side first (``h_b.T @ h_a`` when
-    ``swapped``, the source wider); ``cross_ab`` is ``h_a.T @ h_b`` either
-    way, as a view. The three products must be finite: a NaN, an Inf or an
+    ``n``, the rows' Grams ``gram_a = h_a.T @ h_a`` and ``gram_b``, and their
+    cross-covariance ``cross = h_a.T @ h_b``, (d_a, d_b) whichever model is
+    wider. The three products must be finite: a NaN, an Inf or an
     overflowing row reaches its Gram's diagonal, so this rejects bad rows
     scanning features x features entries.
 
@@ -208,7 +201,8 @@ class SideStats:
         self.remake = (lambda: (h_a, h_b)) if remake is None else remake
         l_a, l_b = h_a.shape[1], h_b.shape[1]
         if strategy == "mean" or l_a == l_b:
-            pairs = _row_pairs(*_aligned_rows(h_a, h_b, strategy))
+            a, b = _aligned_rows(h_a, h_b, strategy)
+            pairs = (a, a), (b, b), (a, b)
         else:
             m = token_map(min(l_a, l_b), max(l_a, l_b), strategy)
             pairs = _folded_pairs(h_a, h_b, m, np.linalg.qr(m, mode="r"))
@@ -222,11 +216,6 @@ class SideStats:
         self.gram_b = require_finite(products[1], f"{name}_b.T @ {name}_b")
         self.cross = require_finite(products[2], f"the {name} cross-covariance")
         self.d_a, self.d_b = len(self.gram_a), len(self.gram_b)
-        self.swapped = self.d_a > self.d_b
-
-    @property
-    def cross_ab(self) -> np.ndarray:
-        return self.cross.T if self.swapped else self.cross
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         return _aligned_rows(*self.remake(), self.strategy)
@@ -270,22 +259,24 @@ def _guarded_distance(aa: float, bb: float, ab: float, direct) -> float:
 
 
 def procrustes_align(side: SideStats) -> tuple[np.ndarray, float]:
-    """Best orthonormal (d_src, d_dst) map t minimizing ``|h_a @ t - h_b|`` on one side.
+    """The orthonormal (d_a, d_b) map t nearest the side's alignment, source -> target.
 
-    t = u @ vt from the SVD of the side's cross-covariance, with orthonormal
-    rows; on a swapped side the SVD solves target -> source and t is its
-    transpose, with orthonormal columns. The residual at the optimum is
-    ``sqrt(|h_a|^2 + |h_b|^2 - 2 sum(sigma))``. Returns (t, residual).
+    t = u @ vt, the polar factor of the cross-covariance ``h_a.T @ h_b`` from
+    its SVD: orthonormal rows where the source is no wider, orthonormal
+    columns where it is wider. Either way it maps the narrow side into the
+    wide one with the least misfit, ``|h_a @ t - h_b|`` or ``|h_b @ t.T - h_a|``,
+    which at the optimum is ``sqrt(|h_a|^2 + |h_b|^2 - 2 sum(sigma))``.
+    Returns (t, residual).
     """
     u, sigma, vt = svd(side.cross)
     t = u @ vt
 
-    def direct():  # |narrow @ t - wide|
+    def direct():  # |narrow mapped into wide - wide|
         h_a, h_b = side.rows()
-        return np.linalg.norm(h_b @ t - h_a if side.swapped else h_a @ t - h_b)
+        return np.linalg.norm(h_a @ t - h_b if side.d_a <= side.d_b else h_b @ t.T - h_a)
 
     residual = _guarded_distance(np.trace(side.gram_a), np.trace(side.gram_b), np.sum(sigma), direct)
-    return (t.T if side.swapped else t), residual
+    return t, residual
 
 
 def procrustes_maps(stats: LayerStats) -> ProcrustesMap:
@@ -297,7 +288,8 @@ def procrustes_maps(stats: LayerStats) -> ProcrustesMap:
 
 def _check_norm(side: str, before, after, swapped: bool) -> None:
     """Orthonormal rows keep the Frobenius norm to 1e-10 relative; the
-    orthonormal columns of a swapped side may shrink it but never grow it."""
+    orthonormal columns of a side whose source is wider (``swapped``) may
+    shrink it but never grow it."""
     n0 = float(np.linalg.norm(before))
     n1 = float(np.linalg.norm(after))
     slack = 1e-10 * n0 + 1e-300
@@ -313,8 +305,9 @@ def transport_update(update_src, pmap: ProcrustesMap) -> np.ndarray:
     """Conjugate a (d_out_src, d_in_src) update into target coordinates.
 
     The output is (d_out_dst, d_in_dst). Its Frobenius norm matches the source
-    update to 1e-10 relative per side when neither side is swapped, and does
-    not grow otherwise; the norm is checked after each side, not assumed.
+    update to 1e-10 relative per side when no source side is wider than its
+    target, and does not grow otherwise; the norm is checked after each side,
+    not assumed.
     """
     update_src = as_matrix(update_src, "update")
     in_map, out_map = pmap.in_map, pmap.out_map
@@ -361,7 +354,7 @@ def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     update_b = stats.check_update(update_b, "b", "update_b")
     aa = _coupling_inner(update_a, side_in.gram_a, side_out.gram_a, update_a)
     bb = _coupling_inner(update_b, side_in.gram_b, side_out.gram_b, update_b)
-    ab = _coupling_inner(update_a, side_in.cross_ab, side_out.cross_ab, update_b)
+    ab = _coupling_inner(update_a, side_in.cross, side_out.cross, update_b)
 
     def from_rows():
         hin_a, hin_b = side_in.rows()

@@ -76,6 +76,17 @@ def test_fingerprint_repeats_bitwise(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"{len(entries)} of {len(entries)} entries bitwise"
 
 
+def test_fingerprint_method_names_match_the_cli_and_the_library():
+    # The fingerprint keeps its own copy so that --compare runs without
+    # taskport; the copy must not drift from the CLI's table or METHODS.
+    from taskport.cli import _METHOD_TOKENS
+    from taskport.transport import METHODS
+
+    cli_methods = load_script("fingerprint").CLI_METHODS
+    assert list(cli_methods.items()) == list(_METHOD_TOKENS.items())
+    assert tuple(cli_methods.values()) == METHODS
+
+
 def test_fingerprint_compare_names_the_worst_moved_entry(tmp_path, capsys):
     module = load_script("fingerprint")
     old = {"a/same": module._array_entry([1.0, 2.0]),

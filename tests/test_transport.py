@@ -114,6 +114,24 @@ def test_procrustes_wide_source_transposes_the_reverse_solve():
     np.testing.assert_allclose(t.T @ t, np.eye(3), atol=1e-8)
 
 
+def test_procrustes_direct_residual_maps_the_narrow_side_into_the_wide_one(monkeypatch):
+    # Near-exact rows cancel the residual's closed form, so its direct route
+    # runs; in either width order it is the misfit of the narrow rows mapped
+    # into the wide ones.
+    fired = []
+    guarded = transport._guarded_distance
+    monkeypatch.setattr(transport, "_guarded_distance",
+                        lambda aa, bb, ab, direct: guarded(aa, bb, ab, lambda: fired.append(1) or direct()))
+    narrow = full_rank_activations(30, 3, seed=17)
+    wide = narrow @ random_orthonormal_rows(3, 5, 18) + full_rank_activations(30, 5, seed=19, scale=1e-4)
+    t, residual = align(narrow, wide)
+    rev, rev_residual = align(wide, narrow)
+    assert len(fired) == 2
+    want = float(np.linalg.norm(narrow @ t - wide))
+    assert abs(residual - want) <= 1e-10 * want
+    assert abs(rev_residual - float(np.linalg.norm(narrow @ rev.T - wide))) <= 1e-10 * want
+
+
 def test_procrustes_maps_bundles_both_sides():
     hin_a = full_rank_activations(25, 3, seed=6)
     hout_a = full_rank_activations(25, 2, seed=7)
@@ -576,7 +594,8 @@ def test_report_structure():
 
 
 def test_big_to_small_direction_swaps_roles():
-    # Wider source than target: maps are computed with roles swapped, so the
+    # Wider source than target: each narrowing side's map is the polar factor
+    # of h_a.T @ h_b, taller than wide with orthonormal columns, so the
     # transport still produces the right shape (norms may shrink).
     theta_a, theta_a_ft, theta_b, calib_a, _ = relu_pair(
         seed=52, widths_a=(3, 6, 2), widths_b=(3, 4, 2)
@@ -819,7 +838,11 @@ def test_statistics_on_own_tokens_match_statistics_on_aligned_rows(
     in_side, out_side = (SideStats(acts[i], acts[i + 2], strategy, name) for i, name in ((0, "hin"), (1, "hout")))
     for side, ref, rows in ((in_side, want.in_side, aligned[0::2]),
                             (out_side, want.out_side, aligned[1::2])):
-        assert (side.d_a, side.d_b, side.swapped) == (ref.d_a, ref.d_b, ref.swapped)
+        assert (side.d_a, side.d_b) == (ref.d_a, ref.d_b)
+        # One orientation for every side: the cross-covariance is h_a.T @ h_b.
+        assert side.cross.shape == (side.d_a, side.d_b)
+        direct = rows[0].T @ rows[1]
+        assert np.abs(side.cross - direct).max() <= 1e-12 * np.abs(direct).max()
         for name in ("gram_a", "gram_b", "cross"):
             product, expected = getattr(side, name), getattr(ref, name)
             assert product.shape == expected.shape
