@@ -14,15 +14,16 @@ The canonical outputs are:
 
 Each entry holds a SHA-256 hash and a Frobenius norm, plus the values needed to
 say how far two fingerprints differ. ``--compare`` prints one line per entry:
-"bitwise", the largest relative deviation (of an array, relative to its
-largest entry; of a report, the largest over its numbers), or old -> new for a
-changed error message or experiment number. When any number moved, the
-summary line also names the entry with the largest relative deviation; when
-any entry moved, one line per method follows it (the experiment is one more),
-with its count of moved entries and its largest relative deviation. Hashes
-depend on the BLAS build and the CPU, so compare fingerprints made on one
-machine. ``--tiny`` shrinks the calibration set and swaps the stock experiment
-for a seconds-long one.
+"bitwise", the largest relative deviation and its absolute size (of an array,
+relative to its largest entry; of a report, of the number that moved most
+relative to itself, so a rounding-level residual reads large relative and
+small absolute), or old -> new for a changed error message or experiment
+number. When any number moved, the summary line also names the entry with the
+largest relative deviation; when any entry moved, one line per method follows
+it (the experiment is one more), with its count of moved entries and its
+largest relative deviation. Hashes depend on the BLAS build and the CPU, so
+compare fingerprints made on one machine. ``--tiny`` shrinks the calibration
+set and swaps the stock experiment for a seconds-long one.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def describe(key: str, old: dict, new: dict) -> tuple[str, float | None]:
         scale = float(np.max(np.abs(a))) if a.size else 0.0
         dev = float(np.max(np.abs(a - b))) if a.size else 0.0
         rel = dev / scale if scale else dev
-        return f"max relative deviation {rel:.3e}", rel
+        return f"max relative deviation {rel:.3e}, absolute {dev:.3e}", rel
     if "doc" not in old or "doc" not in new:
         return "bytes differ", None
     old_nums, new_nums = dict(_numbers(old["doc"])), dict(_numbers(new["doc"]))
@@ -215,7 +216,8 @@ def describe(key: str, old: dict, new: dict) -> tuple[str, float | None]:
     rel = _relative(*moved[worst])
     if key == "experiment":
         return "; ".join(f"{p}: {o!r} -> {n!r}" for p, (o, n) in moved.items()), rel
-    return f"max relative deviation {rel:.3e} ({worst})", rel
+    old_value, new_value = moved[worst]
+    return f"max relative deviation {rel:.3e}, absolute {abs(new_value - old_value):.3e} ({worst})", rel
 
 
 def method_of(key: str) -> str:

@@ -1,11 +1,11 @@
 """Reference baselines the transport method is compared against.
 
 All of these produce an update shaped for the target model. zero_pad and
-random ignore activations entirely; the Gram solve (pinv, its ridge variant
-and the bias solve) matches the activation coupling on the target
-activations, read from a ``transport.LayerStats``. The random_source control,
-which runs a norm-matched random update through the alignment maps, is a
-method of ``transport``.
+random ignore activations entirely; the Gram solve (pinv and its ridge variant)
+matches the activation coupling on the target activations of a
+``transport.LayerStats`` by conjugating the update through each side's
+least-squares map S = G_b^+ C_ab.T, as theseus does through its Procrustes
+maps. The random_source control is a method of ``transport``.
 """
 
 from __future__ import annotations
@@ -81,22 +81,18 @@ def gram_transport(stats, update_a, bias_delta=None,
         new      = G_out^-1 (hout_b.T hout_a) update (hin_a.T hin_b) G_in^-1
         new_bias = G_out^-1 (hout_b.T hout_a) bias
 
-    with G = h_b.T h_b on each side, all read from ``stats``, inverted by one
-    ``_gram_solve`` per side (rcond route when rcond is given, ridge route
-    otherwise). The bias rides the output-side solve as one more right-hand
-    side. Returns (new update, new bias delta or None).
+    with G = h_b.T h_b on each side, all read from ``stats``. Each side's
+    least-squares map S = G^-1 (h_b.T h_a), (d_b, d_a), regresses source on
+    target activations, and new = S_out update S_in.T, new_bias = S_out bias.
+    One ``_gram_solve`` per side inverts G (rcond route when rcond is given,
+    ridge route otherwise). Returns (new update, new bias delta or None).
     """
     side_in, side_out = stats.in_side, stats.out_side
     update_a = stats.check_update(update_a, "a", "update")
-    mid = side_in.cross.T @ update_a.T @ side_out.cross
-    rhs = _gram_solve(side_in.gram_b, mid, rcond, lam).T
-    if bias_delta is not None:
-        b = as_vector(bias_delta, update_a.shape[0], "bias delta")
-        rhs = np.column_stack([rhs, side_out.cross.T @ b])
-    out = _gram_solve(side_out.gram_b, rhs, rcond, lam)
-    d_in_b = side_in.d_b
-    new_bias = None if bias_delta is None else out[:, d_in_b].copy()
-    return np.ascontiguousarray(out[:, :d_in_b]), new_bias
+    s_in = _gram_solve(side_in.gram_b, side_in.cross.T, rcond, lam)
+    b = None if bias_delta is None else as_vector(bias_delta, update_a.shape[0], "bias delta")
+    s_out = _gram_solve(side_out.gram_b, side_out.cross.T, rcond, lam)
+    return (s_out @ update_a) @ s_in.T, None if b is None else s_out @ b
 
 
 def pinv_transport(stats, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:

@@ -87,7 +87,8 @@ def as_symmetric(a, name="matrix"):
     out = as_matrix(a, name)
     if out.shape[0] != out.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {out.shape}")
-    if not np.allclose(out, out.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(out).max()))):
+    exact = np.array_equal(out, out.T)  # as numpy's x.T @ x is; skips allclose's temporaries
+    if not (exact or np.allclose(out, out.T, rtol=1e-10, atol=1e-12 * max(1.0, float(np.abs(out).max())))):
         raise ValueError(f"{name} must be symmetric")
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from taskport.errors import ConvergenceError, DimensionError, NonFiniteError, No
 from taskport.linalg import (
     DEFAULT_RCOND,
     as_matrix,
+    as_symmetric,
     pseudo_inverse,
     random_orthonormal_rows,
     ridge_inverse,
@@ -192,6 +195,20 @@ def test_gram_solves_reject_rectangular_and_asymmetric(solve):
         solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_as_symmetric_accepts_rounding_level_asymmetry_and_refuses_more():
+    x = np.random.default_rng(9).standard_normal((30, 6))
+    gram = x.T @ x
+    assert as_symmetric(gram) is gram and np.array_equal(gram, gram.T)
+    near = gram.copy()
+    near[0, 1] += 1e-13 * np.abs(gram).max()
+    assert not np.array_equal(near, near.T)
+    assert as_symmetric(near) is near
+    far = gram.copy()
+    far[0, 1] += 1e-8 * np.abs(gram).max()
+    with pytest.raises(ValueError, match="gram must be symmetric"):
+        as_symmetric(far, "gram")
+
+
 @pytest.mark.parametrize("name, call", [
     ("svd", lambda: svd(np.ones((3, 2)))),
     ("eigh", lambda: pseudo_inverse(np.eye(3))),
@@ -276,7 +293,10 @@ def test_ridge_inverse_refuses_below_the_n_eps_threshold(factor):
         np.testing.assert_array_equal(ridge_inverse(np.diag([1.0, 0.0]), lam), np.diag([1.0 / (1.0 + lam), 1.0 / lam]))
 
 
-def test_ridge_gram_transport_runs_one_eigh_per_target_gram(monkeypatch):
+@pytest.mark.parametrize("solve", [{"rcond": DEFAULT_RCOND}, {"lam": 1e-3}], ids=["rcond", "ridge"])
+@pytest.mark.parametrize("with_bias", [False, True], ids=["no_bias", "bias"])
+def test_ridge_gram_transport_runs_one_eigh_per_target_gram(monkeypatch, solve, with_bias):
+    # The bias delta is mapped by the output side's solve, not solved again.
     rng = np.random.default_rng(4)
     stats = layer_stats(*(rng.standard_normal((20, d)) for d in (3, 4, 5, 6)))
     calls = []
@@ -287,8 +307,28 @@ def test_ridge_gram_transport_runs_one_eigh_per_target_gram(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    gram_transport(stats, rng.standard_normal((4, 3)), rng.standard_normal(4), lam=1e-3)
+    bias = rng.standard_normal(4) if with_bias else None
+    new, new_bias = gram_transport(stats, rng.standard_normal((4, 3)), bias, **solve)
     assert calls == [(5, 5), (6, 6)]
+    assert new.shape == (6, 5) and (new_bias is None) == (not with_bias)
+
+
+def test_gram_transport_holds_no_target_square_beside_an_inverse():
+    # Forming one (d_b, d_b) inverse holds three target squares (eigenvectors,
+    # scaled eigenvectors, the inverse); the two least-squares maps are
+    # (d_b, d_a). One more (d_b, d_b) array held beside an inverse breaks the bound.
+    d_a, d_b = 32, 96
+    rng = np.random.default_rng(8)
+    stats = layer_stats(*(rng.standard_normal((4 * d_b, d)) for d in (d_a, d_a, d_b, d_b)))
+    update, bias = rng.standard_normal((d_a, d_a)), rng.standard_normal(d_a)
+    tracemalloc.start()
+    try:
+        gram_transport(stats, update, bias, rcond=DEFAULT_RCOND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    square = 8 * d_b * d_b
+    assert peak <= 3 * square + 2 * 8 * d_b * d_a, peak / square
 
 
 def test_orthonormal_rows_square():

@@ -103,9 +103,26 @@ def test_fingerprint_compare_names_the_worst_moved_entry(tmp_path, capsys):
         paths[-1].write_text(json.dumps(doc))
     assert module.main(["--compare", *map(str, paths)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:4] == ["a/same: bitwise", "b/array: max relative deviation 1.000e-12",
-                         "c/report: max relative deviation 3.000e-10 (y[0])", "d/bytes: bytes differ"]
+    assert lines[:4] == ["a/same: bitwise", "b/array: max relative deviation 1.000e-12, absolute 4.000e-12",
+                         "c/report: max relative deviation 3.000e-10, absolute 3.000e-10 (y[0])",
+                         "d/bytes: bytes differ"]
     assert lines[4] == "1 of 4 entries bitwise; largest relative deviation 3.000e-10 (c/report)"
+
+
+def test_fingerprint_compare_prints_a_rounding_level_residual_in_both_measures(tmp_path, capsys):
+    # A residual at rounding level moves by a large fraction of itself and a
+    # tiny amount in absolute; the line keeps both.
+    module = load_script("fingerprint")
+    old = {"demo/pinv/report": module._doc_entry({"layers": [{"bilinear_residual": 7.3e-13, "norm": 0.7}]})}
+    new = {"demo/pinv/report": module._doc_entry({"layers": [{"bilinear_residual": 1.5e-13, "norm": 0.7}]})}
+    paths = []
+    for name, doc in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert module.main(["--compare", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "demo/pinv/report: max relative deviation 7.945e-01, absolute 5.800e-13 "
+        "(layers[0].bilinear_residual)")
 
 
 def test_fingerprint_compare_summarizes_moved_entries_by_method(tmp_path, capsys):
