@@ -56,18 +56,18 @@ def random_update(d_out: int, d_in: int, target_norm: float, seed) -> np.ndarray
 
 
 def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray:
-    """The one solve against a target Gram: an inverse from one ``eigh`` of ``gram``, times
-    ``rhs``. The rcond-truncated pseudo-inverse when rcond is given, else the ridge inverse
-    ``(gram + lam I)^-1``; lam=None resolves to 1e-3 times the mean diagonal, an explicit
-    lam must be positive."""
+    """The one solve against a target Gram: an inverse from one ``eigh`` of ``gram``, applied
+    to ``rhs`` without forming it. The rcond-truncated pseudo-inverse when rcond is given, else
+    the ridge inverse ``(gram + lam I)^-1``; lam=None resolves to 1e-3 times the mean diagonal,
+    an explicit lam must be positive."""
     if rcond is not None:
-        return pseudo_inverse(gram, rcond) @ rhs
+        return pseudo_inverse(gram, rcond, rhs)
     if lam is None:
         # Floored so a degenerate all-zero Gram still yields a positive-definite solve.
         lam = 1e-3 * max(float(np.mean(np.diag(gram))), 1e-9)
     elif not float(lam) > 0:
         raise DimensionError(f"lam must be positive, got {lam}")
-    return ridge_inverse(gram, float(lam)) @ rhs
+    return ridge_inverse(gram, float(lam), rhs)
 
 
 def gram_transport(stats, update_a, bias_delta=None,

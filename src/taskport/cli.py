@@ -302,7 +302,12 @@ def _hold_heap():
     hands every free page back when the command ends. Under glibc's default
     trimming, a transport's page faults depended on where earlier work had left
     numpy's cached buffers; this lowers one benchmark transport's faults (which
-    one varies) but does not steady them. Settings stay; no-op without glibc."""
+    one varies) but does not steady them. Measured again once square layers
+    stepped over their inputs, on three alternating 30 s benchmark pairs per
+    transport workload (2 vCPUs, one BLAS thread): a settled op faulted 18.5-19.0k pages (pinv) and
+    18.7-20.2k (theseus) without it, 6.1-6.8k and 6.4-7.0k with it, and the
+    runs peaked at 207.8-208.7 MB without it, 201.8-206.0 MB with it.
+    Settings stay; no-op without glibc."""
     try:
         libc = ctypes.CDLL(None)
         mallopt, malloc_trim = libc.mallopt, libc.malloc_trim

@@ -6,7 +6,9 @@ One input check per array kind: ``as_vector`` (1-D), ``as_matrix`` (2-D),
 ``as_symmetric`` (square Grams) and ``as_batch`` (sequences x tokens x
 features); none copies a float64 input, and all but ``as_batch`` reject NaN/Inf.
 The solvers take 2-D arrays and never modify their inputs; they return C-order
-arrays, but for ``svd``'s transposed factors of a wide input.
+arrays, but for ``svd``'s transposed factors of a wide input. Given a
+right-hand side, the two inverses return the inverse times it from the same
+``eigh``, and no (d, d) array but the eigenvectors is formed.
 """
 
 from __future__ import annotations
@@ -131,8 +133,21 @@ def _eigh(a, name):
         raise ConvergenceError(f"eigh failed to converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
 
-def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix, by one ``eigh``.
+def _eigen_product(v, scale, s, rhs):
+    """``scale(v, s) @ v.T``, eigenvector columns scaled by ``np.multiply`` or
+    ``np.divide`` with ``s``; given ``rhs``, that times it, as
+    ``v @ scale(v.T @ rhs, s[:, None])``, without the (d, d) product."""
+    if rhs is None:
+        return scale(v, s) @ v.T
+    rhs = as_matrix(rhs, "rhs")
+    if rhs.shape[0] != len(v):
+        raise DimensionError(f"rhs has {rhs.shape[0]} rows, the matrix is {len(v)}x{len(v)}")
+    return v @ scale(v.T @ rhs, s[:, None])
+
+
+def pseudo_inverse(a, rcond: float = DEFAULT_RCOND, rhs=None) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a symmetric matrix, by one ``eigh``;
+    given ``rhs``, (d, k), the pseudo-inverse times it, without the inverse.
 
     The singular values of a symmetric matrix are the moduli of its
     eigenvalues, so eigenvalues with ``|w| < rcond * max|w|`` are treated as
@@ -149,14 +164,14 @@ def pseudo_inverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     keep = (size > 0.0) & (size >= float(rcond) * float(size.max()))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    return (v * inv) @ v.T
+    return _eigen_product(v, np.multiply, inv, rhs)
 
 
-def ridge_inverse(gram, lam: float) -> np.ndarray:
-    """``(gram + lam I)^-1`` by one ``eigh``: the eigenvalues shifted by ``lam > 0``, then
-    inverted. NotPositiveDefiniteError unless the smallest shifted eigenvalue exceeds n * eps
-    times the largest (numpy's ``matrix_rank`` tolerance), so a lam too small to lift a
-    singular gram fails instead of amplifying rounding noise by 1 / lam."""
+def ridge_inverse(gram, lam: float, rhs=None) -> np.ndarray:
+    """``(gram + lam I)^-1`` by one ``eigh``, or that times ``rhs`` when given: the eigenvalues
+    shifted by ``lam > 0``, then inverted. NotPositiveDefiniteError unless the smallest shifted
+    eigenvalue exceeds n * eps times the largest (numpy's ``matrix_rank`` tolerance), so a lam
+    too small to lift a singular gram fails instead of amplifying rounding noise by 1 / lam."""
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     w, v = _eigh(gram, "gram")
@@ -164,7 +179,7 @@ def ridge_inverse(gram, lam: float) -> np.ndarray:
     if not shifted[0] > len(w) * np.finfo(np.float64).eps * shifted[-1]:
         raise NotPositiveDefiniteError(f"gram + lam*I is not positive definite (lam={lam}): its smallest "
                                        f"eigenvalue {shifted[0]:.3g} is not above n*eps times its largest")
-    return (v / shifted) @ v.T
+    return _eigen_product(v, np.divide, shifted, rhs)
 
 
 def random_orthonormal_rows(d_small: int, d_large: int, seed) -> np.ndarray:

@@ -23,11 +23,15 @@ The solves and diagnostics read a layer's aligned rows only through
 that ``SideStats``, the one builder, computes and checks once per side. They
 are taken on each model's own tokens, with an ``interp1d``/``interp2d`` token
 map folded in, so the aligned rows are never made. A layer's input
-statistics are taken before its forward pass and each model's input is
-dropped once its output exists, so one activation per model is alive
-through the layer's solve. A fallback whose guard fires aligns its rows
-explicitly: the input side's are made again from the calibration batch, the
-output side's are the layer's live outputs.
+statistics are taken before its forward pass. From layer 1 on, a square
+layer's output is written over its input, a block of rows at a time; layer
+0, whose input is the caller's calibration batch, and a layer that changes
+width make a new output and drop the input once it exists. So one
+activation per model is alive through each layer's solve, and on square
+layers through its forward step too. Each layer's source update is dropped
+once it is transported. A fallback whose guard fires aligns its rows
+explicitly: the input side's are made again from the calibration batch, by
+the same forward steps, the output side's are the layer's live outputs.
 """
 
 from __future__ import annotations
@@ -501,10 +505,20 @@ def _pair_again(models, idx: int) -> tuple[np.ndarray, np.ndarray]:
     for ckpt, inputs in models:
         h = forward_inputs(ckpt, inputs)
         for k in range(idx):
-            z = forward_layer(ckpt, k, h)
+            z = _forward_over(ckpt, k, h)
             h = activate(ckpt.layer_specs[k], z, out=z)
         pair.append(h)
     return tuple(pair)
+
+
+def _forward_over(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
+    """Layer ``idx``'s pre-activation output on ``h``, written over ``h``
+    where the layer is square and ``h`` is a layer's output, made here
+    (layer 1 on); layer 0's input is the caller's calibration batch."""
+    spec = ckpt.layer_specs[idx]
+    if idx > 0 and spec.d_in == spec.d_out:
+        return forward_layer(ckpt, idx, h, h)
+    return forward_layer(ckpt, idx, h)
 
 
 def transport_task_vector(
@@ -521,12 +535,13 @@ def transport_task_vector(
     samples rendered in each model's input space) one layer at a time: each
     layer's activations are reduced to its statistics (length-aligned per
     cfg.strategy), which fit that layer's maps per cfg.method. A layer's input
-    statistics are taken before its forward pass and each model's input is
-    dropped once its output exists, so one activation per model is alive
-    through the solve and memory does not grow with depth. A firing guard
-    on the input side makes its rows again from the calibration inputs; one
-    on the output side reads the live outputs. Returns the transported task
-    vector and a per-layer report.
+    statistics are taken before its forward pass, which writes over its input
+    where ``_forward_over`` may, else drops it once its output exists, so one
+    activation per model is alive through the solve and memory does not grow
+    with depth; each layer's source update is dropped once transported. A
+    firing guard on the input side makes its rows again from the calibration
+    inputs; one on the output side reads the live outputs. Returns the
+    transported task vector and a per-layer report.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
@@ -537,17 +552,18 @@ def transport_task_vector(
     h_a = forward_inputs(theta_a, calib_inputs_a)
     h_b = forward_inputs(theta_b, calib_inputs_b)
 
-    # Each layer's output array replaces its input and is activated in place,
-    # as nothing else holds it once the layer's statistics are dropped (the
-    # caller's calibration arrays, layer 0's inputs, are only ever read).
+    # Each layer's output array replaces its input, or is written over it,
+    # and is activated in place, as nothing else holds it once the layer's
+    # statistics are dropped (the caller's calibration arrays, layer 0's
+    # inputs, are only ever read).
     models = ((theta_a, calib_inputs_a), (theta_b, calib_inputs_b))
     results = []
     for idx in range(theta_a.depth):
         with prefixed(f"layer {idx}"):
             in_side = SideStats(h_a, h_b, cfg.strategy, "hin", partial(_pair_again, models, idx))
-        z_a = forward_layer(theta_a, idx, h_a)
+        z_a = _forward_over(theta_a, idx, h_a)
         del h_a
-        z_b = forward_layer(theta_b, idx, h_b)
+        z_b = _forward_over(theta_b, idx, h_b)
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
@@ -555,8 +571,10 @@ def transport_task_vector(
                 idx, theta_b.layer_specs[idx], stats, update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
             ))
         # Else they outlive the next layer's input statistics, and the output
-        # side's rows are the outputs that are activated in place next.
+        # side's rows are the outputs that are activated in place next. The
+        # source update of a transported layer is not read again.
         del in_side, stats
+        update_a.deltas[idx] = update_a.bias_deltas[idx] = None
         h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
         h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
 

@@ -331,6 +331,42 @@ def test_gram_transport_holds_no_target_square_beside_an_inverse():
     assert peak <= 3 * square + 2 * 8 * d_b * d_a, peak / square
 
 
+def test_gram_transport_holds_one_target_square():
+    # Each solve applies its inverse to the (d_b, d_a) right-hand side from
+    # the eigenvectors, the one (d_b, d_b) array; the rest are (d_b, d_a):
+    # the two least-squares maps and two temporaries, about 4.2 of them.
+    # Forming the inverse first held 3.39 squares, 7.2 rectangles past one.
+    d_a, d_b = 32, 96
+    rng = np.random.default_rng(8)
+    stats = layer_stats(*(rng.standard_normal((4 * d_b, d)) for d in (d_a, d_a, d_b, d_b)))
+    update, bias = rng.standard_normal((d_a, d_a)), rng.standard_normal(d_a)
+    square, rectangle = 8 * d_b * d_b, 8 * d_b * d_a
+    for solve in ({"rcond": DEFAULT_RCOND}, {"lam": None}):
+        tracemalloc.start()
+        try:
+            gram_transport(stats, update, bias, **solve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= square + 4.5 * rectangle, (solve, (peak - square) / rectangle)
+
+
+@pytest.mark.parametrize("rcond", [0.0, DEFAULT_RCOND, 1e-3])
+def test_inverses_times_rhs_match_the_inverse_times_rhs(rcond):
+    # rcond 1e-3 drops the six eigenvalues below 1e-3, half of them.
+    rng = np.random.default_rng(40)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    gram = (q * np.logspace(-6, 0, 12)) @ q.T
+    gram = (gram + gram.T) / 2
+    rhs = rng.standard_normal((12, 5))
+    for got, want in ((pseudo_inverse(gram, rcond, rhs), pseudo_inverse(gram, rcond) @ rhs),
+                      (ridge_inverse(gram, 1e-4, rhs), ridge_inverse(gram, 1e-4) @ rhs)):
+        assert got.shape == want.shape == (12, 5)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(DimensionError, match="rhs has 5 rows"):
+        pseudo_inverse(gram, rcond, rhs.T)
+
+
 def test_orthonormal_rows_square():
     t = random_orthonormal_rows(2, 2, 42)
     np.testing.assert_allclose(t @ t.T, np.eye(2), atol=1e-12)

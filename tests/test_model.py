@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import assert_checkpoint_equal, small_checkpoint
+from taskport import model
 from taskport.errors import DimensionError, FormatError, NonFiniteError, TaskportError
 from taskport.model import (
     Checkpoint,
@@ -16,6 +17,7 @@ from taskport.model import (
     TaskVector,
     apply_update,
     forward_collect,
+    forward_layer,
     init_checkpoint,
     load_calibration,
     load_checkpoint,
@@ -73,6 +75,34 @@ def test_forward_hout_bitwise_for_identity_activation():
         want = (flat @ w.T + b).reshape(rec.h_out.shape)
         assert rec.h_out.tobytes() == want.tobytes()
     assert records[1].h_in.tobytes() == records[0].h_out.tobytes()
+
+
+@pytest.mark.parametrize("has_bias", [True, False])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_forward_into_its_input_has_the_allocating_steps_bits(blocks, extra, has_bias):
+    # Written over its input block by block, a square layer's output has the
+    # one product's bits on row counts below, at and above a multiple of the
+    # block; a one-row last block, which BLAS sums as a gemv, would not.
+    rng = np.random.default_rng(38)
+    rows = blocks * model._FORWARD_BLOCK_ROWS + extra
+    ckpt = init_checkpoint([LayerSpec(64, 64, has_bias=has_bias)], seed=37)
+    if has_bias:
+        ckpt.biases[0] = rng.standard_normal(64)
+    h = rng.standard_normal((rows, 1, 64))
+    before = h.tobytes()
+    want = forward_layer(ckpt, 0, h)
+    assert h.tobytes() == before
+    got = h.copy()
+    assert forward_layer(ckpt, 0, got, got) is got
+    assert got.tobytes() == want.tobytes()
+
+
+def test_forward_into_refuses_an_output_of_another_shape():
+    ckpt = init_checkpoint([LayerSpec(4, 3)], seed=39)
+    h = np.zeros((2, 5, 4))
+    with pytest.raises(DimensionError, match="layer 0: out must be"):
+        forward_layer(ckpt, 0, h, h)
 
 
 def test_forward_rejects_wrong_feature_count():

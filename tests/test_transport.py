@@ -690,6 +690,19 @@ def test_transport_holds_one_activation_per_model(width, tokens, source_tokens):
     assert peak < 3.8 * one_layer, (peak / one_layer, peak, one_layer)
 
 
+@pytest.mark.parametrize("width, tokens, source_tokens", [(16, 32, None), (32, 26, 17)])
+def test_transport_steps_each_layer_over_its_input(width, tokens, source_tokens):
+    # From layer 1 on, a square layer's output is written over its input
+    # through one block-sized temporary, and each layer's source update is
+    # dropped once transported, so a forward step holds one activation per
+    # model: the peaks are about 2.35 and 2.54 one-layer arrays. Allocating
+    # each output beside its input peaked at 3.37 and 3.02.
+    seqs = 64
+    one_layer = seqs * tokens * width * 8
+    peak = traced_peak(4, width, seqs, tokens, source_tokens)
+    assert peak < 2.75 * one_layer, (peak / one_layer, peak, one_layer)
+
+
 @pytest.mark.parametrize("case, error, message", [
     ("features", DimensionError, "inputs have 2 features, layer 0 expects 3"),
     ("no_tokens", DimensionError,
