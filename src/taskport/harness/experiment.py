@@ -303,11 +303,12 @@ class ExperimentConfig(_Codec):
                     f"{role}.width={model.width} is narrower than the {self.task.d_token}-wide tokens"
                 )
         self._check_sizes()
+        if self.source_model.depth != self.target_model.depth:
+            raise ConfigError(f"source_model.depth={self.source_model.depth} and target_model.depth="
+                              f"{self.target_model.depth} differ: transport pairs layers one to one")
         if self.regime == "isometric":
             if self.source_model.activation != "identity" or self.target_model.activation != "identity":
                 raise ConfigError("isometric regime requires identity activations on both models")
-            if self.source_model.depth != self.target_model.depth:
-                raise ConfigError("isometric regime requires equal depths")
             if self.target_model.width < self.source_model.width:
                 raise ConfigError("isometric regime requires target width >= source width")
 

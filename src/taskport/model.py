@@ -166,48 +166,44 @@ def forward_inputs(ckpt: Checkpoint, inputs) -> np.ndarray:
     return require_finite(x, "inputs")
 
 
-# Rows per block of a forward step written into ``out``: its one temporary,
-# about 1.5 MB at width 768.
+# Rows per block of a forward step written over its own input: numpy copies
+# one input block at a time, about 1.5 MB at width 768.
 _FORWARD_BLOCK_ROWS = 256
 
 
 def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray, out=None) -> np.ndarray:
     """Pre-activation output (N, L, d_out) of layer ``idx`` on its (N, L, d_in) input.
 
-    Given ``out``, a C-contiguous float64 (N, L, d_out) array, the output is
-    written into it and ``out`` is returned. The rows go block by block
-    through one block-sized temporary, each block after its input rows are
-    read, so ``out`` may be ``h`` itself on a square layer. The blocks keep
-    the single product's bits, which a test pins.
+    The output is written into ``out``, a C-contiguous float64
+    (N, L, d_out) array, when given, else into a new array, which is
+    returned. ``out`` may be ``h`` itself on a square layer: there the rows
+    go block by block, and numpy copies each input block before its product
+    overwrites it, so one block is the only temporary. The blocks keep the
+    single product's bits, which a test pins.
     """
     spec, w, b = ckpt.layer_specs[idx], ckpt.weights[idx], ckpt.biases[idx]
     n, l = h.shape[0], h.shape[1]
     if h.shape[2] != spec.d_in:
         raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
+    if out is None:
+        out = np.empty((n, l, spec.d_out))
+    elif out.shape != (n, l, spec.d_out) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(f"layer {idx}: out must be a C-contiguous float64 array of shape "
+                             f"{(n, l, spec.d_out)}, got {out.dtype} {out.shape}")
     rows = n * l
-    x = h.reshape(rows, spec.d_in)
+    x, z = h.reshape(rows, spec.d_in), out.reshape(rows, spec.d_out)
+    # Blocks only over its own input, so numpy's overlap copy is one block,
+    # of equal size to a row: BLAS sums a product of a few rows in another
+    # order (one row is a gemv), so a short last block would move its bits.
+    # With more rows than one block, each has at least half.
+    count = -(-rows // _FORWARD_BLOCK_ROWS) if np.may_share_memory(out, h) else 1
+    bounds = [rows * k // count for k in range(count + 1)]
     # Overflow gives non-finite activations, which transport rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        if out is None:
-            z = x @ w.T
-            if b is not None:
-                z += b
-            return z.reshape(n, l, spec.d_out)
-        if out.shape != (n, l, spec.d_out) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise DimensionError(f"layer {idx}: out must be a C-contiguous float64 array of shape "
-                                 f"{(n, l, spec.d_out)}, got {out.dtype} {out.shape}")
-        z = out.reshape(rows, spec.d_out)
-        # Blocks of equal size to a row: BLAS sums a product of a few rows in
-        # another order (one row is a gemv), so a short last block would move
-        # its bits. With more rows than one block, each has at least half.
-        count = -(-rows // _FORWARD_BLOCK_ROWS)
-        bounds = [rows * k // count for k in range(count + 1)]
-        block = np.empty((-(-rows // count), spec.d_out))
         for start, stop in zip(bounds, bounds[1:]):
-            part = np.matmul(x[start:stop], w.T, out=block[: stop - start])
+            np.matmul(x[start:stop], w.T, out=z[start:stop])
             if b is not None:
-                part += b
-            z[start:stop] = part
+                z[start:stop] += b
     return out
 
 

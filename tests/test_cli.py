@@ -331,6 +331,17 @@ def test_experiment_rejects_unknown_method_in_config(tmp_path, capsys):
     assert "unknown method" in err
 
 
+def test_experiment_refuses_models_of_different_depths(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config_payload(target_model={"width": 10, "depth": 3})))
+    out = tmp_path / "result.json"
+    assert main(["experiment", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "bad_config: source_model.depth=2 and target_model.depth=3 differ"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"batches_B": "abc"}, "batches_B"),
     ({"batch_size": "x"}, "batch_size"),

@@ -409,6 +409,20 @@ def test_config_type_checks_direct_construction(overrides, key):
         ExperimentConfig(**overrides)
 
 
+@pytest.mark.parametrize("regime", ["independent", "isometric"])
+def test_config_refuses_models_of_different_depths(regime):
+    # Transport pairs the layers one to one and the experiment never expands
+    # depth, so such a config is refused before anything is trained.
+    activation = "identity" if regime == "isometric" else "relu"
+    with pytest.raises(ConfigError, match=r"^source_model\.depth=2 and target_model\.depth=3 differ") as info:
+        ExperimentConfig(
+            source_model=ModelConfig(width=8, depth=2, activation=activation),
+            target_model=ModelConfig(width=12, depth=3, activation=activation),
+            regime=regime,
+        )
+    assert info.value.kind == "bad_config"
+
+
 @pytest.mark.parametrize("cls, kwargs, key", [
     (TaskConfig, {"n_classes": "4"}, "n_classes"),
     (ModelConfig, {"width": 16.0}, "width"),

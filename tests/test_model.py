@@ -78,24 +78,46 @@ def test_forward_hout_bitwise_for_identity_activation():
 
 
 @pytest.mark.parametrize("has_bias", [True, False])
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_forward_into_its_input_has_the_allocating_steps_bits(blocks, extra, has_bias):
-    # Written over its input block by block, a square layer's output has the
-    # one product's bits on row counts below, at and above a multiple of the
-    # block; a one-row last block, which BLAS sums as a gemv, would not.
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+def test_forward_steps_have_the_single_products_bits(blocks, extra, has_bias):
+    # Into a new array, a given one or its own input, a layer's output has
+    # the one product's bits at the trainer's widths and at 64, on one row
+    # and on row counts below, at and above a multiple of the block; a
+    # one-row last block over the input, which BLAS sums as a gemv, would not.
     rng = np.random.default_rng(38)
     rows = blocks * model._FORWARD_BLOCK_ROWS + extra
-    ckpt = init_checkpoint([LayerSpec(64, 64, has_bias=has_bias)], seed=37)
-    if has_bias:
-        ckpt.biases[0] = rng.standard_normal(64)
-    h = rng.standard_normal((rows, 1, 64))
-    before = h.tobytes()
-    want = forward_layer(ckpt, 0, h)
-    assert h.tobytes() == before
-    got = h.copy()
-    assert forward_layer(ckpt, 0, got, got) is got
-    assert got.tobytes() == want.tobytes()
+    for width in (16, 24, 64):
+        ckpt = init_checkpoint([LayerSpec(width, width, has_bias=has_bias)], seed=37)
+        if has_bias:
+            ckpt.biases[0] = rng.standard_normal(width)
+        h = rng.standard_normal((rows, 1, width))
+        want = h.reshape(rows, width) @ ckpt.weights[0].T
+        if has_bias:
+            want += ckpt.biases[0]
+        want = want.tobytes()
+        before = h.tobytes()
+        assert forward_layer(ckpt, 0, h).tobytes() == want
+        assert h.tobytes() == before
+        out = np.full_like(h, np.nan)
+        assert forward_layer(ckpt, 0, h, out) is out
+        assert out.tobytes() == want
+        assert forward_layer(ckpt, 0, h, h) is h
+        assert h.tobytes() == want
+
+
+def test_forward_over_its_input_copies_one_block():
+    # Written over its input, a step holds numpy's copy of one input block,
+    # not of the whole input (1,000 rows go as four blocks of 250).
+    ckpt = init_checkpoint([LayerSpec(64, 64)], seed=40)
+    h = np.random.default_rng(41).standard_normal((1000, 1, 64))
+    tracemalloc.start()
+    try:
+        forward_layer(ckpt, 0, h, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = model._FORWARD_BLOCK_ROWS * 64 * 8
+    assert peak <= 1.1 * block_bytes, (peak / block_bytes, peak, block_bytes)
 
 
 def test_forward_into_refuses_an_output_of_another_shape():
