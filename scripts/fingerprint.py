@@ -117,7 +117,7 @@ def transport_entries(seqs: int) -> dict:
                 cfg = TransportConfig(method=method, strategy=strategy, seed=3)
                 try:
                     update, report = transport_task_vector(
-                        theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+                        theta_a, theta_a_ft, theta_b, lambda: (calib_a.copy(), calib_b.copy()), cfg)
                 except TaskportError as exc:
                     entries[f"{key}/error"] = _error_entry(f"{exc.kind}: {exc}")
                     continue

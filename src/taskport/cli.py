@@ -13,6 +13,7 @@ import errno
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,14 @@ def _check_destinations(*paths) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by ``samefile`` where both
+    exist, else by their resolved paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_transport(args) -> int:
     cfg = TransportConfig(
         method=_resolve_method(args.method),
@@ -110,21 +119,25 @@ def cmd_transport(args) -> int:
         raise ConfigError(f"alpha must be finite, got {args.alpha}")
     if args.output == "-":
         raise ConfigError("--output takes a file path: a TPK1 checkpoint is binary, not for stdout")
-    dests = (args.output, args.report)
-    _check_destinations(*dests)
-    if args.report != "-" and (os.path.samefile(*dests) if all(map(os.path.exists, dests))
-                               else os.path.realpath(args.output) == os.path.realpath(args.report)):
+    _check_destinations(args.output, args.report)
+    if args.report != "-" and _same_file(args.output, args.report):
         raise ConfigError(f"--output and --report name the same file: {args.report}")
+    inputs = (("--source", args.source), ("--finetuned", args.finetuned),
+              ("--target", args.target), ("--calib", args.calib))
+    for dest_flag, dest in (("--output", args.output), ("--report", args.report)):
+        for flag, path in inputs:
+            if dest != "-" and _same_file(dest, path):
+                raise ConfigError(f"{dest_flag} and {flag} name the same file: {dest}")
     theta_a = load_checkpoint(args.source)
     theta_a_ft = load_checkpoint(args.finetuned)
     theta_b = load_checkpoint(args.target)
-    calib_a, calib_b = load_calibration(args.calib)
     if args.depth_expand and theta_a.depth != theta_b.depth:
         log.info("expanding source depth %d -> %d", theta_a.depth, theta_b.depth)
         theta_a = depth_expand(theta_a, theta_b.depth)
         theta_a_ft = depth_expand(theta_a_ft, theta_b.depth)
+    # Transport reads the file when it needs the pair and writes over what it reads.
     out, report = transport_model(
-        theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, alpha=args.alpha,
+        theta_a, theta_a_ft, theta_b, partial(load_calibration, args.calib), cfg, alpha=args.alpha,
     )
     save_checkpoint(out, args.output)
     log.info("wrote transported checkpoint to %s", args.output)

@@ -490,9 +490,11 @@ def _summarize_layers(layers: list) -> dict:
 def _transport(prep: PreparedExperiment, method: str, strategy: str | None = None):
     """The prepared source update, transported onto the prepared target with one method."""
     with prefixed(f"stage transport:{method}"):
+        # Transport writes over the pair it is given, so it gets copies.
         return transport_task_vector(
             prep.theta_a, prep.theta_a_ft, prep.theta_b,
-            prep.calib_a, prep.calib_b, prep.config.transport_config(method, strategy),
+            lambda: (prep.calib_a.copy(), prep.calib_b.copy()),
+            prep.config.transport_config(method, strategy),
         )
 
 

@@ -22,16 +22,21 @@ The solves and diagnostics read a layer's aligned rows only through
 ``LayerStats``, its input and output ``SideStats``: feature-space statistics
 that ``SideStats``, the one builder, computes and checks once per side. They
 are taken on each model's own tokens, with an ``interp1d``/``interp2d`` token
-map folded in, so the aligned rows are never made. A layer's input
-statistics are taken before its forward pass. From layer 1 on, a square
-layer's output is written over its input, a block of rows at a time; layer
-0, whose input is the caller's calibration batch, and a layer that changes
-width make a new output and drop the input once it exists. So one
-activation per model is alive through each layer's solve, and on square
-layers through its forward step too. Each layer's source update is dropped
-once it is transported. A fallback whose guard fires aligns its rows
-explicitly: the input side's are made again from the calibration batch, by
-the same forward steps, the output side's are the layer's live outputs.
+map folded in, so the aligned rows are never made.
+
+The calibration is a zero-argument callable that returns a new
+``(inputs_a, inputs_b)`` pair on every call, which transport owns: it is
+called once for layer 0's inputs, and again only by a firing input-side
+guard. A layer's input statistics are taken before its forward pass. A
+square layer's output is written over its input, a block of rows at a time,
+layer 0's over the calibration pair; a layer that changes width makes a new
+output and drops the input once it exists. So no calibration array
+outlives layer 0, one activation per model is alive through each layer's
+solve, and on square layers through its forward step too. Each layer's
+source update is dropped once it is transported. A fallback whose guard
+fires aligns its rows explicitly: the input side's are made again from a new
+calibration pair by the same forward steps, the output side's are the
+layer's live outputs.
 """
 
 from __future__ import annotations
@@ -497,26 +502,38 @@ def _transport_layer(layer_index, spec_b, stats: LayerStats, delta, bias_delta, 
     return new_delta, new_bias, entry
 
 
-def _pair_again(models, idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layer ``idx``'s input of each (checkpoint, calibration inputs) in
-    ``models``, made again from the inputs one layer at a time, as
-    ``transport_task_vector`` makes it."""
-    pair = []
-    for ckpt, inputs in models:
-        h = forward_inputs(ckpt, inputs)
+def _calibration_inputs(thetas, calibration) -> list[np.ndarray]:
+    """The pair ``calibration()`` returns, checked by ``forward_inputs`` as
+    each model's layer-0 input; an array that layer 0 could not write over
+    (read-only, not C-contiguous) is copied."""
+    inputs_a, inputs_b = calibration()
+    return [np.require(forward_inputs(theta, inputs), requirements="CW")
+            for theta, inputs in zip(thetas, (inputs_a, inputs_b))]
+
+
+def _pair_again(thetas, calibration, shapes, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``idx``'s input of each model in ``thetas``, made again one
+    layer at a time, as ``transport_task_vector`` makes it, from a new pair
+    that ``calibration`` returns, which must have the first pair's
+    ``shapes``."""
+    pair = _calibration_inputs(thetas, calibration)
+    got = tuple(h.shape for h in pair)
+    if got != shapes:
+        raise DimensionError(f"the calibration read again has shapes {got[0]} and {got[1]}, "
+                             f"the first read {shapes[0]} and {shapes[1]}")
+    for i, ckpt in enumerate(thetas):
         for k in range(idx):
-            z = _forward_over(ckpt, k, h)
-            h = activate(ckpt.layer_specs[k], z, out=z)
-        pair.append(h)
+            z = _forward_over(ckpt, k, pair[i])
+            pair[i] = activate(ckpt.layer_specs[k], z, out=z)
     return tuple(pair)
 
 
 def _forward_over(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
     """Layer ``idx``'s pre-activation output on ``h``, written over ``h``
-    where the layer is square and ``h`` is a layer's output, made here
-    (layer 1 on); layer 0's input is the caller's calibration batch."""
+    where the layer is square: every input a layer steps is transport's own,
+    layer 0's the pair the calibration callable returned."""
     spec = ckpt.layer_specs[idx]
-    if idx > 0 and spec.d_in == spec.d_out:
+    if spec.d_in == spec.d_out:
         return forward_layer(ckpt, idx, h, h)
     return forward_layer(ckpt, idx, h)
 
@@ -525,23 +542,30 @@ def transport_task_vector(
     theta_a: Checkpoint,
     theta_a_ft: Checkpoint,
     theta_b: Checkpoint,
-    calib_inputs_a,
-    calib_inputs_b,
+    calibration,
     cfg: TransportConfig,
 ) -> tuple[TaskVector, dict]:
     """Move the update (theta_a_ft - theta_a) into theta_b's coordinates.
 
-    The two base models run on paired calibration inputs (the same underlying
-    samples rendered in each model's input space) one layer at a time: each
-    layer's activations are reduced to its statistics (length-aligned per
+    ``calibration`` is a zero-argument callable that returns a new
+    ``(inputs_a, inputs_b)`` pair on every call: paired calibration inputs,
+    the same underlying samples rendered in each model's input space.
+    Transport owns each pair it is given and writes over it. It is called
+    once, after the depth and layer-spec checks, and again only when an
+    input-side guard fires; a pair read again must have the first pair's
+    shapes. A caller that keeps its arrays returns copies of them.
+
+    The two base models run on the pair one layer at a time: each layer's
+    activations are reduced to its statistics (length-aligned per
     cfg.strategy), which fit that layer's maps per cfg.method. A layer's input
     statistics are taken before its forward pass, which writes over its input
-    where ``_forward_over`` may, else drops it once its output exists, so one
-    activation per model is alive through the solve and memory does not grow
-    with depth; each layer's source update is dropped once transported. A
-    firing guard on the input side makes its rows again from the calibration
-    inputs; one on the output side reads the live outputs. Returns the
-    transported task vector and a per-layer report.
+    where the layer is square, else drops it once its output exists, so no
+    calibration array outlives layer 0, one activation per model is alive
+    through the solve and memory does not grow with depth; each layer's
+    source update is dropped once transported. A firing guard on the input
+    side makes its rows again from a new pair; one on the output side reads
+    the live outputs. Returns the transported task vector and a per-layer
+    report.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
@@ -549,18 +573,18 @@ def transport_task_vector(
             f"expand the shallower stack first"
         )
     update_a = task_vector(theta_a, theta_a_ft)
-    h_a = forward_inputs(theta_a, calib_inputs_a)
-    h_b = forward_inputs(theta_b, calib_inputs_b)
+    thetas = (theta_a, theta_b)
+    h_a, h_b = _calibration_inputs(thetas, calibration)
+    shapes = (h_a.shape, h_b.shape)
 
     # Each layer's output array replaces its input, or is written over it,
     # and is activated in place, as nothing else holds it once the layer's
-    # statistics are dropped (the caller's calibration arrays, layer 0's
-    # inputs, are only ever read).
-    models = ((theta_a, calib_inputs_a), (theta_b, calib_inputs_b))
+    # statistics are dropped.
     results = []
     for idx in range(theta_a.depth):
         with prefixed(f"layer {idx}"):
-            in_side = SideStats(h_a, h_b, cfg.strategy, "hin", partial(_pair_again, models, idx))
+            in_side = SideStats(h_a, h_b, cfg.strategy, "hin",
+                                partial(_pair_again, thetas, calibration, shapes, idx))
         z_a = _forward_over(theta_a, idx, h_a)
         del h_a
         z_b = _forward_over(theta_b, idx, h_b)
@@ -588,15 +612,15 @@ def transport_model(
     theta_a: Checkpoint,
     theta_a_ft: Checkpoint,
     theta_b: Checkpoint,
-    calib_inputs_a,
-    calib_inputs_b,
+    calibration,
     cfg: TransportConfig,
     alpha: float = 1.0,
 ) -> tuple[Checkpoint, dict]:
-    """Full per-layer pipeline: transport the update and apply it at strength alpha."""
-    update_b, report = transport_task_vector(
-        theta_a, theta_a_ft, theta_b, calib_inputs_a, calib_inputs_b, cfg
-    )
+    """Full per-layer pipeline: transport the update and apply it at strength
+    alpha. ``calibration`` is ``transport_task_vector``'s: a zero-argument
+    callable that returns a new calibration pair, which transport owns, on
+    every call."""
+    update_b, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration, cfg)
     out = apply_update(theta_b, update_b, alpha)
     report = {**report, "alpha": float(alpha)}
     out.meta["transport"] = json.dumps({**cfg.echo(), "alpha": float(alpha)}, sort_keys=True)

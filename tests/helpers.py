@@ -32,6 +32,12 @@ def small_checkpoint(widths=(3, 4, 2), seed=0, activation="relu", has_bias=True)
     return init_checkpoint(specs, np.random.SeedSequence((seed, 77)))
 
 
+def calibration(inputs_a, inputs_b):
+    """Transport's calibration callable for a pair a test keeps: each call
+    returns new copies, since transport writes over the pair it is given."""
+    return lambda: (np.array(inputs_a), np.array(inputs_b))
+
+
 def layer_stats(hin_a, hout_a, hin_b, hout_b):
     """``LayerStats`` of one layer's paired (rows, features) activations.
 

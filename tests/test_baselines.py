@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import full_rank_activations, layer_stats, rank_deficient_witness, small_checkpoint
+from helpers import calibration, full_rank_activations, layer_stats, rank_deficient_witness, small_checkpoint
 from taskport.baselines import gram_transport, pinv_transport, random_update, zero_pad_update
 from taskport.errors import DimensionError
 from taskport.linalg import DEFAULT_RCOND, random_orthonormal_rows
@@ -212,8 +212,8 @@ def test_random_source_norm_and_determinism():
     theta_b = small_checkpoint(widths=(3, 5, 4), seed=36)
     calib = np.random.default_rng(37).standard_normal((8, 2, 3))
     cfg = TransportConfig(method="random_source", strategy="interp1d", seed=20)
-    a, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib, cfg)
-    b, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib, cfg)
+    a, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib, calib), cfg)
+    b, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib, calib), cfg)
     source = task_vector(theta_a, theta_a_ft)
     for idx in range(theta_b.depth):
         assert a.deltas[idx].shape == theta_b.weights[idx].shape
@@ -222,7 +222,7 @@ def test_random_source_norm_and_determinism():
             assert abs(np.linalg.norm(got) - np.linalg.norm(want)) <= 1e-10 * np.linalg.norm(want)
         assert a.deltas[idx].tobytes() == b.deltas[idx].tobytes()
         assert a.bias_deltas[idx].tobytes() == b.bias_deltas[idx].tobytes()
-    zero, _ = transport_task_vector(theta_a, theta_a, theta_b, calib, calib, cfg)
+    zero, _ = transport_task_vector(theta_a, theta_a, theta_b, calibration(calib, calib), cfg)
     for idx, delta in enumerate(zero.deltas):
         np.testing.assert_array_equal(delta, np.zeros(theta_b.weights[idx].shape))
 
@@ -239,8 +239,8 @@ def test_activation_free_methods_ignore_calibration(method):
     calib_1 = rng.standard_normal((8, 2, 3))
     calib_2 = rng.standard_normal((8, 2, 3))
     cfg = TransportConfig(method=method, strategy="interp1d", seed=5)
-    tv1, rep1 = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_1, calib_1, cfg)
-    tv2, rep2 = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_2, calib_2, cfg)
+    tv1, rep1 = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_1, calib_1), cfg)
+    tv2, rep2 = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_2, calib_2), cfg)
     for d1, d2 in zip(tv1.deltas, tv2.deltas):
         assert d1.tobytes() == d2.tobytes()
     # Alignment residuals are undefined for these methods and stay unset.

@@ -257,6 +257,53 @@ def test_transport_refuses_report_over_its_output(fixtures_dir, tmp_path, capsys
         assert (tmp_path / "out.tpk").read_bytes() == b"old"
 
 
+_INPUT_FLAGS = {"--source": "source_a.tpk", "--finetuned": "source_a_ft.tpk",
+                "--target": "target_b.tpk", "--calib": "calib.tpc"}
+
+
+@pytest.mark.parametrize("dest_flag", ["--output", "--report"])
+@pytest.mark.parametrize("input_flag", list(_INPUT_FLAGS))
+def test_transport_refuses_an_output_over_an_input(fixtures_dir, tmp_path, capsys, monkeypatch,
+                                                   dest_flag, input_flag):
+    # An input is given by its absolute path and the output names it relatively;
+    # the refusal comes before any file is read or written.
+    for name in _INPUT_FLAGS.values():
+        (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "load_calibration", _never)
+    before = {name: (tmp_path / name).read_bytes() for name in _INPUT_FLAGS.values()}
+    dest = _INPUT_FLAGS[input_flag]
+    argv = transport_args(tmp_path, dest if dest_flag == "--output" else "out.tpk")
+    if dest_flag == "--report":
+        argv += ["--report", dest]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"bad_config: {dest_flag} and {input_flag} name the same file: {dest}"], err
+    assert {name: (tmp_path / name).read_bytes() for name in _INPUT_FLAGS.values()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_INPUT_FLAGS.values())
+
+
+def test_transport_refuses_a_calibration_file_changed_mid_op(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # Transport reads the file once for layer 0 and again for each input-side
+    # guard that fires, as every guard does on the isometric demo fixtures; a
+    # second read of fewer sequences is one error line, not a traceback.
+    reads = []
+
+    def shrinking(path):
+        reads.append(path)
+        inputs_a, inputs_b = load_calibration(path)
+        return (inputs_a, inputs_b) if len(reads) == 1 else (inputs_a[1:], inputs_b[1:])
+
+    monkeypatch.setattr(cli, "load_calibration", shrinking)
+    out = tmp_path / "out.tpk"
+    assert main(transport_args(fixtures_dir, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["dimension_mismatch: layer 0: the calibration read again has shapes (63, 5, 6) and "
+                   "(63, 5, 9), the first read (64, 5, 6) and (64, 5, 9)"], err
+    assert len(reads) == 2 and not out.exists()
+
+
 _RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}
 
 

@@ -24,6 +24,7 @@ cross-covariances leave the maps undetermined.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import calibration
 from taskport.model import Checkpoint, LayerSpec, TaskVector, forward_collect
 from taskport.seqalign import STRATEGIES, align_sequence, flatten_tokens
 from taskport.transport import TransportConfig, transport_task_vector
@@ -148,9 +149,9 @@ def assert_updates_close(got: TaskVector, want: TaskVector):
 @given(instances())
 def test_target_relabeling_permutes_the_output(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, perms_b, _ = inst
-    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     relabeled = change_basis_checkpoint(theta_b, perms_b)
-    got, _ = transport_task_vector(theta_a, theta_a_ft, relabeled, calib_a, calib_b, cfg)
+    got, _ = transport_task_vector(theta_a, theta_a_ft, relabeled, calibration(calib_a, calib_b), cfg)
     want = TaskVector(*change_basis(base.deltas, base.bias_deltas, perms_b))
     assert_updates_close(got, want)
 
@@ -164,9 +165,9 @@ def test_target_change_of_basis_carries_the_output(inst, seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 809)))
     bases = [np.linalg.qr(rng.standard_normal((s.d_out, s.d_out)))[0]
              for s in theta_b.layer_specs[:-1]]
-    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     rotated = change_basis_checkpoint(theta_b, bases)
-    got, _ = transport_task_vector(theta_a, theta_a_ft, rotated, calib_a, calib_b, cfg)
+    got, _ = transport_task_vector(theta_a, theta_a_ft, rotated, calibration(calib_a, calib_b), cfg)
     want = TaskVector(*change_basis(base.deltas, base.bias_deltas, bases))
     assert_updates_close(got, want)
 
@@ -175,10 +176,10 @@ def test_target_change_of_basis_carries_the_output(inst, seed):
 @given(instances())
 def test_source_relabeling_with_its_update_leaves_the_output(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, perms_a, _, _ = inst
-    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     got, _ = transport_task_vector(
         change_basis_checkpoint(theta_a, perms_a), change_basis_checkpoint(theta_a_ft, perms_a),
-        theta_b, calib_a, calib_b, cfg,
+        theta_b, calibration(calib_a, calib_b), cfg,
     )
     assert_updates_close(got, base)
 
@@ -187,8 +188,8 @@ def test_source_relabeling_with_its_update_leaves_the_output(inst):
 @given(instances())
 def test_reordering_calibration_pairs_leaves_the_output(inst):
     theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, _, _, order = inst
-    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    base, _ = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     got, _ = transport_task_vector(
-        theta_a, theta_a_ft, theta_b, calib_a[order], calib_b[order], cfg
+        theta_a, theta_a_ft, theta_b, calibration(calib_a[order], calib_b[order]), cfg
     )
     assert_updates_close(got, base)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import small_checkpoint
 from taskport.errors import ConfigError, DimensionError, TrainingError
+from taskport.harness import experiment
 from taskport.harness.data import (
     SyntheticTask,
     input_projection,
@@ -526,6 +527,23 @@ def test_zero_update_moves_nothing():
     for res in result["methods"].values():
         assert res["delta_acc"] == 0.0
         assert res["accuracy_after"] == result["zero_shot_accuracy"]
+
+
+def test_run_experiment_leaves_the_prepared_calibration_unchanged(monkeypatch):
+    # Transport writes over the calibration pair it is given, so each method
+    # is handed copies; layer 0 is square on both models here.
+    prepared = []
+    prepare = experiment.prepare_experiment
+    monkeypatch.setattr(experiment, "prepare_experiment",
+                        lambda cfg: prepared.append(prepare(cfg)) or prepared[-1])
+    run_experiment(fast_config(methods=["theseus", "pinv"],
+                               train={"pretrain_steps": 30, "finetune_steps": 40, "lr": 0.08}))
+    (prep,) = prepared
+    assert prep.theta_a.layer_specs[0].d_in == prep.theta_a.layer_specs[0].d_out
+    assert prep.theta_b.layer_specs[0].d_in == prep.theta_b.layer_specs[0].d_out
+    again = prepare(prep.config)
+    assert prep.calib_a.tobytes() == again.calib_a.tobytes()
+    assert prep.calib_b.tobytes() == again.calib_b.tobytes()
 
 
 def test_run_experiment_writes_output_file(tmp_path):

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import calibration
 from taskport.errors import DimensionError
 from taskport.model import Checkpoint, LayerSpec
 from taskport.transport import TransportConfig, transport_task_vector
@@ -245,9 +246,9 @@ def test_pipeline_matches_the_reference(inst):
     ]
     if any(layer is None for layer in want):
         with pytest.raises(DimensionError, match="zero-pad"):
-            transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+            transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
         return
-    got, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    got, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     for idx, (new, new_bias, entry) in enumerate(want):
         assert_close(got.deltas[idx], new, f"layer {idx} delta")
         assert_close(got.bias_deltas[idx], new_bias, f"layer {idx} bias delta")

@@ -1,11 +1,18 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_checkpoint_equal, full_rank_activations, layer_stats, small_checkpoint
+from helpers import (
+    assert_checkpoint_equal,
+    calibration,
+    full_rank_activations,
+    layer_stats,
+    small_checkpoint,
+)
 from taskport import transport
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
@@ -481,7 +488,7 @@ def test_equal_token_counts_are_left_untouched(method):
     with pytest.raises(DimensionError, match="not a square grid"):
         align_sequence(calib, 3, "interp2d")
     results = [
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib, calib,
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib, calib),
                               TransportConfig(method=method, strategy=strategy))
         for strategy in ("interp1d", "interp2d")
     ]
@@ -496,7 +503,8 @@ def test_zero_task_vector_transports_to_zero(method):
     theta_a, _, theta_b, calib_a, calib_b = relu_pair(seed=40)
     cfg = TransportConfig(method=method, strategy="interp1d")
     for alpha in (0.0, 0.5, 1.0):
-        out, report = transport_model(theta_a, theta_a, theta_b, calib_a, calib_b, cfg, alpha=alpha)
+        out, report = transport_model(theta_a, theta_a, theta_b, calibration(calib_a, calib_b), cfg,
+                                      alpha=alpha)
         for idx in range(theta_b.depth):
             np.testing.assert_array_equal(out.weights[idx], theta_b.weights[idx])
             np.testing.assert_array_equal(out.biases[idx], theta_b.biases[idx])
@@ -514,7 +522,8 @@ def test_identical_models_recover_scaled_update():
     update = task_vector(theta_a, theta_a_ft)
     cfg = TransportConfig(method="theseus", strategy="interp1d")
     for alpha in (0.5, 1.0):
-        out, _ = transport_model(theta_a, theta_a_ft, theta_b, calib_a, calib_a, cfg, alpha=alpha)
+        out, _ = transport_model(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_a), cfg,
+                                 alpha=alpha)
         for idx in range(theta_b.depth):
             want = theta_b.weights[idx] + alpha * update.deltas[idx]
             np.testing.assert_allclose(out.weights[idx], want, atol=1e-6)
@@ -540,7 +549,7 @@ def test_isometric_target_functional_match():
     tau = task_vector(theta_a, small_checkpoint_like(theta_a, seed=45))
     theta_a_ft = apply_update(theta_a, tau, 1.0)
     cfg = TransportConfig(method="theseus", strategy="interp1d")
-    out, report = transport_model(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg, alpha=1.0)
+    out, report = transport_model(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg, alpha=1.0)
 
     got, _ = forward_collect(out, calib_b)
     src, _ = forward_collect(theta_a_ft, calib_a)
@@ -565,7 +574,7 @@ def test_transport_rejects_depth_mismatch():
     theta_a, theta_a_ft, _, calib_a, _ = relu_pair(seed=46, widths_b=(3, 4, 2))
     deep = uniform_stack(3, 3, seed=47)
     with pytest.raises(DepthMismatchError, match="2 layers, target has 3"):
-        transport_task_vector(theta_a, theta_a_ft, deep, calib_a, calib_a, TransportConfig())
+        transport_task_vector(theta_a, theta_a_ft, deep, calibration(calib_a, calib_a), TransportConfig())
 
 
 def test_transport_layer_errors_name_the_layer():
@@ -573,13 +582,13 @@ def test_transport_layer_errors_name_the_layer():
     shrunk = small_checkpoint(widths=(3, 4, 1), seed=49)
     cfg = TransportConfig(method="zero_pad", strategy="interp1d")
     with pytest.raises(DimensionError, match="layer 1"):
-        transport_task_vector(theta_a, theta_a_ft, shrunk, calib_a, calib_a, cfg)
+        transport_task_vector(theta_a, theta_a_ft, shrunk, calibration(calib_a, calib_a), cfg)
 
 
 def test_report_structure():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=51)
     cfg = TransportConfig(method="theseus", strategy="interp1d")
-    _, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    _, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     assert report["method"] == "theseus"
     assert report["seq_align"] == "interp1d"
     assert len(report["layers"]) == 2
@@ -601,7 +610,7 @@ def test_big_to_small_direction_swaps_roles():
         seed=52, widths_a=(3, 6, 2), widths_b=(3, 4, 2)
     )
     cfg = TransportConfig(method="theseus", strategy="interp1d")
-    update, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_a, cfg)
+    update, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_a), cfg)
     assert update.deltas[0].shape == (4, 3)
     assert update.deltas[1].shape == (2, 4)
     assert np.all(np.isfinite(update.deltas[0]))
@@ -609,7 +618,7 @@ def test_big_to_small_direction_swaps_roles():
     # Layer 0 narrows its output side (6 -> 4), layer 1 its input side.
     layers = report["layers"]
     assert [(l["in_swapped"], l["out_swapped"]) for l in layers] == [(False, True), (True, False)]
-    ckpt, _ = transport_model(theta_a, theta_a_ft, theta_b, calib_a, calib_a, cfg)
+    ckpt, _ = transport_model(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_a), cfg)
     assert json.loads(ckpt.meta["transport_residuals"]) == layers
 
 
@@ -629,7 +638,8 @@ def test_transport_config_validation():
 def test_transport_rejects_unpaired_calibration():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=53)
     with pytest.raises(DimensionError, match="pair"):
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b[:-1], TransportConfig())
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b[:-1]),
+                              TransportConfig())
 
 
 def traced_peak(depth, width, seqs, tokens, source_tokens=None):
@@ -646,7 +656,7 @@ def traced_peak(depth, width, seqs, tokens, source_tokens=None):
     cfg = TransportConfig(method="theseus", strategy="interp1d")
     tracemalloc.start()
     try:
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -719,7 +729,7 @@ def test_transport_calibration_errors_are_the_forward_pass_errors(case, error, m
         calib_b = calib_b.copy()
         calib_b[3, 1, 0] = np.nan
     with pytest.raises(error) as info:
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), TransportConfig())
     assert str(info.value) == message and info.value.kind == error.kind
 
 
@@ -727,7 +737,7 @@ def test_transport_empty_checkpoints_cannot_run_forward():
     empty = Checkpoint(layer_specs=[], weights=[], biases=[])
     calib = np.zeros((2, 3, 4))
     with pytest.raises(DimensionError) as info:
-        transport_task_vector(empty, empty, empty, calib, calib, TransportConfig())
+        transport_task_vector(empty, empty, empty, calibration(calib, calib), TransportConfig())
     assert str(info.value) == "cannot run a forward pass on an empty checkpoint"
 
 
@@ -736,7 +746,7 @@ def test_transport_forward_errors_name_their_layer_once():
     # A spec edited after construction no longer chains to layer 0's output.
     theta_b.layer_specs[1] = LayerSpec(4, 2, has_bias=True, activation="identity")
     with pytest.raises(DimensionError) as info:
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), TransportConfig())
     assert str(info.value) == "layer 1: got 5 input features, expected 4"
 
 
@@ -744,7 +754,7 @@ def test_transport_overflowing_layer_is_one_non_finite_error():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=60)
     theta_b.weights[1] = 1e300 * theta_b.weights[1]  # layer 1's outputs overflow
     with np.errstate(over="raise", invalid="raise"), pytest.raises(NonFiniteError) as info:
-        transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b, TransportConfig())
+        transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), TransportConfig())
     message = str(info.value)
     assert message.startswith("layer 1: ") and message.count("layer") == 1, message
 
@@ -779,7 +789,7 @@ def test_fallbacks_on_rows_made_again_match_kept_rows(monkeypatch, method, fallb
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = _near_exact_unequal_tokens()
     before = calib_a.tobytes(), calib_b.tobytes()
     cfg = TransportConfig(method=method, strategy="interp2d")
-    args = (theta_a, theta_a_ft, theta_b, calib_a, calib_b, cfg)
+    args = (theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
     made_again, made_again_report = transport_task_vector(*args)
     assert len(fired) == fallbacks
     assert (calib_a.tobytes(), calib_b.tobytes()) == before
@@ -815,8 +825,65 @@ def test_output_side_fallback_runs_no_second_forward_pass(monkeypatch, method, f
     calls = []
     step = transport.forward_layer
     monkeypatch.setattr(transport, "forward_layer", lambda *args: calls.append(1) or step(*args))
-    transport_task_vector(*_near_exact_unequal_tokens(), TransportConfig(method=method, strategy="interp2d"))
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = _near_exact_unequal_tokens()
+    transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b),
+                          TransportConfig(method=method, strategy="interp2d"))
     assert len(calls) == forward_calls
+
+
+@pytest.mark.parametrize("method, reads", [("theseus", 7), ("pinv", 4), (None, 1)])
+def test_calibration_pair_is_dropped_at_layer_0_and_read_again_per_input_side_guard(
+        monkeypatch, method, reads):
+    # No calibration array outlives layer 0: each layer 0 here changes width,
+    # so its outputs are new arrays and every pair the callable returned so
+    # far (layer 0's guards read it again) is unreachable before layer 1's
+    # forward steps, the first two with idx 1. The callable runs once, and
+    # once more per input-side guard that fires: on the near-exact stacks,
+    # both theseus guards per layer read the input side, pinv's one (three
+    # layers); the ReLU pair on unrelated inputs fires none.
+    if method is None:
+        theta_a, theta_a_ft, theta_b, calib_a, _ = relu_pair(seed=78)
+        calib_b = np.random.default_rng(79).standard_normal((16, 9, 3))
+        method = "theseus"
+    else:
+        theta_a, theta_a_ft, theta_b, calib_a, calib_b = _near_exact_unequal_tokens()
+    returned = []
+
+    def read():
+        pair = calibration(calib_a, calib_b)()
+        returned.append([weakref.ref(h) for h in pair])
+        return pair
+
+    alive_at_layer_1 = []
+    step = transport.forward_layer
+
+    def forward(ckpt, idx, *args):
+        if idx == 1 and len(alive_at_layer_1) < 2:
+            alive_at_layer_1.append([ref() is not None for refs in returned for ref in refs])
+        return step(ckpt, idx, *args)
+
+    monkeypatch.setattr(transport, "forward_layer", forward)
+    transport_task_vector(theta_a, theta_a_ft, theta_b, read, TransportConfig(method=method, strategy="interp2d"))
+    assert len(returned) == reads
+    assert len(alive_at_layer_1) == 2 and not any(map(any, alive_at_layer_1)), alive_at_layer_1
+
+
+def test_a_replay_of_other_shapes_is_one_dimension_error():
+    # A calibration that changes between reads is refused at the first
+    # firing guard, before any product reads the replayed pair.
+    theta_a, theta_a_ft, theta_b, calib_a, calib_b = _near_exact_unequal_tokens()
+    reads = []
+
+    def shrinking():
+        reads.append(1)
+        n = len(calib_a) - (len(reads) > 1)
+        return calibration(calib_a[:n], calib_b[:n])()
+
+    with pytest.raises(DimensionError) as info:
+        transport_task_vector(theta_a, theta_a_ft, theta_b, shrinking, TransportConfig(strategy="interp2d"))
+    assert str(info.value) == ("layer 0: the calibration read again has shapes (23, 17, 5) and (23, 26, 7), "
+                               "the first read (24, 17, 5) and (24, 26, 7)")
+    assert len(reads) == 2
 
 
 def test_rows_made_again_are_the_relu_pipelines_activations():
@@ -826,10 +893,11 @@ def test_rows_made_again_are_the_relu_pipelines_activations():
     theta_a, _, theta_b, calib_a, _ = relu_pair(seed=76, widths_a=(3, 4, 5, 2), widths_b=(3, 5, 6, 2))
     calib_b = np.random.default_rng(77).standard_normal((16, 9, 3))
     before = calib_a.tobytes(), calib_b.tobytes()
-    models = ((theta_a, calib_a), (theta_b, calib_b))
-    records = [forward_collect(theta, calib)[1] for theta, calib in models]
+    thetas, shapes = (theta_a, theta_b), (calib_a.shape, calib_b.shape)
+    records = [forward_collect(theta, calib)[1] for theta, calib in zip(thetas, (calib_a, calib_b))]
     for idx in range(theta_a.depth):
-        for got, record in zip(transport._pair_again(models, idx), records):
+        for got, record in zip(transport._pair_again(thetas, calibration(calib_a, calib_b), shapes, idx),
+                               records):
             want = record[idx].h_in
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), idx
     assert (calib_a.tobytes(), calib_b.tobytes()) == before
@@ -865,14 +933,24 @@ def test_statistics_on_own_tokens_match_statistics_on_aligned_rows(
 
 
 def test_transport_writes_no_calibration_and_collect_keeps_pre_activations():
-    # Transport applies ReLU in place to arrays it made; the calibration
-    # arrays are never written, and forward_collect's records keep z.
-    theta_a, theta_a_ft, theta_b, calib_a, _ = relu_pair(seed=74)
+    # Transport writes only into the pair the callable returned: layer 0,
+    # square on both models here, writes its output over it and activates
+    # it in place, so it ends as layer 1's input, forward_collect's bitwise.
+    # The arrays the caller keeps and the checkpoints are never written, and
+    # forward_collect's records keep z.
+    theta_a, theta_a_ft, theta_b, calib_a, _ = relu_pair(seed=74, widths_a=(3, 3, 2), widths_b=(3, 3, 2))
     calib_b = np.random.default_rng(75).standard_normal((16, 9, 3))
     before = calib_a.tobytes(), calib_b.tobytes()
-    transport_task_vector(theta_a, theta_a_ft, theta_b, calib_a, calib_b,
+    weights = [w.tobytes() for theta in (theta_a, theta_a_ft, theta_b) for w in theta.weights]
+    returned = []
+    transport_task_vector(theta_a, theta_a_ft, theta_b,
+                          lambda: returned.append(calibration(calib_a, calib_b)()) or returned[-1],
                           TransportConfig(strategy="interp2d"))
     assert (calib_a.tobytes(), calib_b.tobytes()) == before
+    assert [w.tobytes() for theta in (theta_a, theta_a_ft, theta_b) for w in theta.weights] == weights
+    (pair,) = returned
+    for theta, calib, written in zip((theta_a, theta_b), (calib_a, calib_b), pair):
+        assert written.tobytes() == forward_collect(theta, calib)[1][1].h_in.tobytes()
     _, records = forward_collect(theta_a, calib_a)
     assert calib_a.tobytes() == before[0]
     for record, following in zip(records, records[1:]):
