@@ -8,11 +8,14 @@ Verbosity is controlled by the TASKPORT_LOG env var (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import errno
 import logging
 import os
+import stat
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -21,14 +24,17 @@ import numpy as np
 from .errors import ConfigError, FormatError, TaskportError
 from .linalg import DEFAULT_RCOND
 from .model import (
+    CheckpointWriter,
     LayerSpec,
     TaskVector,
+    apply_layer,
     apply_update,
     init_checkpoint,
     load_calibration,
     load_checkpoint,
     save_calibration,
     save_checkpoint,
+    task_vector,
 )
 from .harness.experiment import (
     ExperimentConfig,
@@ -44,7 +50,7 @@ from .harness.experiment import (
 )
 from .harness.isometry import build_isometric_target
 from .seqalign import STRATEGIES
-from .transport import TransportConfig, depth_expand, transport_model
+from .transport import TransportConfig, depth_expand, transport_layers, transport_meta
 
 __all__ = ["main"]
 
@@ -109,6 +115,34 @@ def _same_file(a, b) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A new file, open for binary writing, that replaces ``path`` once the
+    block ends without an error. It is made beside the file ``path`` resolves
+    to and renamed onto that file, so a symlink keeps pointing at the new one;
+    on any error it is removed and ``path`` keeps its bytes. It gets the mode
+    ``open(path, "wb")`` would give: the existing file's, else 0o666 less the
+    umask."""
+    final = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(final).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(final)}.", suffix=".tmp",
+                               dir=os.path.dirname(final))
+    try:
+        with open(fd, "wb") as f:
+            os.fchmod(f.fileno(), mode)
+            yield f
+        os.replace(tmp, final)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_transport(args) -> int:
     cfg = TransportConfig(
         method=_resolve_method(args.method),
@@ -120,6 +154,13 @@ def cmd_transport(args) -> int:
     if args.output == "-":
         raise ConfigError("--output takes a file path: a TPK1 checkpoint is binary, not for stdout")
     _check_destinations(args.output, args.report)
+    # The checkpoint is renamed onto the file --output resolves to: its
+    # directory must exist, and the file, where it exists, must be a regular
+    # one, since a rename would replace a device node or a FIFO itself.
+    resolved = os.path.realpath(args.output)
+    _check_destinations(resolved)
+    if os.path.exists(resolved) and not os.path.isfile(resolved):
+        raise OSError(f"--output exists and is not a regular file: {args.output}")
     if args.report != "-" and _same_file(args.output, args.report):
         raise ConfigError(f"--output and --report name the same file: {args.report}")
     inputs = (("--source", args.source), ("--finetuned", args.finetuned),
@@ -135,11 +176,24 @@ def cmd_transport(args) -> int:
         log.info("expanding source depth %d -> %d", theta_a.depth, theta_b.depth)
         theta_a = depth_expand(theta_a, theta_b.depth)
         theta_a_ft = depth_expand(theta_a_ft, theta_b.depth)
-    # Transport reads the file when it needs the pair and writes over what it reads.
-    out, report = transport_model(
-        theta_a, theta_a_ft, theta_b, partial(load_calibration, args.calib), cfg, alpha=args.alpha,
-    )
-    save_checkpoint(out, args.output)
+    # The update is written over the fine-tuned checkpoint's arrays, which
+    # nothing else holds, and transport owns it: each source delta is dropped
+    # once transported. Transport reads the calibration file when it needs
+    # the pair and writes over what it reads.
+    layers = transport_layers(theta_a, task_vector(theta_a, theta_a_ft, overwrite=True), theta_b,
+                              partial(load_calibration, args.calib), cfg)
+    del theta_a_ft
+    # Each layer of the output is written, and its delta dropped, as soon as
+    # the layer is transported, so the output is never whole in memory. (No
+    # enumerate: it would keep each layer until the next one is made.)
+    report = {**cfg.echo(), "layers": [], "alpha": args.alpha}
+    with _replacing(args.output) as f:
+        writer = CheckpointWriter(f, theta_b.layer_specs)
+        for delta, bias_delta, entry in layers:
+            writer.layer(*apply_layer(theta_b, entry["layer_index"], delta, bias_delta, args.alpha))
+            report["layers"].append(entry)
+            del delta, bias_delta
+        writer.finish({**theta_b.meta, **transport_meta(report)})
     log.info("wrote transported checkpoint to %s", args.output)
     write_json(report, args.report)
     return 0
@@ -315,11 +369,12 @@ def _hold_heap():
     hands every free page back when the command ends. Under glibc's default
     trimming, a transport's page faults depended on where earlier work had left
     numpy's cached buffers; this lowers one benchmark transport's faults (which
-    one varies) but does not steady them. Measured again once square layers
-    stepped over their inputs, on three alternating 30 s benchmark pairs per
-    transport workload (2 vCPUs, one BLAS thread): a settled op faulted 18.5-19.0k pages (pinv) and
-    18.7-20.2k (theseus) without it, 6.1-6.8k and 6.4-7.0k with it, and the
-    runs peaked at 207.8-208.7 MB without it, 201.8-206.0 MB with it.
+    one varies) but does not steady them. Measured again once the transported
+    checkpoint streamed to its output, on three alternating 30 s benchmark pairs
+    per transport workload (2 vCPUs, one BLAS thread): a settled op faulted
+    12.3-14.3k pages (pinv) and 12.6-13.9k (theseus) without it, 3.3k and
+    3.5-3.6k with it, and the runs peaked at 147.5 and 148.0-148.6 MB without
+    it, 147.3-147.4 and 148.2-149.3 MB with it.
     Settings stay; no-op without glibc."""
     try:
         libc = ctypes.CDLL(None)

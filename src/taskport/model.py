@@ -10,6 +10,7 @@ pre-nonlinearity value.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -29,8 +30,10 @@ __all__ = [
     "activate",
     "forward_collect",
     "task_vector",
+    "apply_layer",
     "apply_update",
     "init_checkpoint",
+    "CheckpointWriter",
     "save_checkpoint",
     "load_checkpoint",
     "save_calibration",
@@ -228,24 +231,58 @@ def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[Activati
     return h, records
 
 
-def task_vector(base: Checkpoint, finetuned: Checkpoint) -> TaskVector:
-    """Difference finetuned - base, layer by layer."""
+def task_vector(base: Checkpoint, finetuned: Checkpoint, *, overwrite: bool = False) -> TaskVector:
+    """Difference finetuned - base, layer by layer.
+
+    With ``overwrite``, each delta is written over finetuned's own array, with
+    the same bits, for a caller that gives finetuned up: the update then
+    replaces the fine-tuned checkpoint instead of sitting beside it. Each of
+    finetuned's arrays must then be its own, not shared between layers.
+    """
     if base.layer_specs != finetuned.layer_specs:
         raise DimensionError("base and finetuned checkpoints have different layer specs")
-    deltas = [wf - wb for wb, wf in zip(base.weights, finetuned.weights)]
-    bias_deltas = [
-        None if bb is None else bf - bb for bb, bf in zip(base.biases, finetuned.biases)
-    ]
+
+    def delta(b, f):
+        return np.subtract(f, b, out=f if overwrite else None)
+
+    deltas = [delta(wb, wf) for wb, wf in zip(base.weights, finetuned.weights)]
+    bias_deltas = [None if bb is None else delta(bb, bf) for bb, bf in zip(base.biases, finetuned.biases)]
     return TaskVector(deltas=deltas, bias_deltas=bias_deltas)
 
 
-def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoint:
-    """Return ``base + alpha * update``; alpha is recorded in the result's meta.
+def apply_layer(base: Checkpoint, idx: int, delta, bias_delta, alpha: float):
+    """Layer ``idx`` of ``base + alpha * update``, given its weight delta and
+    bias delta (None for none): the (weights, bias or None) pair.
 
-    alpha = 0 returns an exact copy of the base weights, not a sum with zero.
-    A sum that overflows raises ``NonFiniteError``, like any checkpoint built
-    with non-finite weights.
+    alpha = 0 copies the base layer exactly, not a sum with zero, so a
+    ``-0.0`` weight stays ``-0.0``. A sum that overflows raises
+    ``NonFiniteError``, as the ``Checkpoint`` constructor would.
     """
+    spec, w, b = base.layer_specs[idx], base.weights[idx], base.biases[idx]
+    if delta.shape != (spec.d_out, spec.d_in):
+        raise DimensionError(
+            f"layer {idx}: delta shape {delta.shape} does not match ({spec.d_out}, {spec.d_in})"
+        )
+    if bias_delta is not None and not spec.has_bias:
+        raise DimensionError(f"layer {idx}: bias delta given but the layer has no bias")
+    if bias_delta is not None and bias_delta.shape != (spec.d_out,):
+        raise DimensionError(
+            f"layer {idx}: bias delta shape {bias_delta.shape} does not match ({spec.d_out},)"
+        )
+    if alpha == 0.0:
+        w, b = w.copy(), None if b is None else b.copy()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below reject overflow
+            step = alpha * delta
+            w = np.add(w, step, out=step)  # into the product's array: one temporary fewer
+            b = None if b is None else (b.copy() if bias_delta is None else b + alpha * bias_delta)
+    w = as_matrix(w, f"layer {idx} weights")
+    return w, None if b is None else as_vector(b, spec.d_out, f"layer {idx} bias")
+
+
+def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoint:
+    """Return ``base + alpha * update``, layer by layer by ``apply_layer``;
+    alpha is recorded in the result's meta."""
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise DimensionError(f"alpha must be finite, got {alpha}")
@@ -253,27 +290,10 @@ def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoi
         raise DimensionError(
             f"update has {len(update.deltas)} layers, checkpoint has {base.depth}"
         )
-    for idx, (spec, d, bd) in enumerate(zip(base.layer_specs, update.deltas, update.bias_deltas)):
-        if d.shape != (spec.d_out, spec.d_in):
-            raise DimensionError(
-                f"layer {idx}: delta shape {d.shape} does not match ({spec.d_out}, {spec.d_in})"
-            )
-        if bd is not None and not spec.has_bias:
-            raise DimensionError(f"layer {idx}: bias delta given but the layer has no bias")
-        if bd is not None and bd.shape != (spec.d_out,):
-            raise DimensionError(
-                f"layer {idx}: bias delta shape {bd.shape} does not match ({spec.d_out},)"
-            )
-    if alpha == 0.0:
-        out = base.copy()
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects overflow
-            weights = [w + alpha * d for w, d in zip(base.weights, update.deltas)]
-            biases = [None if b is None else (b.copy() if bd is None else b + alpha * bd)
-                      for b, bd in zip(base.biases, update.bias_deltas)]
-        out = Checkpoint(list(base.layer_specs), weights, biases, dict(base.meta))
-    out.meta["alpha"] = repr(alpha)
-    return out
+    layers = [apply_layer(base, idx, d, bd, alpha)
+              for idx, (d, bd) in enumerate(zip(update.deltas, update.bias_deltas))]
+    return Checkpoint(list(base.layer_specs), [w for w, _ in layers], [b for _, b in layers],
+                      {**base.meta, "alpha": repr(alpha)})
 
 
 def init_checkpoint(layer_specs, seed) -> Checkpoint:
@@ -303,34 +323,55 @@ _ACTIVATION_NAME = {v: k for k, v in _ACTIVATION_CODE.items()}
 
 
 class _Reader:
+    """A binary file read field by field, as a context manager that closes
+    it: header fields by small reads, each array by ``readinto`` straight
+    into a new array of its own. Every length is checked against the file's
+    size before anything is read or allocated."""
+
     def __init__(self, path):
         self.path = str(path)
-        with open(path, "rb") as f:
-            # A view: an array is cut from it without a copy, then copied once.
-            self.buf = memoryview(f.read())
+        self.f = open(path, "rb")
+        self.size = os.fstat(self.f.fileno()).st_size
         self.pos = 0
 
-    def view(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def _claim(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise FormatError(
                 f"{self.path}: truncated, wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}",
+                f"file has {self.size}",
                 kind="truncated",
             )
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+
+    def _short(self, n: int, got: int):
+        # The file shrank after its size was read.
+        return FormatError(f"{self.path}: truncated, wanted {n} bytes, read {got}", kind="truncated")
 
     def take(self, n: int) -> bytes:
-        return bytes(self.view(n))
+        self._claim(n)
+        data = self.f.read(n)
+        if len(data) != n:
+            raise self._short(n, len(data))
+        return data
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, shape) -> np.ndarray:
-        # Python ints, so huge header dims cannot wrap before view() checks the length.
-        count = math.prod(shape)
-        return np.frombuffer(self.view(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+        # Python ints, so huge header dims cannot wrap before the length check.
+        n = 8 * math.prod(shape)
+        self._claim(n)
+        out = np.empty(shape, dtype="<f8")
+        got = self.f.readinto(out)
+        if got != n:
+            raise self._short(n, got)
+        return out.astype(np.float64, copy=False)
 
     def expect_magic(self, magic: bytes, what: str):
         got = self.take(4)
@@ -341,9 +382,9 @@ class _Reader:
             )
 
     def done(self):
-        if self.pos != len(self.buf):
+        if self.pos != self.size:
             raise FormatError(
-                f"{self.path}: {len(self.buf) - self.pos} trailing bytes after payload",
+                f"{self.path}: {self.size - self.pos} trailing bytes after payload",
                 kind="bad_format",
             )
 
@@ -354,58 +395,89 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<f8")
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` as TPK1. The header and metadata are encoded before the
-    file is opened; the arrays are written one at a time, none held twice."""
-    head = [_MAGIC_CHECKPOINT, struct.pack("<I", ckpt.depth)]
-    for spec in ckpt.layer_specs:
-        head.append(
-            struct.pack(
-                "<IIBB", spec.d_in, spec.d_out, int(spec.has_bias), _ACTIVATION_CODE[spec.activation]
+class CheckpointWriter:
+    """The one TPK1 encoder, writing to an open binary file ``f``: the header
+    of ``layer_specs`` on creation, each layer's arrays as ``layer`` is given
+    them, then the meta tail on ``finish``. It keeps no array, so a caller
+    that makes each layer just before writing it holds one layer at a time."""
+
+    def __init__(self, f, layer_specs):
+        self.f, self.specs, self.written = f, list(layer_specs), 0
+        head = [_MAGIC_CHECKPOINT, struct.pack("<I", len(self.specs))]
+        for spec in self.specs:
+            head.append(
+                struct.pack(
+                    "<IIBB", spec.d_in, spec.d_out, int(spec.has_bias), _ACTIVATION_CODE[spec.activation]
+                )
             )
-        )
-    items = sorted(ckpt.meta.items())
-    tail = [struct.pack("<I", len(items))]
-    for key, value in items:
-        kb, vb = key.encode("utf-8"), str(value).encode("utf-8")
-        tail.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
-    with open(path, "wb") as f:
         f.write(b"".join(head))
+
+    def layer(self, weights: np.ndarray, bias: np.ndarray | None) -> None:
+        """Write the next layer's weights and bias (None where it has none)."""
+        idx = self.written
+        if idx == len(self.specs):
+            raise DimensionError(f"the header declares {idx} layers, got one more")
+        spec = self.specs[idx]
+        if weights.shape != (spec.d_out, spec.d_in) or (bias is not None) != spec.has_bias or (
+                bias is not None and bias.shape != (spec.d_out,)):
+            raise DimensionError(f"layer {idx}: arrays of shapes {weights.shape} and "
+                                 f"{None if bias is None else bias.shape} do not fit its spec {spec}")
+        self.f.write(_f64(weights))
+        if bias is not None:
+            self.f.write(_f64(bias))
+        self.written += 1
+
+    def finish(self, meta: dict) -> None:
+        """Write the meta tail once every declared layer is written."""
+        if self.written != len(self.specs):
+            raise DimensionError(f"the header declares {len(self.specs)} layers, {self.written} written")
+        items = sorted(meta.items())
+        tail = [struct.pack("<I", len(items))]
+        for key, value in items:
+            kb, vb = key.encode("utf-8"), str(value).encode("utf-8")
+            tail.append(struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb)
+        self.f.write(b"".join(tail))
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` as TPK1 through ``CheckpointWriter``, one array at a
+    time, none held twice."""
+    with open(path, "wb") as f:
+        writer = CheckpointWriter(f, ckpt.layer_specs)
         for w, b in zip(ckpt.weights, ckpt.biases):
-            f.write(_f64(w))
-            if b is not None:
-                f.write(_f64(b))
-        f.write(b"".join(tail))
+            writer.layer(w, b)
+        writer.finish(ckpt.meta)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    r = _Reader(path)
-    r.expect_magic(_MAGIC_CHECKPOINT, "checkpoint")
-    depth = r.u32()
-    specs = []
-    for _ in range(depth):
-        d_in, d_out = r.u32(), r.u32()
-        has_bias, act_code = struct.unpack("<BB", r.take(2))
-        if act_code not in _ACTIVATION_NAME:
-            raise FormatError(f"{r.path}: unknown activation code {act_code}", kind="bad_format")
-        if has_bias not in (0, 1):
-            raise FormatError(f"{r.path}: bad has_bias byte {has_bias}", kind="bad_format")
-        specs.append(
-            LayerSpec(d_in=d_in, d_out=d_out, has_bias=bool(has_bias), activation=_ACTIVATION_NAME[act_code])
-        )
-    weights, biases = [], []
-    for spec in specs:
-        weights.append(r.f64_array((spec.d_out, spec.d_in)))
-        biases.append(r.f64_array((spec.d_out,)) if spec.has_bias else None)
-    meta = {}
-    for _ in range(r.u32()):
-        try:
-            key = r.take(r.u32()).decode("utf-8")
-            value = r.take(r.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{r.path}: meta entry is not valid utf-8: {exc}", kind="bad_format")
-        meta[key] = value
-    r.done()
+    """Read a TPK1 checkpoint, each array straight into its own array."""
+    with _Reader(path) as r:
+        r.expect_magic(_MAGIC_CHECKPOINT, "checkpoint")
+        depth = r.u32()
+        specs = []
+        for _ in range(depth):
+            d_in, d_out = r.u32(), r.u32()
+            has_bias, act_code = struct.unpack("<BB", r.take(2))
+            if act_code not in _ACTIVATION_NAME:
+                raise FormatError(f"{r.path}: unknown activation code {act_code}", kind="bad_format")
+            if has_bias not in (0, 1):
+                raise FormatError(f"{r.path}: bad has_bias byte {has_bias}", kind="bad_format")
+            specs.append(
+                LayerSpec(d_in=d_in, d_out=d_out, has_bias=bool(has_bias), activation=_ACTIVATION_NAME[act_code])
+            )
+        weights, biases = [], []
+        for spec in specs:
+            weights.append(r.f64_array((spec.d_out, spec.d_in)))
+            biases.append(r.f64_array((spec.d_out,)) if spec.has_bias else None)
+        meta = {}
+        for _ in range(r.u32()):
+            try:
+                key = r.take(r.u32()).decode("utf-8")
+                value = r.take(r.u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{r.path}: meta entry is not valid utf-8: {exc}", kind="bad_format")
+            meta[key] = value
+        r.done()
     return Checkpoint(layer_specs=specs, weights=weights, biases=biases, meta=meta)
 
 
@@ -428,13 +500,14 @@ def save_calibration(inputs_a, inputs_b, path) -> None:
 
 
 def load_calibration(path) -> tuple[np.ndarray, np.ndarray]:
-    r = _Reader(path)
-    r.expect_magic(_MAGIC_CALIBRATION, "calibration file")
-    n, l_a, d_a, l_b, d_b = (r.u32() for _ in range(5))
-    # The writer's shape rule, on the header, before any entry is read.
-    shapes = [require_batch_shape((n, l_a, d_a), "inputs_a"), require_batch_shape((n, l_b, d_b), "inputs_b")]
-    a, b = (r.f64_array(shape) for shape in shapes)
-    r.done()
+    """Read a TPC1 calibration pair, each side straight into its own array."""
+    with _Reader(path) as r:
+        r.expect_magic(_MAGIC_CALIBRATION, "calibration file")
+        n, l_a, d_a, l_b, d_b = (r.u32() for _ in range(5))
+        # The writer's shape rule, on the header, before any entry is read.
+        shapes = [require_batch_shape((n, l_a, d_a), "inputs_a"), require_batch_shape((n, l_b, d_b), "inputs_b")]
+        a, b = (r.f64_array(shape) for shape in shapes)
+        r.done()
     require_finite(a, "inputs_a")
     require_finite(b, "inputs_b")
     return a, b

@@ -33,10 +33,12 @@ layer 0's over the calibration pair; a layer that changes width makes a new
 output and drops the input once it exists. So no calibration array
 outlives layer 0, one activation per model is alive through each layer's
 solve, and on square layers through its forward step too. Each layer's
-source update is dropped once it is transported. A fallback whose guard
-fires aligns its rows explicitly: the input side's are made again from a new
-calibration pair by the same forward steps, the output side's are the
-layer's live outputs.
+source update is dropped once it is transported, and ``transport_layers``
+yields the layer's result at once, so a consumer that writes it out holds
+one transported layer at a time. A fallback whose guard fires aligns its
+rows explicitly: the input side's are made again from a new calibration
+pair by the same forward steps, the output side's are the layer's live
+outputs.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ __all__ = [
     "transport_bias",
     "bilinear_residual",
     "depth_expand",
+    "transport_layers",
     "transport_task_vector",
+    "transport_meta",
     "transport_model",
 ]
 
@@ -513,7 +517,7 @@ def _calibration_inputs(thetas, calibration) -> list[np.ndarray]:
 
 def _pair_again(thetas, calibration, shapes, idx: int) -> tuple[np.ndarray, np.ndarray]:
     """Layer ``idx``'s input of each model in ``thetas``, made again one
-    layer at a time, as ``transport_task_vector`` makes it, from a new pair
+    layer at a time, as ``transport_layers`` makes it, from a new pair
     that ``calibration`` returns, which must have the first pair's
     ``shapes``."""
     pair = _calibration_inputs(thetas, calibration)
@@ -538,22 +542,29 @@ def _forward_over(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
     return forward_layer(ckpt, idx, h)
 
 
-def transport_task_vector(
+def transport_layers(
     theta_a: Checkpoint,
-    theta_a_ft: Checkpoint,
+    update_a: TaskVector,
     theta_b: Checkpoint,
     calibration,
     cfg: TransportConfig,
-) -> tuple[TaskVector, dict]:
-    """Move the update (theta_a_ft - theta_a) into theta_b's coordinates.
+):
+    """Move the source update ``update_a``, in theta_a's coordinates, into
+    theta_b's, yielding each layer's ``(delta, bias delta or None, report
+    entry)`` as soon as that layer is transported.
 
     ``calibration`` is a zero-argument callable that returns a new
     ``(inputs_a, inputs_b)`` pair on every call: paired calibration inputs,
     the same underlying samples rendered in each model's input space.
     Transport owns each pair it is given and writes over it. It is called
-    once, after the depth and layer-spec checks, and again only when an
-    input-side guard fires; a pair read again must have the first pair's
-    shapes. A caller that keeps its arrays returns copies of them.
+    once, after the depth check, and again only when an input-side guard
+    fires; a pair read again must have the first pair's shapes. A caller
+    that keeps its arrays returns copies of them.
+
+    The generator owns ``update_a`` too: each layer's source delta is
+    dropped from it once transported. It keeps nothing it yields, so a
+    consumer that drops each layer's delta before asking for the next holds
+    one transported layer at a time.
 
     The two base models run on the pair one layer at a time: each layer's
     activations are reduced to its statistics (length-aligned per
@@ -561,18 +572,15 @@ def transport_task_vector(
     statistics are taken before its forward pass, which writes over its input
     where the layer is square, else drops it once its output exists, so no
     calibration array outlives layer 0, one activation per model is alive
-    through the solve and memory does not grow with depth; each layer's
-    source update is dropped once transported. A firing guard on the input
-    side makes its rows again from a new pair; one on the output side reads
-    the live outputs. Returns the transported task vector and a per-layer
-    report.
+    through the solve and memory does not grow with depth. A firing guard on
+    the input side makes its rows again from a new pair; one on the output
+    side reads the live outputs.
     """
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
             f"source has {theta_a.depth} layers, target has {theta_b.depth}; "
             f"expand the shallower stack first"
         )
-    update_a = task_vector(theta_a, theta_a_ft)
     thetas = (theta_a, theta_b)
     h_a, h_b = _calibration_inputs(thetas, calibration)
     shapes = (h_a.shape, h_b.shape)
@@ -580,7 +588,6 @@ def transport_task_vector(
     # Each layer's output array replaces its input, or is written over it,
     # and is activated in place, as nothing else holds it once the layer's
     # statistics are dropped.
-    results = []
     for idx in range(theta_a.depth):
         with prefixed(f"layer {idx}"):
             in_side = SideStats(h_a, h_b, cfg.strategy, "hin",
@@ -591,9 +598,9 @@ def transport_task_vector(
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
-            results.append(_transport_layer(
+            layer = _transport_layer(
                 idx, theta_b.layer_specs[idx], stats, update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
-            ))
+            )
         # Else they outlive the next layer's input statistics, and the output
         # side's rows are the outputs that are activated in place next. The
         # source update of a transported layer is not read again.
@@ -601,11 +608,36 @@ def transport_task_vector(
         update_a.deltas[idx] = update_a.bias_deltas[idx] = None
         h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
         h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
+        yield layer
+        del layer  # else the layer outlives the consumer's copy, through the next solve
 
-    deltas = [r[0] for r in results]
-    bias_deltas = [r[1] for r in results]
-    report = {**cfg.echo(), "layers": [r[2] for r in results]}
-    return TaskVector(deltas=deltas, bias_deltas=bias_deltas), report
+
+def transport_task_vector(
+    theta_a: Checkpoint,
+    theta_a_ft: Checkpoint,
+    theta_b: Checkpoint,
+    calibration,
+    cfg: TransportConfig,
+) -> tuple[TaskVector, dict]:
+    """Move the update (theta_a_ft - theta_a) into theta_b's coordinates:
+    ``task_vector`` and every layer of ``transport_layers``, whose
+    ``calibration`` contract this shares. Returns the transported task
+    vector and a per-layer report."""
+    layers = list(transport_layers(theta_a, task_vector(theta_a, theta_a_ft), theta_b, calibration, cfg))
+    update_b = TaskVector(deltas=[d for d, _, _ in layers], bias_deltas=[b for _, b, _ in layers])
+    return update_b, {**cfg.echo(), "layers": [entry for _, _, entry in layers]}
+
+
+def transport_meta(report: dict) -> dict:
+    """The meta entries a transported checkpoint carries, from the report of
+    a transport applied at ``report["alpha"]``: ``alpha`` as ``apply_update``
+    records it, ``transport`` (the report without its layers) and
+    ``transport_residuals`` (its layers)."""
+    return {
+        "alpha": repr(float(report["alpha"])),
+        "transport": json.dumps({k: v for k, v in report.items() if k != "layers"}, sort_keys=True),
+        "transport_residuals": json.dumps(report["layers"], sort_keys=True),
+    }
 
 
 def transport_model(
@@ -616,13 +648,13 @@ def transport_model(
     cfg: TransportConfig,
     alpha: float = 1.0,
 ) -> tuple[Checkpoint, dict]:
-    """Full per-layer pipeline: transport the update and apply it at strength
-    alpha. ``calibration`` is ``transport_task_vector``'s: a zero-argument
-    callable that returns a new calibration pair, which transport owns, on
-    every call."""
+    """Full per-layer pipeline: ``transport_task_vector``, then
+    ``apply_update`` at strength alpha, the result's meta extended by
+    ``transport_meta``. ``calibration`` is ``transport_layers``': a
+    zero-argument callable that returns a new calibration pair, which
+    transport owns, on every call."""
     update_b, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration, cfg)
     out = apply_update(theta_b, update_b, alpha)
     report = {**report, "alpha": float(alpha)}
-    out.meta["transport"] = json.dumps({**cfg.echo(), "alpha": float(alpha)}, sort_keys=True)
-    out.meta["transport_residuals"] = json.dumps(report["layers"], sort_keys=True)
+    out.meta.update(transport_meta(report))
     return out, report

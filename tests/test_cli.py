@@ -2,21 +2,27 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import stat
 import struct
 import warnings
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from taskport import cli
+from taskport import transport as transport_module
 from taskport.cli import main
 from taskport.errors import ConfigError
 from taskport.harness.experiment import ExperimentConfig, load_config
 from taskport.model import (
     Checkpoint,
     LayerSpec,
+    apply_layer,
     init_checkpoint,
     load_calibration,
     load_checkpoint,
@@ -24,6 +30,7 @@ from taskport.model import (
     save_checkpoint,
 )
 from taskport.seqalign import STRATEGIES
+from taskport.transport import TransportConfig, depth_expand, transport_model
 
 FIXTURE_NAMES = (
     "source_a.tpk", "source_a_ft.tpk", "target_b.tpk", "calib.tpc", "demo_config.json"
@@ -302,6 +309,171 @@ def test_transport_refuses_a_calibration_file_changed_mid_op(fixtures_dir, tmp_p
     assert err == ["dimension_mismatch: layer 0: the calibration read again has shapes (63, 5, 6) and "
                    "(63, 5, 9), the first read (64, 5, 6) and (64, 5, 9)"], err
     assert len(reads) == 2 and not out.exists()
+
+
+def _svd_failing_on_call(monkeypatch, fail_at):
+    """Make ``np.linalg.svd`` fail on call ``fail_at`` (never when None);
+    returns the list of calls made."""
+    calls, real = [], np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_transport_leaves_nothing_behind(fixtures_dir, tmp_path, capsys, monkeypatch, existing):
+    # The checkpoint goes to a temporary file beside --output, renamed onto
+    # it only once complete; a transport failing at its last layer, with the
+    # first already written, removes that file and leaves --output as it was.
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as counting:
+        calls = _svd_failing_on_call(counting, None)
+        assert main(transport_args(fixtures_dir, tmp_path / "probe.tpk")) == 0
+    (tmp_path / "probe.tpk").unlink()
+    capsys.readouterr()
+    out = tmp_path / "out.tpk"
+    if existing:
+        out.write_bytes(b"old checkpoint")
+    _svd_failing_on_call(monkeypatch, len(calls))
+    assert main(transport_args(fixtures_dir, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["svd_no_convergence: layer 1: SVD failed to converge on a 6x9 matrix: did not converge"], err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.tpk"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old checkpoint"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_transport_through_a_symlink_replaces_its_target(fixtures_dir, tmp_path, existing):
+    want = tmp_path / "want.tpk"
+    assert main(transport_args(fixtures_dir, want)) == 0
+    (tmp_path / "real").mkdir()
+    real = tmp_path / "real" / "out.tpk"
+    if existing:
+        real.write_bytes(b"old checkpoint")
+    link = tmp_path / "link.tpk"
+    link.symlink_to(real)
+    assert main(transport_args(fixtures_dir, link)) == 0
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_bytes() == want.read_bytes()
+    assert [p.name for p in real.parent.iterdir()] == ["out.tpk"]
+
+
+def test_transport_output_gets_the_mode_of_a_plain_open(fixtures_dir, tmp_path):
+    fresh, kept = tmp_path / "fresh.tpk", tmp_path / "kept.tpk"
+    with open(tmp_path / "plain", "wb"):
+        pass
+    kept.write_bytes(b"old checkpoint")
+    kept.chmod(0o640)
+    for out in (fresh, kept):
+        assert main(transport_args(fixtures_dir, out)) == 0
+    assert fresh.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert kept.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("case", ["fifo", "device", "dangling"])
+def test_transport_refuses_an_output_it_cannot_replace(fixtures_dir, tmp_path, capsys, monkeypatch, case):
+    # Renaming onto a FIFO or a device node would replace the node itself; a
+    # symlink into a missing directory has nowhere to put the new file. Each
+    # is refused before any input is read.
+    out = tmp_path / "out"
+    if case == "fifo":
+        os.mkfifo(out)
+    else:
+        out.symlink_to("/dev/null" if case == "device" else tmp_path / "missing" / "out.tpk")
+    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    assert main(transport_args(fixtures_dir, out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    want = {"dangling": f"io_error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'out.tpk'}'"}
+    assert err == [want.get(case, f"io_error: --output exists and is not a regular file: {out}")], err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert stat.S_ISFIFO(os.lstat(out).st_mode) if case == "fifo" else out.is_symlink()
+
+
+def _deep_target(fixtures_dir, path):
+    """A three-layer target for the two-layer demo source, as --depth-expand takes."""
+    specs = [LayerSpec(d_in=9, d_out=9, has_bias=True, activation="relu")] * 2 + [
+        LayerSpec(d_in=9, d_out=9, has_bias=True, activation="identity")]
+    save_checkpoint(init_checkpoint(specs, np.random.SeedSequence(8)), path)
+
+
+def _signed_zero_target(fixtures_dir, path):
+    """The demo target with a -0.0 weight and a layer without a bias."""
+    target = load_checkpoint(fixtures_dir / "target_b.tpk")
+    target.weights[0][1, 2] = -0.0
+    target.layer_specs[1] = LayerSpec(d_in=9, d_out=9, has_bias=False, activation="identity")
+    target.biases[1] = None
+    save_checkpoint(Checkpoint(target.layer_specs, target.weights, target.biases, target.meta), path)
+
+
+@pytest.mark.parametrize("case", ["alpha_zero", "negative_alpha", "depth_expand"])
+@pytest.mark.parametrize("method", list(cli._METHOD_TOKENS))
+def test_streamed_output_is_the_librarys_checkpoint(fixtures_dir, tmp_path, capsys, method, case):
+    # The CLI writes each layer as it is transported; its bytes are those of
+    # the whole checkpoint the library builds, alpha = 0's exact copy included
+    # (-0.0 + 0.0 would be +0.0).
+    target, alpha = tmp_path / "target.tpk", {"negative_alpha": -0.7}.get(case, 0.0)
+    (_deep_target if case == "depth_expand" else _signed_zero_target)(fixtures_dir, target)
+    argv = transport_args(fixtures_dir, tmp_path / "out.tpk", method=method, alpha=alpha,
+                          report=tmp_path / "report.json")
+    argv[argv.index("--target") + 1] = str(target)
+    assert main(argv + (["--depth-expand"] if case == "depth_expand" else [])) == 0
+    theta_a, theta_a_ft, theta_b = (load_checkpoint(p) for p in (
+        fixtures_dir / "source_a.tpk", fixtures_dir / "source_a_ft.tpk", target))
+    if case == "depth_expand":
+        theta_a, theta_a_ft = (depth_expand(theta, theta_b.depth) for theta in (theta_a, theta_a_ft))
+    cfg = TransportConfig(method=cli._METHOD_TOKENS[method])
+    want, report = transport_model(theta_a, theta_a_ft, theta_b,
+                                   partial(load_calibration, fixtures_dir / "calib.tpc"), cfg, alpha=alpha)
+    save_checkpoint(want, tmp_path / "want.tpk")
+    assert (tmp_path / "out.tpk").read_bytes() == (tmp_path / "want.tpk").read_bytes()
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+    if case == "alpha_zero":
+        got = load_checkpoint(tmp_path / "out.tpk")
+        assert np.signbit(got.weights[0][1, 2]) and got.biases[1] is None
+
+
+def test_transport_holds_one_checkpoint_of_the_update(fixtures_dir, tmp_path, monkeypatch):
+    # The fine-tuned checkpoint is dropped once the update is formed, before
+    # the calibration is read; each layer's transported delta, and the
+    # weights written from it, are dropped before the next layer's solve.
+    loaded, written, transported = {}, [], []
+
+    def load(path):
+        ckpt = load_checkpoint(path)
+        loaded[os.path.basename(path)] = weakref.ref(ckpt)
+        return ckpt
+
+    def read_calibration(path):
+        assert loaded["source_a_ft.tpk"]() is None
+        return load_calibration(path)
+
+    def apply(*args):
+        layer = apply_layer(*args)
+        written.extend(weakref.ref(a) for a in layer if a is not None)
+        return layer
+
+    real_transport_layer = transport_module._transport_layer
+
+    def transport_layer(*args):
+        assert all(ref() is None for ref in transported + written)
+        layer = real_transport_layer(*args)
+        transported.extend(weakref.ref(a) for a in layer[:2] if a is not None)
+        return layer
+
+    monkeypatch.setattr(cli, "load_checkpoint", load)
+    monkeypatch.setattr(cli, "load_calibration", read_calibration)
+    monkeypatch.setattr(cli, "apply_layer", apply)
+    monkeypatch.setattr(transport_module, "_transport_layer", transport_layer)
+    assert main(transport_args(fixtures_dir, tmp_path / "out.tpk", report=tmp_path / "r.json")) == 0
+    assert len(transported) == 4 and len(written) == 4
+    assert loaded["source_a_ft.tpk"]() is None
 
 
 _RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}

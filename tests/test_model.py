@@ -1,3 +1,4 @@
+import gc
 import struct
 import tempfile
 import tracemalloc
@@ -168,6 +169,16 @@ def test_task_vector_add_back():
         assert np.linalg.norm(back.biases[idx] - ft.biases[idx]) <= 1e-12
 
 
+def test_task_vector_over_the_finetuned_arrays_keeps_the_bits():
+    base, ft = small_checkpoint(seed=13), small_checkpoint(seed=14)
+    want = task_vector(base, ft)
+    arrays = [*ft.weights, *ft.biases]
+    got = task_vector(base, ft, overwrite=True)
+    assert all(g is a for g, a in zip([*got.deltas, *got.bias_deltas], arrays))
+    for g, w in zip([*got.deltas, *got.bias_deltas], [*want.deltas, *want.bias_deltas]):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_task_vector_rejects_mismatched_specs():
     with pytest.raises(DimensionError):
         task_vector(small_checkpoint(widths=(3, 4, 2)), small_checkpoint(widths=(3, 5, 2)))
@@ -265,6 +276,25 @@ def test_checkpoint_writer_holds_no_array_twice(tmp_path):
     assert_checkpoint_equal(load_checkpoint(path), ckpt, bitwise=True)
 
 
+def test_checkpoint_writer_refuses_layers_the_header_does_not_declare(tmp_path):
+    # A stream written layer by layer must match its header, or the file
+    # would not read back.
+    ckpt = small_checkpoint(widths=(3, 4, 2), seed=12)
+    cases = {
+        "one more": list(zip(ckpt.weights, ckpt.biases)) + [(ckpt.weights[1], ckpt.biases[1])],
+        "transposed": [(ckpt.weights[0].T, ckpt.biases[0])],
+        "bias missing": [(ckpt.weights[0], None)],
+        "one missing": [(ckpt.weights[0], ckpt.biases[0])],
+    }
+    for name, layers in cases.items():
+        with open(tmp_path / "c.tpk", "wb") as f, pytest.raises(DimensionError):
+            writer = model.CheckpointWriter(f, ckpt.layer_specs)
+            for w, b in layers:
+                writer.layer(w, b)
+            writer.finish({})
+            pytest.fail(f"wrote {name}")
+
+
 def test_checkpoint_empty_layer_list_round_trips(tmp_path):
     empty = Checkpoint(layer_specs=[], weights=[], biases=[], meta={"note": "none"})
     path = tmp_path / "empty.tpk"
@@ -335,6 +365,38 @@ def test_loaded_arrays_are_copied_once_and_own_their_memory(tmp_path):
         assert got.flags.owndata and got.flags.writeable
     for got, want in zip(loaded, (a, b)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_files_are_read_straight_into_their_arrays(tmp_path):
+    # Each array is read into its own new array, with no copy of the file
+    # beside it: the traced peak is about the file's size. Reading the file
+    # whole and copying each array out of it peaked at about twice that.
+    rng = np.random.default_rng(37)
+    calib = tmp_path / "cal.tpc"
+    save_calibration(rng.standard_normal((64, 16, 32)), rng.standard_normal((64, 16, 32)), calib)
+    ckpt = tmp_path / "ckpt.tpk"
+    save_checkpoint(init_checkpoint([LayerSpec(128, 128, has_bias=True, activation="relu")] * 4, seed=38), ckpt)
+    for load, path in ((load_calibration, calib), (load_checkpoint, ckpt)):
+        tracemalloc.start()
+        try:
+            load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * path.stat().st_size, (load.__name__, peak, path.stat().st_size)
+
+
+def test_reader_closes_its_file_on_every_path(tmp_path):
+    bad = tmp_path / "bad.tpk"
+    bad.write_bytes(b"NOPE" + b"\x00" * 16)
+    good = tmp_path / "good.tpk"
+    save_checkpoint(small_checkpoint(seed=0), good)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+        load_checkpoint(good)
+        gc.collect()
 
 
 def test_calibration_rejects_unpaired_counts(tmp_path):
