@@ -21,17 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, TaskportError
+from .errors import ConfigError, DimensionError, FormatError, TaskportError
 from .linalg import DEFAULT_RCOND
 from .model import (
+    CheckpointReader,
     CheckpointWriter,
     LayerSpec,
     TaskVector,
     apply_layer,
     apply_update,
+    calibration_shapes,
     init_checkpoint,
+    layer_delta,
     load_calibration,
-    load_checkpoint,
     save_calibration,
     save_checkpoint,
     task_vector,
@@ -169,31 +171,37 @@ def cmd_transport(args) -> int:
         for flag, path in inputs:
             if dest != "-" and _same_file(dest, path):
                 raise ConfigError(f"{dest_flag} and {flag} name the same file: {dest}")
-    theta_a = load_checkpoint(args.source)
-    theta_a_ft = load_checkpoint(args.finetuned)
-    theta_b = load_checkpoint(args.target)
-    if args.depth_expand and theta_a.depth != theta_b.depth:
-        log.info("expanding source depth %d -> %d", theta_a.depth, theta_b.depth)
-        theta_a = depth_expand(theta_a, theta_b.depth)
-        theta_a_ft = depth_expand(theta_a_ft, theta_b.depth)
-    # The update is written over the fine-tuned checkpoint's arrays, which
-    # nothing else holds, and transport owns it: each source delta is dropped
-    # once transported. Transport reads the calibration file when it needs
-    # the pair and writes over what it reads.
-    layers = transport_layers(theta_a, task_vector(theta_a, theta_a_ft, overwrite=True), theta_b,
-                              partial(load_calibration, args.calib), cfg)
-    del theta_a_ft
-    # Each layer of the output is written, and its delta dropped, as soon as
-    # the layer is transported, so the output is never whole in memory. (No
-    # enumerate: it would keep each layer until the next one is made.)
-    report = {**cfg.echo(), "layers": [], "alpha": args.alpha}
-    with _replacing(args.output) as f:
-        writer = CheckpointWriter(f, theta_b.layer_specs)
-        for delta, bias_delta, entry in layers:
-            writer.layer(*apply_layer(theta_b, entry["layer_index"], delta, bias_delta, args.alpha))
-            report["layers"].append(entry)
-            del delta, bias_delta
-        writer.finish({**theta_b.meta, **transport_meta(report)})
+    # The three checkpoints stay open files, each layer read when the loop
+    # reaches it; every path out of the block closes them.
+    with contextlib.ExitStack() as stack:
+        source, finetuned, target = (stack.enter_context(CheckpointReader(path))
+                                     for path in (args.source, args.finetuned, args.target))
+        if args.depth_expand and source.depth != target.depth:
+            # Expansion blends layers, so the two source stacks are loaded
+            # whole; the update is written over the fine-tuned arrays.
+            log.info("expanding source depth %d -> %d", source.depth, target.depth)
+            source, theta_a_ft = (depth_expand(reader.load(), target.depth) for reader in (source, finetuned))
+            update = task_vector(source, theta_a_ft, overwrite=True).take
+            del theta_a_ft
+        elif source.layer_specs != finetuned.layer_specs:
+            raise DimensionError("base and finetuned checkpoints have different layer specs")
+        else:
+            # Each layer's delta is written over the fine-tuned layer as it is read.
+            update = partial(layer_delta, source, finetuned)
+        # Transport reads the calibration file when it needs the pair and
+        # writes over what it reads.
+        layers = transport_layers(source, update, target, partial(load_calibration, args.calib), cfg)
+        # Each layer of the output is written, and its delta dropped, as soon
+        # as the layer is transported, so the output is never whole in memory.
+        # (No enumerate: it would keep each layer until the next one is made.)
+        report = {**cfg.echo(), "layers": [], "alpha": args.alpha}
+        with _replacing(args.output) as f:
+            writer = CheckpointWriter(f, target.layer_specs)
+            for delta, bias_delta, entry in layers:
+                writer.layer(*apply_layer(target, entry["layer_index"], delta, bias_delta, args.alpha))
+                report["layers"].append(entry)
+                del delta, bias_delta
+            writer.finish({**target.meta, **transport_meta(report)})
     log.info("wrote transported checkpoint to %s", args.output)
     write_json(report, args.report)
     return 0
@@ -281,24 +289,25 @@ def _write_demo_config(path, seed: int) -> None:
 def cmd_inspect(args) -> int:
     with open(args.path, "rb") as f:
         magic = f.read(4)
+    # Headers only: each file's layout is checked, its arrays are not read.
     if magic == b"TPK1":
-        ckpt = load_checkpoint(args.path)
-        doc = {
-            "format": "TPK1",
-            "layer_count": ckpt.depth,
-            "layers": [
-                {"d_in": s.d_in, "d_out": s.d_out, "has_bias": s.has_bias,
-                 "activation": s.activation}
-                for s in ckpt.layer_specs
-            ],
-            "meta": dict(ckpt.meta),
-        }
+        with CheckpointReader(args.path) as ckpt:
+            doc = {
+                "format": "TPK1",
+                "layer_count": ckpt.depth,
+                "layers": [
+                    {"d_in": s.d_in, "d_out": s.d_out, "has_bias": s.has_bias,
+                     "activation": s.activation}
+                    for s in ckpt.layer_specs
+                ],
+                "meta": dict(ckpt.meta),
+            }
     elif magic == b"TPC1":
-        inputs_a, inputs_b = load_calibration(args.path)
+        (n, seq_len_a, d_a), (_, seq_len_b, d_b) = calibration_shapes(args.path)
         doc = {
-            "format": "TPC1", "n_samples": inputs_a.shape[0],
-            "seq_len_a": inputs_a.shape[1], "d_a": inputs_a.shape[2],
-            "seq_len_b": inputs_b.shape[1], "d_b": inputs_b.shape[2],
+            "format": "TPC1", "n_samples": n,
+            "seq_len_a": seq_len_a, "d_a": d_a,
+            "seq_len_b": seq_len_b, "d_b": d_b,
         }
     else:
         raise FormatError(f"unrecognized magic {magic!r}, known: TPK1, TPC1", kind="bad_magic")
@@ -369,12 +378,12 @@ def _hold_heap():
     hands every free page back when the command ends. Under glibc's default
     trimming, a transport's page faults depended on where earlier work had left
     numpy's cached buffers; this lowers one benchmark transport's faults (which
-    one varies) but does not steady them. Measured again once the transported
-    checkpoint streamed to its output, on three alternating 30 s benchmark pairs
+    one varies) but does not steady them. Measured again once the checkpoints
+    were read one layer at a time, on three alternating 30 s benchmark pairs
     per transport workload (2 vCPUs, one BLAS thread): a settled op faulted
-    12.3-14.3k pages (pinv) and 12.6-13.9k (theseus) without it, 3.3k and
-    3.5-3.6k with it, and the runs peaked at 147.5 and 148.0-148.6 MB without
-    it, 147.3-147.4 and 148.2-149.3 MB with it.
+    20.5-22.5k pages (pinv) and 21.9-24.0k (theseus) without it, 77-84 and
+    70-72 with it, and the runs peaked at 129.2-129.4 and 129.4-129.6 MB
+    without it, 129.2-129.4 and 129.2-129.3 MB with it.
     Settings stay; no-op without glibc."""
     try:
         libc = ctypes.CDLL(None)

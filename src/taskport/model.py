@@ -32,12 +32,15 @@ __all__ = [
     "task_vector",
     "apply_layer",
     "apply_update",
+    "layer_delta",
     "init_checkpoint",
+    "CheckpointReader",
     "CheckpointWriter",
     "save_checkpoint",
     "load_checkpoint",
     "save_calibration",
     "load_calibration",
+    "calibration_shapes",
 ]
 
 ACTIVATIONS = ("relu", "identity")
@@ -63,6 +66,33 @@ class LayerSpec:
             )
 
 
+def _checked_layer(idx: int, spec: LayerSpec, w, b):
+    """Layer ``idx``'s (weights, bias or None) checked against ``spec``:
+    shapes, the bias present exactly where the spec has one, finite."""
+    w = as_matrix(w, f"layer {idx} weights")
+    if w.shape != (spec.d_out, spec.d_in):
+        raise DimensionError(
+            f"layer {idx}: weight shape {w.shape} does not match spec "
+            f"({spec.d_out}, {spec.d_in})"
+        )
+    if spec.has_bias:
+        if b is None:
+            raise DimensionError(f"layer {idx}: spec has a bias but none was given")
+        b = as_vector(b, spec.d_out, f"layer {idx} bias")
+    elif b is not None:
+        raise DimensionError(f"layer {idx}: spec has no bias but one was given")
+    return w, b
+
+
+def _require_chained(layer_specs) -> None:
+    for idx in range(len(layer_specs) - 1):
+        if layer_specs[idx].d_out != layer_specs[idx + 1].d_in:
+            raise DimensionError(
+                f"layers {idx} and {idx + 1} do not chain: "
+                f"d_out {layer_specs[idx].d_out} vs d_in {layer_specs[idx + 1].d_in}"
+            )
+
+
 @dataclass
 class Checkpoint:
     """Weights, optional biases, and free-form string metadata for a layer stack.
@@ -82,29 +112,16 @@ class Checkpoint:
                 f"{len(self.biases)} bias slots; counts must agree"
             )
         for idx, (spec, w, b) in enumerate(zip(self.layer_specs, self.weights, self.biases)):
-            w = as_matrix(w, f"layer {idx} weights")
-            if w.shape != (spec.d_out, spec.d_in):
-                raise DimensionError(
-                    f"layer {idx}: weight shape {w.shape} does not match spec "
-                    f"({spec.d_out}, {spec.d_in})"
-                )
-            self.weights[idx] = w
-            if spec.has_bias:
-                if b is None:
-                    raise DimensionError(f"layer {idx}: spec has a bias but none was given")
-                self.biases[idx] = as_vector(b, spec.d_out, f"layer {idx} bias")
-            elif b is not None:
-                raise DimensionError(f"layer {idx}: spec has no bias but one was given")
-        for idx in range(len(self.layer_specs) - 1):
-            if self.layer_specs[idx].d_out != self.layer_specs[idx + 1].d_in:
-                raise DimensionError(
-                    f"layers {idx} and {idx + 1} do not chain: "
-                    f"d_out {self.layer_specs[idx].d_out} vs d_in {self.layer_specs[idx + 1].d_in}"
-                )
+            self.weights[idx], self.biases[idx] = _checked_layer(idx, spec, w, b)
+        _require_chained(self.layer_specs)
 
     @property
     def depth(self) -> int:
         return len(self.layer_specs)
+
+    def layer(self, idx: int):
+        """Layer ``idx``'s (weights, bias or None): the arrays held, not copies."""
+        return self.weights[idx], self.biases[idx]
 
     def copy(self) -> "Checkpoint":
         return Checkpoint(
@@ -113,6 +130,17 @@ class Checkpoint:
             biases=[None if b is None else b.copy() for b in self.biases],
             meta=dict(self.meta),
         )
+
+
+def _checked_update(idx: int, delta, bias_delta):
+    """Layer ``idx``'s (delta, bias delta or None) as finite float64 arrays, 2-D and 1-D."""
+    delta = as_matrix(delta, f"delta {idx}")
+    if bias_delta is not None:
+        bias_delta = np.asarray(bias_delta, dtype=np.float64)
+        if bias_delta.ndim != 1:
+            raise DimensionError(f"bias delta {idx} must be 1-D, got shape {bias_delta.shape}")
+        require_finite(bias_delta, f"bias delta {idx}")
+    return delta, bias_delta
 
 
 @dataclass
@@ -127,16 +155,15 @@ class TaskVector:
             raise DimensionError(
                 f"{len(self.deltas)} weight deltas vs {len(self.bias_deltas)} bias slots"
             )
-        for idx, d in enumerate(self.deltas):
-            self.deltas[idx] = as_matrix(d, f"delta {idx}")
-        for idx, b in enumerate(self.bias_deltas):
-            if b is None:
-                continue
-            b = np.asarray(b, dtype=np.float64)
-            if b.ndim != 1:
-                raise DimensionError(f"bias delta {idx} must be 1-D, got shape {b.shape}")
-            require_finite(b, f"bias delta {idx}")
-            self.bias_deltas[idx] = b
+        for idx, layer in enumerate(zip(self.deltas, self.bias_deltas)):
+            self.deltas[idx], self.bias_deltas[idx] = _checked_update(idx, *layer)
+
+    def take(self, idx: int):
+        """Layer ``idx``'s (delta, bias delta or None), dropped from the
+        vector: the form of update ``transport_layers`` takes."""
+        layer = self.deltas[idx], self.bias_deltas[idx]
+        self.deltas[idx] = self.bias_deltas[idx] = None
+        return layer
 
     def norm(self) -> float:
         """Frobenius norm over all deltas, biases included."""
@@ -157,7 +184,7 @@ class ActivationRecord:
     h_out: np.ndarray
 
 
-def forward_inputs(ckpt: Checkpoint, inputs) -> np.ndarray:
+def forward_inputs(ckpt, inputs) -> np.ndarray:
     """``inputs`` checked as a finite (N, L, d_in) float64 batch for the
     stack's first layer."""
     if not ckpt.layer_specs:
@@ -174,17 +201,19 @@ def forward_inputs(ckpt: Checkpoint, inputs) -> np.ndarray:
 _FORWARD_BLOCK_ROWS = 256
 
 
-def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray, out=None) -> np.ndarray:
+def forward_layer(ckpt, idx: int, h: np.ndarray, out=None) -> np.ndarray:
     """Pre-activation output (N, L, d_out) of layer ``idx`` on its (N, L, d_in) input.
 
-    The output is written into ``out``, a C-contiguous float64
-    (N, L, d_out) array, when given, else into a new array, which is
-    returned. ``out`` may be ``h`` itself on a square layer: there the rows
+    ``ckpt`` is a ``Checkpoint`` or an open ``CheckpointReader``: the
+    layer's weights are reached through ``ckpt.layer(idx)`` once the shapes
+    are checked, so a reader reads them from its file here. The output is
+    written into ``out``, a C-contiguous float64 (N, L, d_out) array, when
+    given, else into a new array, which is returned. ``out`` may be ``h`` itself on a square layer: there the rows
     go block by block, and numpy copies each input block before its product
     overwrites it, so one block is the only temporary. The blocks keep the
     single product's bits, which a test pins.
     """
-    spec, w, b = ckpt.layer_specs[idx], ckpt.weights[idx], ckpt.biases[idx]
+    spec = ckpt.layer_specs[idx]
     n, l = h.shape[0], h.shape[1]
     if h.shape[2] != spec.d_in:
         raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
@@ -193,6 +222,7 @@ def forward_layer(ckpt: Checkpoint, idx: int, h: np.ndarray, out=None) -> np.nda
     elif out.shape != (n, l, spec.d_out) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise DimensionError(f"layer {idx}: out must be a C-contiguous float64 array of shape "
                              f"{(n, l, spec.d_out)}, got {out.dtype} {out.shape}")
+    w, b = ckpt.layer(idx)
     rows = n * l
     x, z = h.reshape(rows, spec.d_in), out.reshape(rows, spec.d_out)
     # Blocks only over its own input, so numpy's overlap copy is one block,
@@ -250,15 +280,30 @@ def task_vector(base: Checkpoint, finetuned: Checkpoint, *, overwrite: bool = Fa
     return TaskVector(deltas=deltas, bias_deltas=bias_deltas)
 
 
-def apply_layer(base: Checkpoint, idx: int, delta, bias_delta, alpha: float):
+def layer_delta(base, finetuned, idx: int):
+    """Layer ``idx`` of the update ``finetuned - base``, (delta, bias delta
+    or None), checked as ``TaskVector`` checks it and with ``task_vector``'s
+    bits. Each delta is written over the array ``finetuned.layer(idx)``
+    returns, which must be the caller's to give up: a ``CheckpointReader``'s
+    new arrays. The caller checks that the two stacks' specs agree."""
+    (w, b), (w_ft, b_ft) = base.layer(idx), finetuned.layer(idx)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks reject overflow
+        delta = np.subtract(w_ft, w, out=w_ft)
+        bias_delta = None if b is None else np.subtract(b_ft, b, out=b_ft)
+    return _checked_update(idx, delta, bias_delta)
+
+
+def apply_layer(base, idx: int, delta, bias_delta, alpha: float):
     """Layer ``idx`` of ``base + alpha * update``, given its weight delta and
-    bias delta (None for none): the (weights, bias or None) pair.
+    bias delta (None for none): the (weights, bias or None) pair. ``base``
+    is a ``Checkpoint`` or an open ``CheckpointReader``, whose layer is read
+    through ``base.layer(idx)`` once the shapes are checked.
 
     alpha = 0 copies the base layer exactly, not a sum with zero, so a
     ``-0.0`` weight stays ``-0.0``. A sum that overflows raises
     ``NonFiniteError``, as the ``Checkpoint`` constructor would.
     """
-    spec, w, b = base.layer_specs[idx], base.weights[idx], base.biases[idx]
+    spec = base.layer_specs[idx]
     if delta.shape != (spec.d_out, spec.d_in):
         raise DimensionError(
             f"layer {idx}: delta shape {delta.shape} does not match ({spec.d_out}, {spec.d_in})"
@@ -269,6 +314,7 @@ def apply_layer(base: Checkpoint, idx: int, delta, bias_delta, alpha: float):
         raise DimensionError(
             f"layer {idx}: bias delta shape {bias_delta.shape} does not match ({spec.d_out},)"
         )
+    w, b = base.layer(idx)
     if alpha == 0.0:
         w, b = w.copy(), None if b is None else b.copy()
     else:
@@ -339,6 +385,15 @@ class _Reader:
 
     def __exit__(self, *exc):
         self.f.close()
+
+    def seek(self, pos: int) -> None:
+        self.f.seek(pos)
+        self.pos = pos
+
+    def skip(self, n: int) -> None:
+        """Step over ``n`` bytes the file must hold, reading none of them."""
+        self._claim(n)
+        self.f.seek(self.pos)
 
     def _claim(self, n: int) -> None:
         if self.pos + n > self.size:
@@ -449,13 +504,32 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         writer.finish(ckpt.meta)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a TPK1 checkpoint, each array straight into its own array."""
-    with _Reader(path) as r:
+class CheckpointReader:
+    """The one TPK1 decoder, a context manager that closes its file.
+
+    Opening checks the whole layout but not the arrays' values: the magic,
+    each layer spec, that the layers chain, every declared array length
+    against the file's size, the meta tail, and that no bytes trail it.
+    ``layer(idx)`` then reads that layer's weights and bias straight into
+    new arrays, checked as ``Checkpoint`` checks them, so a reader stands
+    in for a loaded checkpoint wherever weights are reached through
+    ``layer``: ``forward_layer``, ``apply_layer``, ``layer_delta`` and
+    ``transport_layers``. ``load`` reads every layer into a ``Checkpoint``.
+    """
+
+    def __init__(self, path):
+        self._r = _Reader(path)
+        try:
+            self._read_layout()
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_layout(self) -> None:
+        r = self._r
         r.expect_magic(_MAGIC_CHECKPOINT, "checkpoint")
-        depth = r.u32()
         specs = []
-        for _ in range(depth):
+        for _ in range(r.u32()):
             d_in, d_out = r.u32(), r.u32()
             has_bias, act_code = struct.unpack("<BB", r.take(2))
             if act_code not in _ACTIVATION_NAME:
@@ -465,10 +539,13 @@ def load_checkpoint(path) -> Checkpoint:
             specs.append(
                 LayerSpec(d_in=d_in, d_out=d_out, has_bias=bool(has_bias), activation=_ACTIVATION_NAME[act_code])
             )
-        weights, biases = [], []
+        _require_chained(specs)
+        self._offsets = []
         for spec in specs:
-            weights.append(r.f64_array((spec.d_out, spec.d_in)))
-            biases.append(r.f64_array((spec.d_out,)) if spec.has_bias else None)
+            self._offsets.append(r.pos)
+            r.skip(8 * spec.d_out * spec.d_in)
+            if spec.has_bias:
+                r.skip(8 * spec.d_out)
         meta = {}
         for _ in range(r.u32()):
             try:
@@ -478,7 +555,43 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{r.path}: meta entry is not valid utf-8: {exc}", kind="bad_format")
             meta[key] = value
         r.done()
-    return Checkpoint(layer_specs=specs, weights=weights, biases=biases, meta=meta)
+        self.layer_specs, self.meta = specs, meta
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._r.f.close()
+
+    @property
+    def depth(self) -> int:
+        return len(self.layer_specs)
+
+    def _arrays(self, idx: int):
+        spec = self.layer_specs[idx]
+        self._r.seek(self._offsets[idx])
+        w = self._r.f64_array((spec.d_out, spec.d_in))
+        return w, self._r.f64_array((spec.d_out,)) if spec.has_bias else None
+
+    def layer(self, idx: int):
+        """Layer ``idx``'s (weights, bias or None), read into new arrays and
+        checked finite (``layer {idx} weights``, ``layer {idx} bias``)."""
+        return _checked_layer(idx, self.layer_specs[idx], *self._arrays(idx))
+
+    def load(self) -> Checkpoint:
+        """Every layer, read into a ``Checkpoint``, whose constructor checks each once."""
+        layers = [self._arrays(idx) for idx in range(self.depth)]
+        return Checkpoint(list(self.layer_specs), [w for w, _ in layers], [b for _, b in layers],
+                          dict(self.meta))
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a whole TPK1 checkpoint: a ``CheckpointReader`` and every layer."""
+    with CheckpointReader(path) as reader:
+        return reader.load()
 
 
 def save_calibration(inputs_a, inputs_b, path) -> None:
@@ -499,14 +612,30 @@ def save_calibration(inputs_a, inputs_b, path) -> None:
         f.write(_f64(b))
 
 
+def _calibration_header(r: _Reader):
+    """The two (N, L, d) shapes a TPC1 header declares, checked by the
+    writer's shape rule before any entry is read."""
+    r.expect_magic(_MAGIC_CALIBRATION, "calibration file")
+    n, l_a, d_a, l_b, d_b = (r.u32() for _ in range(5))
+    return require_batch_shape((n, l_a, d_a), "inputs_a"), require_batch_shape((n, l_b, d_b), "inputs_b")
+
+
+def calibration_shapes(path):
+    """The two (N, L, d) shapes of a TPC1 file, checked as ``load_calibration``
+    checks its layout (the header's shape rule, the arrays' length against
+    the file's size, no trailing bytes) without reading an array."""
+    with _Reader(path) as r:
+        shapes = _calibration_header(r)
+        for shape in shapes:
+            r.skip(8 * math.prod(shape))
+        r.done()
+    return shapes
+
+
 def load_calibration(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a TPC1 calibration pair, each side straight into its own array."""
     with _Reader(path) as r:
-        r.expect_magic(_MAGIC_CALIBRATION, "calibration file")
-        n, l_a, d_a, l_b, d_b = (r.u32() for _ in range(5))
-        # The writer's shape rule, on the header, before any entry is read.
-        shapes = [require_batch_shape((n, l_a, d_a), "inputs_a"), require_batch_shape((n, l_b, d_b), "inputs_b")]
-        a, b = (r.f64_array(shape) for shape in shapes)
+        a, b = (r.f64_array(shape) for shape in _calibration_header(r))
         r.done()
     require_finite(a, "inputs_a")
     require_finite(b, "inputs_b")

@@ -32,13 +32,16 @@ square layer's output is written over its input, a block of rows at a time,
 layer 0's over the calibration pair; a layer that changes width makes a new
 output and drops the input once it exists. So no calibration array
 outlives layer 0, one activation per model is alive through each layer's
-solve, and on square layers through its forward step too. Each layer's
-source update is dropped once it is transported, and ``transport_layers``
-yields the layer's result at once, so a consumer that writes it out holds
-one transported layer at a time. A fallback whose guard fires aligns its
-rows explicitly: the input side's are made again from a new calibration
-pair by the same forward steps, the output side's are the layer's live
-outputs.
+solve, and on square layers through its forward step too. Every weight is
+reached one layer at a time, through ``layer(idx)``, so an open
+``model.CheckpointReader`` stands in for a loaded checkpoint and reads each
+layer from its file when the loop reaches it. Each layer's source update
+is taken when the loop reaches that layer and dropped once it is
+transported, and ``transport_layers`` yields the layer's result at once,
+so a consumer that writes it out holds one transported layer at a time.
+A fallback whose guard fires aligns its rows explicitly: the input side's
+are made again from a new calibration pair by the same forward steps, the
+output side's are the layer's live outputs.
 """
 
 from __future__ import annotations
@@ -519,7 +522,7 @@ def _pair_again(thetas, calibration, shapes, idx: int) -> tuple[np.ndarray, np.n
     """Layer ``idx``'s input of each model in ``thetas``, made again one
     layer at a time, as ``transport_layers`` makes it, from a new pair
     that ``calibration`` returns, which must have the first pair's
-    ``shapes``."""
+    ``shapes``; a ``CheckpointReader`` reads the earlier layers again."""
     pair = _calibration_inputs(thetas, calibration)
     got = tuple(h.shape for h in pair)
     if got != shapes:
@@ -532,7 +535,7 @@ def _pair_again(thetas, calibration, shapes, idx: int) -> tuple[np.ndarray, np.n
     return tuple(pair)
 
 
-def _forward_over(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
+def _forward_over(ckpt, idx: int, h: np.ndarray) -> np.ndarray:
     """Layer ``idx``'s pre-activation output on ``h``, written over ``h``
     where the layer is square: every input a layer steps is transport's own,
     layer 0's the pair the calibration callable returned."""
@@ -542,16 +545,21 @@ def _forward_over(ckpt: Checkpoint, idx: int, h: np.ndarray) -> np.ndarray:
     return forward_layer(ckpt, idx, h)
 
 
-def transport_layers(
-    theta_a: Checkpoint,
-    update_a: TaskVector,
-    theta_b: Checkpoint,
-    calibration,
-    cfg: TransportConfig,
-):
+def transport_layers(theta_a, update_a, theta_b, calibration, cfg: TransportConfig):
     """Move the source update ``update_a``, in theta_a's coordinates, into
     theta_b's, yielding each layer's ``(delta, bias delta or None, report
     entry)`` as soon as that layer is transported.
+
+    ``theta_a`` and ``theta_b`` are each a ``Checkpoint`` or an open
+    ``CheckpointReader``: every weight is reached through ``layer(idx)``, so
+    a reader reads each layer from its file when the loop reaches it, and
+    again only for a firing input-side guard. ``update_a`` is a callable
+    that returns layer ``idx``'s ``(delta, bias delta or None)``, which
+    transport owns: it is called once per layer, when the loop reaches
+    that layer, and the pair is dropped once transported.
+    ``TaskVector.take`` is one; ``functools.partial(layer_delta, base,
+    finetuned)`` over two readers is another, which reads the fine-tuned
+    layer and writes the delta over it.
 
     ``calibration`` is a zero-argument callable that returns a new
     ``(inputs_a, inputs_b)`` pair on every call: paired calibration inputs,
@@ -561,10 +569,9 @@ def transport_layers(
     fires; a pair read again must have the first pair's shapes. A caller
     that keeps its arrays returns copies of them.
 
-    The generator owns ``update_a`` too: each layer's source delta is
-    dropped from it once transported. It keeps nothing it yields, so a
-    consumer that drops each layer's delta before asking for the next holds
-    one transported layer at a time.
+    The generator keeps nothing it yields, so a consumer that drops each
+    layer's delta before asking for the next holds one transported layer
+    at a time.
 
     The two base models run on the pair one layer at a time: each layer's
     activations are reduced to its statistics (length-aligned per
@@ -598,14 +605,13 @@ def transport_layers(
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
-            layer = _transport_layer(
-                idx, theta_b.layer_specs[idx], stats, update_a.deltas[idx], update_a.bias_deltas[idx], cfg,
-            )
+        delta, bias_delta = update_a(idx)
+        with prefixed(f"layer {idx}"):
+            layer = _transport_layer(idx, theta_b.layer_specs[idx], stats, delta, bias_delta, cfg)
         # Else they outlive the next layer's input statistics, and the output
         # side's rows are the outputs that are activated in place next. The
         # source update of a transported layer is not read again.
-        del in_side, stats
-        update_a.deltas[idx] = update_a.bias_deltas[idx] = None
+        del in_side, stats, delta, bias_delta
         h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
         h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
         yield layer
@@ -620,10 +626,11 @@ def transport_task_vector(
     cfg: TransportConfig,
 ) -> tuple[TaskVector, dict]:
     """Move the update (theta_a_ft - theta_a) into theta_b's coordinates:
-    ``task_vector`` and every layer of ``transport_layers``, whose
-    ``calibration`` contract this shares. Returns the transported task
-    vector and a per-layer report."""
-    layers = list(transport_layers(theta_a, task_vector(theta_a, theta_a_ft), theta_b, calibration, cfg))
+    ``task_vector``, whose layers ``transport_layers`` takes and drops one
+    by one, and every layer of ``transport_layers``, whose ``calibration``
+    contract this shares. Returns the transported task vector and a
+    per-layer report."""
+    layers = list(transport_layers(theta_a, task_vector(theta_a, theta_a_ft).take, theta_b, calibration, cfg))
     update_b = TaskVector(deltas=[d for d, _, _ in layers], bias_deltas=[b for _, b, _ in layers])
     return update_b, {**cfg.echo(), "layers": [entry for _, _, entry in layers]}
 

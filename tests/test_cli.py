@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 import warnings
 import weakref
 from functools import partial
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from taskport import cli
+from taskport import cli, model
 from taskport import transport as transport_module
 from taskport.cli import main
 from taskport.errors import ConfigError
@@ -229,7 +230,7 @@ def _one_io_error_and_nothing_written(capsys, workdir, kept=()):
 def test_transport_checks_destinations_before_loading(fixtures_dir, tmp_path, capsys, monkeypatch,
                                                       flag, dest):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "CheckpointReader", _never)
     assert main(transport_args(fixtures_dir, "out.tpk") + [flag, dest]) == 1
     _one_io_error_and_nothing_written(capsys, tmp_path)
 
@@ -237,7 +238,7 @@ def test_transport_checks_destinations_before_loading(fixtures_dir, tmp_path, ca
 def test_transport_refuses_output_to_stdout(fixtures_dir, tmp_path, capsys, monkeypatch):
     # A TPK1 checkpoint is binary; '-' is not stdout for it, nor a file name.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "CheckpointReader", _never)
     assert main(transport_args(fixtures_dir, "-")) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bad_config: --output "), err
@@ -249,7 +250,7 @@ def test_transport_refuses_report_over_its_output(fixtures_dir, tmp_path, capsys
                                                   spelling):
     # The JSON report, written last, would overwrite the checkpoint.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "CheckpointReader", _never)
     kept = []
     report = {"same": "out.tpk", "absolute": str(tmp_path / "out.tpk")}.get(spelling, "link.json")
     if spelling in ("symlink", "hardlink"):
@@ -277,7 +278,7 @@ def test_transport_refuses_an_output_over_an_input(fixtures_dir, tmp_path, capsy
     for name in _INPUT_FLAGS.values():
         (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "CheckpointReader", _never)
     monkeypatch.setattr(cli, "load_calibration", _never)
     before = {name: (tmp_path / name).read_bytes() for name in _INPUT_FLAGS.values()}
     dest = _INPUT_FLAGS[input_flag]
@@ -349,6 +350,43 @@ def test_a_failed_transport_leaves_nothing_behind(fixtures_dir, tmp_path, capsys
         assert out.read_bytes() == b"old checkpoint"
 
 
+def _with_nan_in_last_layer(src, dest):
+    """``src``'s TPK1 bytes with the first weight of its last layer made NaN."""
+    ckpt = load_checkpoint(src)
+    offset = 8 + 10 * ckpt.depth + sum(8 * (w.size + (0 if b is None else b.size))
+                                       for w, b in zip(ckpt.weights[:-1], ckpt.biases[:-1]))
+    data = bytearray(src.read_bytes())
+    data[offset:offset + 8] = struct.pack("<d", float("nan"))
+    dest.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("flag", ["--source", "--finetuned", "--target"])
+def test_a_nan_in_a_last_layer_is_one_error_line(fixtures_dir, tmp_path, capsys, monkeypatch, flag, existing):
+    # Each layer is read when the loop reaches it, so a NaN in the last one
+    # is found after layer 0 has reached the temporary file: one line naming
+    # the layer, the temporary file removed, an existing --output kept.
+    poisoned = tmp_path / "inputs" / _INPUT_FLAGS[flag]
+    poisoned.parent.mkdir()
+    _with_nan_in_last_layer(fixtures_dir / _INPUT_FLAGS[flag], poisoned)
+    written, real_layer = [], cli.CheckpointWriter.layer
+    monkeypatch.setattr(cli.CheckpointWriter, "layer",
+                        lambda self, *arrays: written.append(self.written) or real_layer(self, *arrays))
+    out = tmp_path / "out" / "out.tpk"
+    out.parent.mkdir()
+    if existing:
+        out.write_bytes(b"old checkpoint")
+    argv = transport_args(fixtures_dir, out)
+    argv[argv.index(flag) + 1] = str(poisoned)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["non_finite: layer 1 weights contains NaN or Inf entries"], err
+    assert written == [0]
+    assert [p.name for p in out.parent.iterdir()] == (["out.tpk"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old checkpoint"
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_transport_through_a_symlink_replaces_its_target(fixtures_dir, tmp_path, existing):
     want = tmp_path / "want.tpk"
@@ -387,7 +425,7 @@ def test_transport_refuses_an_output_it_cannot_replace(fixtures_dir, tmp_path, c
         os.mkfifo(out)
     else:
         out.symlink_to("/dev/null" if case == "device" else tmp_path / "missing" / "out.tpk")
-    monkeypatch.setattr(cli, "load_checkpoint", _never)
+    monkeypatch.setattr(cli, "CheckpointReader", _never)
     assert main(transport_args(fixtures_dir, out)) == 1
     err = capsys.readouterr().err.splitlines()
     want = {"dangling": f"io_error: [Errno 2] No such file or directory: '{tmp_path / 'missing' / 'out.tpk'}'"}
@@ -440,18 +478,33 @@ def test_streamed_output_is_the_librarys_checkpoint(fixtures_dir, tmp_path, caps
 
 
 def test_transport_holds_one_checkpoint_of_the_update(fixtures_dir, tmp_path, monkeypatch):
-    # The fine-tuned checkpoint is dropped once the update is formed, before
-    # the calibration is read; each layer's transported delta, and the
-    # weights written from it, are dropped before the next layer's solve.
-    loaded, written, transported = {}, [], []
+    # The three checkpoints are read a layer at a time: nothing of the
+    # fine-tuned model is alive when the calibration is read; what was read
+    # from any of the three files for a layer, its transported delta and the
+    # weights written from it are dropped before the next layer's solve; and
+    # every file is closed at the end.
+    read, written, transported, opened, closed, layer_now = [], [], [], [], [], [0]
+    reader = model.CheckpointReader
+    real_init, real_layer, real_close = reader.__init__, reader.layer, reader.close
 
-    def load(path):
-        ckpt = load_checkpoint(path)
-        loaded[os.path.basename(path)] = weakref.ref(ckpt)
-        return ckpt
+    def init(self, path):
+        real_init(self, path)
+        opened.append((self, os.path.basename(path)))
+
+    def layer(self, idx):
+        arrays = real_layer(self, idx)
+        name = next(n for r, n in opened if r is self)
+        read.extend((name, idx, weakref.ref(a)) for a in arrays if a is not None)
+        return arrays
+
+    def close(self):
+        real_close(self)
+        closed.append(self)
 
     def read_calibration(path):
-        assert loaded["source_a_ft.tpk"]() is None
+        # A firing guard reads it again inside layer k's solve, where only
+        # layer k's delta, written over its fine-tuned layer, is alive.
+        assert all(ref() is None for name, k, ref in read if name == "source_a_ft.tpk" and k < layer_now[0])
         return load_calibration(path)
 
     def apply(*args):
@@ -461,19 +514,25 @@ def test_transport_holds_one_checkpoint_of_the_update(fixtures_dir, tmp_path, mo
 
     real_transport_layer = transport_module._transport_layer
 
-    def transport_layer(*args):
+    def transport_layer(idx, *args):
+        layer_now[0] = idx
         assert all(ref() is None for ref in transported + written)
-        layer = real_transport_layer(*args)
+        assert all(ref() is None for _, k, ref in read if k < idx)
+        layer = real_transport_layer(idx, *args)
         transported.extend(weakref.ref(a) for a in layer[:2] if a is not None)
         return layer
 
-    monkeypatch.setattr(cli, "load_checkpoint", load)
+    monkeypatch.setattr(reader, "__init__", init)
+    monkeypatch.setattr(reader, "layer", layer)
+    monkeypatch.setattr(reader, "close", close)
     monkeypatch.setattr(cli, "load_calibration", read_calibration)
     monkeypatch.setattr(cli, "apply_layer", apply)
     monkeypatch.setattr(transport_module, "_transport_layer", transport_layer)
     assert main(transport_args(fixtures_dir, tmp_path / "out.tpk", report=tmp_path / "r.json")) == 0
     assert len(transported) == 4 and len(written) == 4
-    assert loaded["source_a_ft.tpk"]() is None
+    assert {n for n, _, _ in read} == {"source_a.tpk", "source_a_ft.tpk", "target_b.tpk"}
+    assert all(ref() is None for _, _, ref in read)
+    assert len(opened) == 3 and all(any(c is r for c in closed) for r, _ in opened)
 
 
 _RUNNERS = {"experiment": "run_experiment", "ablate-seqalign": "ablate_seqalign"}
@@ -733,6 +792,27 @@ def test_inspect_rejects_unknown_magic(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("bad_magic:")
 
 
+def test_inspect_reads_headers_only(fixtures_dir, tmp_path, capsys):
+    # inspect checks each file's layout but reads no array: a NaN payload
+    # inspects, and a calibration file is not read into memory.
+    _with_nan_in_last_layer(fixtures_dir / "target_b.tpk", tmp_path / "nan.tpk")
+    calib = tmp_path / "nan.tpc"
+    save_calibration(np.zeros((256, 16, 32)), np.zeros((256, 16, 32)), calib)
+    data = bytearray(calib.read_bytes())
+    data[-8:] = struct.pack("<d", float("nan"))
+    calib.write_bytes(bytes(data))
+    for name, key, count in (("nan.tpk", "layer_count", 2), ("nan.tpc", "n_samples", 256)):
+        tracemalloc.start()
+        try:
+            assert main(["inspect", str(tmp_path / name)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)[key] == count, (err, out)
+    assert peak < 0.1 * calib.stat().st_size, (peak, calib.stat().st_size)
+
+
 @st.composite
 def mutated_file(draw, files):
     """A valid fixture file with a few bytes flipped, its tail cut off, or bytes appended."""
@@ -776,6 +856,39 @@ def test_inspect_survives_mutated_files(fuzz_files, tmp_path_factory):
             assert lines == [] and json.loads(out.getvalue())["format"] in ("TPK1", "TPC1")
         else:
             assert code == 1 and len(lines) == 1 and re.match(r"^[a-z_]+: ", lines[0]), lines
+
+    check()
+
+
+_CHECKPOINT_FLAGS = {"--source": "source_a.tpk", "--finetuned": "source_a_ft.tpk", "--target": "target_b.tpk"}
+
+
+def test_transport_survives_mutated_checkpoints(fixtures_dir, tmp_path_factory):
+    # A checkpoint may fail at open or only when a later layer is read; either
+    # way the run is one error line, and no temporary file is left behind.
+    files = {name: (fixtures_dir / name).read_bytes() for name in _CHECKPOINT_FLAGS.values()}
+    workdir = tmp_path_factory.mktemp("fuzz_transport")
+    mutated, outdir = workdir / "mutated.tpk", workdir / "out"
+    outdir.mkdir()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(_CHECKPOINT_FLAGS)), st.data())
+    def check(flag, data):
+        mutated.write_bytes(data.draw(mutated_file({flag: files[_CHECKPOINT_FLAGS[flag]]})))
+        argv = transport_args(fixtures_dir, outdir / "out.tpk", report=outdir / "report.json")
+        argv[argv.index(flag) + 1] = str(mutated)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        left = sorted(p.name for p in outdir.iterdir())
+        for p in outdir.iterdir():
+            p.unlink()
+        if code == 0:
+            assert lines == [] and left == ["out.tpk", "report.json"], (lines, left)
+        else:
+            assert code == 1 and len(lines) == 1 and re.match(r"^[a-z_]+: ", lines[0]), lines
+            assert left == [], left
 
     check()
 

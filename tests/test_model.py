@@ -1,4 +1,6 @@
 import gc
+import io
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -14,6 +16,7 @@ from taskport import model
 from taskport.errors import DimensionError, FormatError, NonFiniteError, TaskportError
 from taskport.model import (
     Checkpoint,
+    CheckpointReader,
     LayerSpec,
     TaskVector,
     apply_update,
@@ -396,7 +399,62 @@ def test_reader_closes_its_file_on_every_path(tmp_path):
         with pytest.raises(FormatError):
             load_checkpoint(bad)
         load_checkpoint(good)
+        with pytest.raises(FormatError):
+            CheckpointReader(bad)
+        with CheckpointReader(good) as reader, pytest.raises(RuntimeError):
+            reader.layer(0)
+            raise RuntimeError("the block fails")
         gc.collect()
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A small TPK1 file with a few header, tail or payload bytes flipped,
+    its tail cut off, or bytes appended."""
+    ckpt = small_checkpoint(widths=(3, 4, 2), seed=draw(st.integers(0, 3)))
+    f = io.BytesIO()
+    writer = model.CheckpointWriter(f, ckpt.layer_specs)
+    for w, b in zip(ckpt.weights, ckpt.biases):
+        writer.layer(w, b)
+    writer.finish({"task": "demo"})
+    data = f.getvalue()
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    end = len(data) - 1
+    pos = st.integers(4, 27) | st.integers(end - 23, end) | st.integers(0, end)
+    out = bytearray(data)
+    for p, mask in draw(st.lists(st.tuples(pos, st.integers(1, 255)), min_size=1, max_size=4)):
+        out[p] ^= mask
+    return bytes(out)
+
+
+@given(mutated_checkpoints())
+def test_reader_refuses_at_open_what_load_checkpoint_refuses(data):
+    # Opening checks the whole layout; only the arrays' values wait for
+    # ``layer``, which refuses a non-finite layer as loading does.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.tpk"
+        path.write_bytes(data)
+        try:
+            want = load_checkpoint(path)
+        except NonFiniteError as exc:
+            with CheckpointReader(path) as reader:
+                with pytest.raises(NonFiniteError, match=re.escape(str(exc))):
+                    for idx in range(reader.depth):
+                        reader.layer(idx)
+            return
+        except TaskportError as exc:
+            with pytest.raises(type(exc)) as err:
+                CheckpointReader(path)
+            assert err.value.kind == exc.kind and str(err.value) == str(exc)
+            return
+        with CheckpointReader(path) as reader:
+            assert reader.layer_specs == want.layer_specs and reader.meta == want.meta
+            got = [reader.layer(idx) for idx in range(reader.depth)]
+    assert_checkpoint_equal(Checkpoint(want.layer_specs, [w for w, _ in got], [b for _, b in got]), want)
 
 
 def test_calibration_rejects_unpaired_counts(tmp_path):

@@ -14,9 +14,18 @@ from helpers import (
     small_checkpoint,
 )
 from taskport import transport
+from taskport.cli import main
 from taskport.errors import ConfigError, DepthMismatchError, DimensionError, NonFiniteError, TaskportError
 from taskport.linalg import random_orthonormal_rows
-from taskport.model import Checkpoint, LayerSpec, apply_update, forward_collect, task_vector
+from taskport.model import (
+    Checkpoint,
+    LayerSpec,
+    apply_update,
+    forward_collect,
+    save_calibration,
+    save_checkpoint,
+    task_vector,
+)
 from taskport.seqalign import STRATEGIES, align_sequence, flatten_tokens
 from taskport.transport import (
     METHODS,
@@ -669,6 +678,37 @@ def test_transport_memory_does_not_grow_with_depth():
     one_layer = seqs * tokens * width * 8
     shallow = traced_peak(2, width, seqs, tokens)
     deep = traced_peak(6, width, seqs, tokens)
+    assert abs(deep - shallow) < one_layer, (shallow, deep, one_layer)
+
+
+def test_cli_transport_memory_does_not_grow_with_depth(tmp_path):
+    # `taskport transport` reads each checkpoint a layer at a time, so a
+    # deeper stack holds no more weights at once, nor more activations.
+    # Holding the source, the update and the target whole added a layer of
+    # each per layer, four layers of the three checkpoints here.
+    width, seqs, tokens = 64, 16, 8
+    one_layer = 3 * 8 * (width * width + width)
+    rng = np.random.default_rng(58)
+    save_calibration(rng.standard_normal((seqs, tokens, width)), rng.standard_normal((seqs, tokens, width)),
+                     tmp_path / "calib.tpc")
+
+    def peak(depth):
+        widths = (width,) * (depth + 1)
+        argv = ["transport", "--calib", str(tmp_path / "calib.tpc"), "--output", str(tmp_path / "out.tpk"),
+                "--report", str(tmp_path / "report.json")]
+        for flag, seed in (("--source", 54), ("--finetuned", 55), ("--target", 56)):
+            path = tmp_path / f"{flag[2:]}{depth}.tpk"
+            save_checkpoint(small_checkpoint(widths=widths, seed=seed), path)
+            argv += [flag, str(path)]
+        assert main(argv) == 0  # the first run's one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shallow, deep = peak(2), peak(6)
     assert abs(deep - shallow) < one_layer, (shallow, deep, one_layer)
 
 
