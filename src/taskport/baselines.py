@@ -70,7 +70,7 @@ def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray
     return ridge_inverse(gram, float(lam), rhs)
 
 
-def gram_transport(stats, update_a, bias_delta=None,
+def gram_transport(stats, update_src, bias_delta=None,
                    rcond: float | None = None, lam: float | None = None):
     """Least-squares coupling match on the target activations of one layer.
 
@@ -88,17 +88,17 @@ def gram_transport(stats, update_a, bias_delta=None,
     ridge route otherwise). Returns (new update, new bias delta or None).
     """
     side_in, side_out = stats.in_side, stats.out_side
-    update_a = stats.check_update(update_a, "a", "update")
+    update_src = stats.check_update(update_src, "a", "update")
     s_in = _gram_solve(side_in.gram_b, side_in.cross.T, rcond, lam)
-    b = None if bias_delta is None else as_vector(bias_delta, update_a.shape[0], "bias delta")
+    b = None if bias_delta is None else as_vector(bias_delta, update_src.shape[0], "bias delta")
     s_out = _gram_solve(side_out.gram_b, side_out.cross.T, rcond, lam)
-    return (s_out @ update_a) @ s_in.T, None if b is None else s_out @ b
+    return (s_out @ update_src) @ s_in.T, None if b is None else s_out @ b
 
 
-def pinv_transport(stats, update_a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def pinv_transport(stats, update_src, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """``gram_transport`` of the update through pseudo-inverses of the target Grams.
 
     Kept by name because the benchmark's per-layer trace (``perfbench/spans.py``)
     lists it; it goes once that trace names ``gram_transport`` instead.
     """
-    return gram_transport(stats, update_a, rcond=rcond)[0]
+    return gram_transport(stats, update_src, rcond=rcond)[0]

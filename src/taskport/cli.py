@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, TaskportError
+from .errors import ConfigError, FormatError, TaskportError
 from .linalg import DEFAULT_RCOND
 from .model import (
     CheckpointReader,
@@ -32,11 +32,10 @@ from .model import (
     apply_update,
     calibration_shapes,
     init_checkpoint,
-    layer_delta,
     load_calibration,
+    require_same_specs,
     save_calibration,
     save_checkpoint,
-    task_vector,
 )
 from .harness.experiment import (
     ExperimentConfig,
@@ -176,21 +175,15 @@ def cmd_transport(args) -> int:
     with contextlib.ExitStack() as stack:
         source, finetuned, target = (stack.enter_context(CheckpointReader(path))
                                      for path in (args.source, args.finetuned, args.target))
+        # Checked before expansion, which would give both stacks the same specs.
+        require_same_specs(source, finetuned)
         if args.depth_expand and source.depth != target.depth:
-            # Expansion blends layers, so the two source stacks are loaded
-            # whole; the update is written over the fine-tuned arrays.
+            # Expansion blends layers, so the two source stacks are loaded whole.
             log.info("expanding source depth %d -> %d", source.depth, target.depth)
-            source, theta_a_ft = (depth_expand(reader.load(), target.depth) for reader in (source, finetuned))
-            update = task_vector(source, theta_a_ft, overwrite=True).take
-            del theta_a_ft
-        elif source.layer_specs != finetuned.layer_specs:
-            raise DimensionError("base and finetuned checkpoints have different layer specs")
-        else:
-            # Each layer's delta is written over the fine-tuned layer as it is read.
-            update = partial(layer_delta, source, finetuned)
+            source, finetuned = (depth_expand(reader.load(), target.depth) for reader in (source, finetuned))
         # Transport reads the calibration file when it needs the pair and
         # writes over what it reads.
-        layers = transport_layers(source, update, target, partial(load_calibration, args.calib), cfg)
+        layers = transport_layers(source, finetuned, target, partial(load_calibration, args.calib), cfg)
         # Each layer of the output is written, and its delta dropped, as soon
         # as the layer is transported, so the output is never whole in memory.
         # (No enumerate: it would keep each layer until the next one is made.)

@@ -33,6 +33,7 @@ __all__ = [
     "apply_layer",
     "apply_update",
     "layer_delta",
+    "require_same_specs",
     "init_checkpoint",
     "CheckpointReader",
     "CheckpointWriter",
@@ -158,13 +159,6 @@ class TaskVector:
         for idx, layer in enumerate(zip(self.deltas, self.bias_deltas)):
             self.deltas[idx], self.bias_deltas[idx] = _checked_update(idx, *layer)
 
-    def take(self, idx: int):
-        """Layer ``idx``'s (delta, bias delta or None), dropped from the
-        vector: the form of update ``transport_layers`` takes."""
-        layer = self.deltas[idx], self.bias_deltas[idx]
-        self.deltas[idx] = self.bias_deltas[idx] = None
-        return layer
-
     def norm(self) -> float:
         """Frobenius norm over all deltas, biases included."""
         total = sum(float(np.sum(d * d)) for d in self.deltas)
@@ -210,7 +204,7 @@ def forward_layer(ckpt, idx: int, h: np.ndarray, out=None) -> np.ndarray:
     written into ``out``, a C-contiguous float64 (N, L, d_out) array, when
     given, else into a new array, which is returned. ``out`` may be ``h`` itself on a square layer: there the rows
     go block by block, and numpy copies each input block before its product
-    overwrites it, so one block is the only temporary. The blocks keep the
+    is written over it, so one block is the only temporary. The blocks keep the
     single product's bits, which a test pins.
     """
     spec = ckpt.layer_specs[idx]
@@ -261,36 +255,30 @@ def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[Activati
     return h, records
 
 
-def task_vector(base: Checkpoint, finetuned: Checkpoint, *, overwrite: bool = False) -> TaskVector:
-    """Difference finetuned - base, layer by layer.
-
-    With ``overwrite``, each delta is written over finetuned's own array, with
-    the same bits, for a caller that gives finetuned up: the update then
-    replaces the fine-tuned checkpoint instead of sitting beside it. Each of
-    finetuned's arrays must then be its own, not shared between layers.
-    """
+def require_same_specs(base, finetuned) -> None:
+    """Refuse a fine-tuned stack whose layer specs differ from its base's."""
     if base.layer_specs != finetuned.layer_specs:
         raise DimensionError("base and finetuned checkpoints have different layer specs")
 
-    def delta(b, f):
-        return np.subtract(f, b, out=f if overwrite else None)
 
-    deltas = [delta(wb, wf) for wb, wf in zip(base.weights, finetuned.weights)]
-    bias_deltas = [None if bb is None else delta(bb, bf) for bb, bf in zip(base.biases, finetuned.biases)]
+def task_vector(base: Checkpoint, finetuned: Checkpoint) -> TaskVector:
+    """Difference finetuned - base, layer by layer."""
+    require_same_specs(base, finetuned)
+    deltas = [wf - wb for wb, wf in zip(base.weights, finetuned.weights)]
+    bias_deltas = [None if bb is None else bf - bb for bb, bf in zip(base.biases, finetuned.biases)]
     return TaskVector(deltas=deltas, bias_deltas=bias_deltas)
 
 
 def layer_delta(base, finetuned, idx: int):
     """Layer ``idx`` of the update ``finetuned - base``, (delta, bias delta
-    or None), checked as ``TaskVector`` checks it and with ``task_vector``'s
-    bits. Each delta is written over the array ``finetuned.layer(idx)``
-    returns, which must be the caller's to give up: a ``CheckpointReader``'s
-    new arrays. The caller checks that the two stacks' specs agree."""
+    or None), in new arrays with ``task_vector``'s bits, checked as
+    ``TaskVector`` checks it. Each of ``base`` and ``finetuned`` is a
+    ``Checkpoint`` or an open ``CheckpointReader``, whose arrays it reads
+    through ``layer(idx)`` and leaves as they are. The caller checks that
+    the two stacks' specs agree (``require_same_specs``)."""
     (w, b), (w_ft, b_ft) = base.layer(idx), finetuned.layer(idx)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks reject overflow
-        delta = np.subtract(w_ft, w, out=w_ft)
-        bias_delta = None if b is None else np.subtract(b_ft, b, out=b_ft)
-    return _checked_update(idx, delta, bias_delta)
+        return _checked_update(idx, w_ft - w, None if b is None else b_ft - b)
 
 
 def apply_layer(base, idx: int, delta, bias_delta, alpha: float):
@@ -408,7 +396,7 @@ class _Reader:
         # The file shrank after its size was read.
         return FormatError(f"{self.path}: truncated, wanted {n} bytes, read {got}", kind="truncated")
 
-    def take(self, n: int) -> bytes:
+    def read(self, n: int) -> bytes:
         self._claim(n)
         data = self.f.read(n)
         if len(data) != n:
@@ -416,7 +404,7 @@ class _Reader:
         return data
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack("<I", self.read(4))[0]
 
     def f64_array(self, shape) -> np.ndarray:
         # Python ints, so huge header dims cannot wrap before the length check.
@@ -429,7 +417,7 @@ class _Reader:
         return out.astype(np.float64, copy=False)
 
     def expect_magic(self, magic: bytes, what: str):
-        got = self.take(4)
+        got = self.read(4)
         if got != magic:
             raise FormatError(
                 f"{self.path}: bad magic {got!r}, expected {magic!r} ({what})",
@@ -514,7 +502,9 @@ class CheckpointReader:
     new arrays, checked as ``Checkpoint`` checks them, so a reader stands
     in for a loaded checkpoint wherever weights are reached through
     ``layer``: ``forward_layer``, ``apply_layer``, ``layer_delta`` and
-    ``transport_layers``. ``load`` reads every layer into a ``Checkpoint``.
+    ``transport_layers``, which takes a reader for any of its three
+    checkpoints. Nothing writes over what ``layer`` returns, and each call
+    reads the file again. ``load`` reads every layer into a ``Checkpoint``.
     """
 
     def __init__(self, path):
@@ -531,7 +521,7 @@ class CheckpointReader:
         specs = []
         for _ in range(r.u32()):
             d_in, d_out = r.u32(), r.u32()
-            has_bias, act_code = struct.unpack("<BB", r.take(2))
+            has_bias, act_code = struct.unpack("<BB", r.read(2))
             if act_code not in _ACTIVATION_NAME:
                 raise FormatError(f"{r.path}: unknown activation code {act_code}", kind="bad_format")
             if has_bias not in (0, 1):
@@ -549,8 +539,8 @@ class CheckpointReader:
         meta = {}
         for _ in range(r.u32()):
             try:
-                key = r.take(r.u32()).decode("utf-8")
-                value = r.take(r.u32()).decode("utf-8")
+                key = r.read(r.u32()).decode("utf-8")
+                value = r.read(r.u32()).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{r.path}: meta entry is not valid utf-8: {exc}", kind="bad_format")
             meta[key] = value

@@ -35,10 +35,12 @@ outlives layer 0, one activation per model is alive through each layer's
 solve, and on square layers through its forward step too. Every weight is
 reached one layer at a time, through ``layer(idx)``, so an open
 ``model.CheckpointReader`` stands in for a loaded checkpoint and reads each
-layer from its file when the loop reaches it. Each layer's source update
-is taken when the loop reaches that layer and dropped once it is
-transported, and ``transport_layers`` yields the layer's result at once,
-so a consumer that writes it out holds one transported layer at a time.
+layer from its file when the loop reaches it. Transport takes the
+fine-tuned source itself: each layer's source update is formed from it
+(``model.layer_delta``, new arrays) when the loop reaches that layer and
+dropped once it is transported, and ``transport_layers`` yields the
+layer's result at once, so a consumer that writes it out holds one
+transported layer at a time.
 A fallback whose guard fires aligns its rows explicitly: the input side's
 are made again from a new calibration pair by the same forward steps, the
 output side's are the layer's live outputs.
@@ -63,7 +65,8 @@ from .model import (
     apply_update,
     forward_inputs,
     forward_layer,
-    task_vector,
+    layer_delta,
+    require_same_specs,
 )
 from .seqalign import STRATEGIES, align_sequence, flatten_tokens, resample_weights, token_map
 
@@ -354,7 +357,7 @@ def _coupling_inner(u, c_in, c_out, v) -> float:
     return float(np.vdot(u @ c_in, c_out @ v))
 
 
-def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
+def bilinear_residual(stats: LayerStats, update_src, update_dst) -> float:
     """Frobenius distance between the two updates' activation couplings.
 
     The coupling of an update is ``h_in @ update.T @ h_out.T`` on the paired
@@ -366,15 +369,15 @@ def bilinear_residual(stats: LayerStats, update_a, update_b) -> float:
     norm is that of the rows x features product ``[shifted_a, -shifted_b] @ R.T``.
     """
     side_in, side_out = stats.in_side, stats.out_side
-    update_a = stats.check_update(update_a, "a", "update_a")
-    update_b = stats.check_update(update_b, "b", "update_b")
-    aa = _coupling_inner(update_a, side_in.gram_a, side_out.gram_a, update_a)
-    bb = _coupling_inner(update_b, side_in.gram_b, side_out.gram_b, update_b)
-    ab = _coupling_inner(update_a, side_in.cross, side_out.cross, update_b)
+    update_src = stats.check_update(update_src, "a", "update_src")
+    update_dst = stats.check_update(update_dst, "b", "update_dst")
+    aa = _coupling_inner(update_src, side_in.gram_a, side_out.gram_a, update_src)
+    bb = _coupling_inner(update_dst, side_in.gram_b, side_out.gram_b, update_dst)
+    ab = _coupling_inner(update_src, side_in.cross, side_out.cross, update_dst)
 
     def from_rows():
         hin_a, hin_b = side_in.rows()
-        shifted_a, shifted_b = hin_a @ update_a.T, hin_b @ update_b.T
+        shifted_a, shifted_b = hin_a @ update_src.T, hin_b @ update_dst.T
         # R is upper triangular, so hout_a's columns reach only its first o_a rows.
         o_a = side_out.d_a
         r = np.linalg.qr(np.hstack(side_out.rows()), mode="r")
@@ -545,29 +548,27 @@ def _forward_over(ckpt, idx: int, h: np.ndarray) -> np.ndarray:
     return forward_layer(ckpt, idx, h)
 
 
-def transport_layers(theta_a, update_a, theta_b, calibration, cfg: TransportConfig):
-    """Move the source update ``update_a``, in theta_a's coordinates, into
-    theta_b's, yielding each layer's ``(delta, bias delta or None, report
-    entry)`` as soon as that layer is transported.
+def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportConfig):
+    """Move the update (theta_a_ft - theta_a), in theta_a's coordinates,
+    into theta_b's, yielding each layer's ``(delta, bias delta or None,
+    report entry)`` as soon as that layer is transported.
 
-    ``theta_a`` and ``theta_b`` are each a ``Checkpoint`` or an open
-    ``CheckpointReader``: every weight is reached through ``layer(idx)``, so
-    a reader reads each layer from its file when the loop reaches it, and
-    again only for a firing input-side guard. ``update_a`` is a callable
-    that returns layer ``idx``'s ``(delta, bias delta or None)``, which
-    transport owns: it is called once per layer, when the loop reaches
-    that layer, and the pair is dropped once transported.
-    ``TaskVector.take`` is one; ``functools.partial(layer_delta, base,
-    finetuned)`` over two readers is another, which reads the fine-tuned
-    layer and writes the delta over it.
+    ``theta_a``, ``theta_a_ft`` and ``theta_b`` are each a ``Checkpoint``
+    or an open ``CheckpointReader``: every weight is reached through
+    ``layer(idx)``, so a reader reads each layer from its file when the
+    loop reaches it, and again only for a firing input-side guard. Stacks
+    whose specs differ are refused before any other check. A layer's
+    source update is ``layer_delta(theta_a, theta_a_ft, idx)``, formed when
+    the loop reaches that layer, in new arrays, and dropped once
+    transported; no input is written over.
 
     ``calibration`` is a zero-argument callable that returns a new
     ``(inputs_a, inputs_b)`` pair on every call: paired calibration inputs,
     the same underlying samples rendered in each model's input space.
     Transport owns each pair it is given and writes over it. It is called
-    once, after the depth check, and again only when an input-side guard
-    fires; a pair read again must have the first pair's shapes. A caller
-    that keeps its arrays returns copies of them.
+    once, after the specs and depth checks, and again only when an
+    input-side guard fires; a pair read again must have the first pair's
+    shapes. A caller that keeps its arrays returns copies of them.
 
     The generator keeps nothing it yields, so a consumer that drops each
     layer's delta before asking for the next holds one transported layer
@@ -583,6 +584,7 @@ def transport_layers(theta_a, update_a, theta_b, calibration, cfg: TransportConf
     the input side makes its rows again from a new pair; one on the output
     side reads the live outputs.
     """
+    require_same_specs(theta_a, theta_a_ft)
     if theta_a.depth != theta_b.depth:
         raise DepthMismatchError(
             f"source has {theta_a.depth} layers, target has {theta_b.depth}; "
@@ -605,7 +607,7 @@ def transport_layers(theta_a, update_a, theta_b, calibration, cfg: TransportConf
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
-        delta, bias_delta = update_a(idx)
+        delta, bias_delta = layer_delta(theta_a, theta_a_ft, idx)
         with prefixed(f"layer {idx}"):
             layer = _transport_layer(idx, theta_b.layer_specs[idx], stats, delta, bias_delta, cfg)
         # Else they outlive the next layer's input statistics, and the output
@@ -626,11 +628,10 @@ def transport_task_vector(
     cfg: TransportConfig,
 ) -> tuple[TaskVector, dict]:
     """Move the update (theta_a_ft - theta_a) into theta_b's coordinates:
-    ``task_vector``, whose layers ``transport_layers`` takes and drops one
-    by one, and every layer of ``transport_layers``, whose ``calibration``
+    every layer of ``transport_layers``, whose inputs and ``calibration``
     contract this shares. Returns the transported task vector and a
     per-layer report."""
-    layers = list(transport_layers(theta_a, task_vector(theta_a, theta_a_ft).take, theta_b, calibration, cfg))
+    layers = list(transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg))
     update_b = TaskVector(deltas=[d for d, _, _ in layers], bias_deltas=[b for _, b, _ in layers])
     return update_b, {**cfg.echo(), "layers": [entry for _, _, entry in layers]}
 

@@ -169,6 +169,27 @@ def test_transport_depth_mismatch_needs_the_flag(fixtures_dir, tmp_path, capsys)
     assert main(args + ["--depth-expand"]) == 0
 
 
+def test_depth_expand_compares_the_unexpanded_source_stacks(fixtures_dir, tmp_path, capsys, monkeypatch):
+    # Expanded to the target's depth, a two-layer source and a three-layer
+    # fine-tuned stack would share their specs; they are compared before
+    # expansion, with or without the flag, and before any output is made.
+    finetuned, target = tmp_path / "finetuned.tpk", tmp_path / "target.tpk"
+    for path, width, depth, seed in ((finetuned, 6, 3, 9), (target, 9, 4, 10)):
+        specs = [LayerSpec(d_in=width, d_out=width, has_bias=True, activation="identity")] * depth
+        save_checkpoint(init_checkpoint(specs, np.random.SeedSequence(seed)), path)
+    out = tmp_path / "out" / "out.tpk"
+    out.parent.mkdir()
+    argv = transport_args(fixtures_dir, out)
+    argv[argv.index("--finetuned") + 1] = str(finetuned)
+    argv[argv.index("--target") + 1] = str(target)
+    monkeypatch.setattr(cli, "_replacing", _never)
+    for flags in ([], ["--depth-expand"]):
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["dimension_mismatch: base and finetuned checkpoints have different layer specs"], err
+        assert list(out.parent.iterdir()) == []
+
+
 def test_transport_unknown_method_lists_the_valid_set(fixtures_dir, tmp_path, capsys):
     assert main(transport_args(fixtures_dir, tmp_path / "x.tpk", method="warp")) == 1
     err = capsys.readouterr().err

@@ -169,3 +169,14 @@ def test_fingerprint_compare_runs_from_anywhere_without_pythonpath(tmp_path):
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["a/array: bitwise", "1 of 1 entries bitwise"]
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's own checks of its transport and experiment ops, run as
+    # the benchmark runs them, so a library change that breaks them fails here.
+    root = SCRIPTS.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, str(root / "perfbench" / "selftest.py")]
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "all expectations hold"

@@ -353,7 +353,7 @@ def test_bilinear_residual_rejects_mismatches():
     h = np.zeros((4, 2))
     with pytest.raises(DimensionError, match="pair the same samples"):
         bilinear_residual(layer_stats(h, h, np.zeros((5, 2)), np.zeros((5, 2))), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(DimensionError, match="update_a"):
+    with pytest.raises(DimensionError, match="update_src"):
         bilinear_residual(layer_stats(h, h, h, h), np.zeros((3, 2)), np.zeros((2, 2)))
 
 
@@ -586,6 +586,23 @@ def test_transport_rejects_depth_mismatch():
         transport_task_vector(theta_a, theta_a_ft, deep, calibration(calib_a, calib_a), TransportConfig())
 
 
+def _calibration_never_read():
+    raise AssertionError("the calibration was read")
+
+
+@pytest.mark.parametrize("run", [transport_task_vector, transport_model])
+@pytest.mark.parametrize("widths_ft", [(3, 5, 2), (3, 4, 4, 2)])
+def test_transport_refuses_a_finetuned_source_of_other_specs(run, widths_ft):
+    # Refused before any other check (the target is deeper too) and before
+    # the calibration is read.
+    theta_a, _, _, _, _ = relu_pair(seed=61)
+    finetuned = small_checkpoint(widths=widths_ft, seed=62)
+    deep = uniform_stack(3, 3, seed=63)
+    with pytest.raises(DimensionError) as info:
+        run(theta_a, finetuned, deep, _calibration_never_read, TransportConfig())
+    assert str(info.value) == "base and finetuned checkpoints have different layer specs"
+
+
 def test_transport_layer_errors_name_the_layer():
     theta_a, theta_a_ft, _, calib_a, _ = relu_pair(seed=48, widths_b=(3, 4, 2))
     shrunk = small_checkpoint(widths=(3, 4, 1), seed=49)
@@ -594,10 +611,17 @@ def test_transport_layer_errors_name_the_layer():
         transport_task_vector(theta_a, theta_a_ft, shrunk, calibration(calib_a, calib_a), cfg)
 
 
+def layer_bytes(ckpt):
+    return [a.tobytes() for idx in range(ckpt.depth) for a in ckpt.layer(idx) if a is not None]
+
+
 def test_report_structure():
     theta_a, theta_a_ft, theta_b, calib_a, calib_b = relu_pair(seed=51)
     cfg = TransportConfig(method="theseus", strategy="interp1d")
+    before = [layer_bytes(theta) for theta in (theta_a, theta_a_ft, theta_b)]
     _, report = transport_task_vector(theta_a, theta_a_ft, theta_b, calibration(calib_a, calib_b), cfg)
+    # Each layer's source update is formed in new arrays: no input is written over.
+    assert [layer_bytes(theta) for theta in (theta_a, theta_a_ft, theta_b)] == before
     assert report["method"] == "theseus"
     assert report["seq_align"] == "interp1d"
     assert len(report["layers"]) == 2
