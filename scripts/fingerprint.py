@@ -21,9 +21,13 @@ small absolute), or old -> new for a changed error message or experiment
 number. When any number moved, the summary line also names the entry with the
 largest relative deviation; when any entry moved, one line per method follows
 it (the experiment is one more), with its count of moved entries and its
-largest relative deviation. Hashes depend on the BLAS build and the CPU, so
-compare fingerprints made on one machine. ``--tiny`` shrinks the calibration
-set and swaps the stock experiment for a seconds-long one.
+largest relative deviation. Hashes depend on the BLAS build, the BLAS thread
+count and the CPU, so compare fingerprints made on one machine under one
+thread count. A fingerprint written to a file records the BLAS thread
+settings it ran under beside it, outside its entries (``FP.json`` in
+``FP.blas.json``), and ``--compare`` prints one line naming both sides'
+settings when they differ. ``--tiny`` shrinks the calibration set and swaps
+the stock experiment for a seconds-long one.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +57,8 @@ WIDTH_CASES = {
     "equal": ((6, 10, 10, 4), (6, 10, 10, 4)),
 }
 TOKENS = (9, 16)  # 3x3 and 4x4 grids, so every strategy applies
+# The BLAS thread settings a fingerprint records, as perfbench/run.py records them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # CLI spelling -> config spelling, in the order of the library's METHODS.
 CLI_METHODS = {"theseus": "theseus", "pinv": "pinv", "pinv-tikh": "pinv_tikhonov",
                "zero-pad": "zero_pad", "random": "random", "random-source": "random_source"}
@@ -185,6 +192,31 @@ def fingerprint(tiny: bool = False) -> dict:
     return entries
 
 
+def settings_path(path) -> Path:
+    """Where the BLAS thread settings of the fingerprint at ``path`` are kept."""
+    return Path(path).with_suffix(".blas.json")
+
+
+def write(entries: dict, out: str) -> None:
+    """The fingerprint to ``out``, or to stdout for ``-``; beside a file, the
+    BLAS thread settings it ran under."""
+    text = json.dumps(entries, sort_keys=True) + "\n"
+    if out == "-":
+        sys.stdout.write(text)
+        return
+    Path(out).write_text(text)
+    settings_path(out).write_text(json.dumps({v: os.environ.get(v) for v in BLAS_THREAD_VARS}) + "\n")
+
+
+def _settings(path) -> str:
+    """The BLAS thread settings recorded beside the fingerprint at ``path``, as one phrase."""
+    recorded = settings_path(path)
+    if not recorded.is_file():
+        return "not recorded"
+    settings = json.loads(recorded.read_text())
+    return " ".join(f"{v}={settings.get(v) or 'unset'}" for v in BLAS_THREAD_VARS)
+
+
 def _relative(old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old != 0.0 else (0.0 if new == 0.0 else math.inf)
 
@@ -234,6 +266,9 @@ def method_of(key: str) -> str:
 def compare(path_a, path_b) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
+    settings_a, settings_b = _settings(path_a), _settings(path_b)
+    if settings_a != settings_b:
+        print(f"BLAS thread settings differ: {path_a} {settings_a}; {path_b} {settings_b}")
     same, worst = 0, None
     groups = {}  # method -> [entries, moved, worst (relative deviation, key) or None]
     for key in sorted(a.keys() | b.keys()):
@@ -275,11 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    text = json.dumps(fingerprint(args.tiny), sort_keys=True)
-    if args.out == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        Path(args.out).write_text(text + "\n")
+    write(fingerprint(args.tiny), args.out)
     return 0
 
 

@@ -1,10 +1,13 @@
 """Sweep the calibration budget for transport between independently trained models.
 
-For each batch count B the stock experiment runs over several seeds, and the
-table reports the per-method median (and range) of the accuracy delta over the
-zero-shot target. More calibration batches give the alignment more rows to fit
-on, so the orthogonal method's column should grow with B while zero_pad and
-random stay flat.
+For each batch count B (B batches of ``--batch-size`` calibration sequences)
+the stock experiment runs over seeds 0 to ``--seeds`` - 1, and the table
+reports each method's median and range of the accuracy delta over the
+zero-shot target: how each method's gain depends on the amount of
+calibration. At the stock model size the orthogonal method's column is flat
+(its mean delta over seeds 0-6 is 0.146, 0.147 and 0.147 at 32, 64 and 320
+sequences): the stock sides have rank 4-5, so 32 sequences already span
+them, and a trend in B needs wider models.
 """
 
 import argparse

@@ -1,23 +1,26 @@
 """Reference baselines the transport method is compared against.
 
 All of these produce an update shaped for the target model. zero_pad and
-random ignore activations entirely; the Gram solve (pinv and its ridge variant)
-matches the activation coupling on the target activations of a
-``transport.LayerStats`` by conjugating the update through each side's
-least-squares map S = G_b^+ C_ab.T, as theseus does through its Procrustes
-maps. The random_source control is a method of ``transport``.
+random ignore activations entirely. The Gram solve (pinv and its ridge
+variant) matches the activation coupling on the target activations of a
+``transport.LayerStats`` in two steps, as theseus does: ``gram_plan`` fits
+each side's least-squares map S = G_b^+ C_ab.T from the statistics alone,
+then ``transport.transport_update``, the one apply, conjugates the update
+through the plan. The random_source control is a method of ``transport``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import transport  # which imports this module: its names are read at call time
 from .errors import DimensionError
-from .linalg import DEFAULT_RCOND, as_matrix, as_vector, pseudo_inverse, ridge_inverse
+from .linalg import DEFAULT_RCOND, as_matrix, pseudo_inverse, ridge_inverse
 
 __all__ = [
     "zero_pad_update",
     "random_update",
+    "gram_plan",
     "gram_transport",
     "pinv_transport",
 ]
@@ -70,6 +73,17 @@ def _gram_solve(gram, rhs, rcond: float | None, lam: float | None) -> np.ndarray
     return ridge_inverse(gram, float(lam), rhs)
 
 
+def gram_plan(stats, rcond: float | None = None, lam: float | None = None) -> transport.ProcrustesMap:
+    """The Gram solve's plan for one layer: each side's least-squares map
+    S = G^-1 (h_b.T h_a), (d_b, d_a), with G = h_b.T h_b, read from ``stats``
+    and inverted by one ``_gram_solve`` (rcond route when rcond is given,
+    ridge route otherwise). Each map is stored as the view ``S.T``: a copy
+    would hand the apply's BLAS call another layout, and other bits."""
+    s_in = _gram_solve(stats.in_side.gram_b, stats.in_side.cross.T, rcond, lam)
+    s_out = _gram_solve(stats.out_side.gram_b, stats.out_side.cross.T, rcond, lam)
+    return transport.ProcrustesMap(s_in.T, s_out.T, None, None, orthonormal=False)
+
+
 def gram_transport(stats, update_src, bias_delta=None,
                    rcond: float | None = None, lam: float | None = None):
     """Least-squares coupling match on the target activations of one layer.
@@ -81,18 +95,12 @@ def gram_transport(stats, update_src, bias_delta=None,
         new      = G_out^-1 (hout_b.T hout_a) update (hin_a.T hin_b) G_in^-1
         new_bias = G_out^-1 (hout_b.T hout_a) bias
 
-    with G = h_b.T h_b on each side, all read from ``stats``. Each side's
-    least-squares map S = G^-1 (h_b.T h_a), (d_b, d_a), regresses source on
-    target activations, and new = S_out update S_in.T, new_bias = S_out bias.
-    One ``_gram_solve`` per side inverts G (rcond route when rcond is given,
-    ridge route otherwise). Returns (new update, new bias delta or None).
+    that is, new = S_out update S_in.T and new_bias = S_out bias: ``gram_plan``,
+    then the one apply. Returns (new update, new bias delta or None).
     """
-    side_in, side_out = stats.in_side, stats.out_side
-    update_src = stats.check_update(update_src, "a", "update")
-    s_in = _gram_solve(side_in.gram_b, side_in.cross.T, rcond, lam)
-    b = None if bias_delta is None else as_vector(bias_delta, update_src.shape[0], "bias delta")
-    s_out = _gram_solve(side_out.gram_b, side_out.cross.T, rcond, lam)
-    return (s_out @ update_src) @ s_in.T, None if b is None else s_out @ b
+    plan = gram_plan(stats, rcond, lam)
+    new_bias = None if bias_delta is None else transport.transport_bias(bias_delta, plan)
+    return transport.transport_update(update_src, plan), new_bias
 
 
 def pinv_transport(stats, update_src, rcond: float = DEFAULT_RCOND) -> np.ndarray:

@@ -2,48 +2,40 @@
 
 The update of a layer is characterized by the coupling it induces between the
 layer's input activations and its pre-update output activations on a shared
-calibration set. Transport finds, for each side of the layer, the orthonormal
-map that best aligns the source model's activations with the target model's
-(an orthogonal Procrustes problem solved by SVD of the cross-covariance), then
-conjugates the source update with those maps:
+calibration set. Per layer, a method fits a plan from the layer's statistics
+alone, a map per side stored source -> target as a (d_src, d_dst) matrix.
+One apply, ``transport_update`` and ``transport_bias``, then conjugates the
+update through the plan, so transport is linear in the update:
 
     new_update = out_map.T @ source_update @ in_map
 
-with each map stored and applied source -> target as a (d_src, d_dst) matrix:
-the polar factor ``u @ vt`` of the side's cross-covariance ``h_a.T @ h_b``,
-one orientation for every side. Where the source is no wider than its
-target the map has orthonormal rows, and conjugation keeps the update's
-Frobenius norm exactly. Where the source is wider the map has orthonormal
-columns, is reported ``*_swapped``, and can only shrink the norm.
-``transport_update`` asserts the norm identity on every side whose source is
-no wider and that no other side grows the norm.
+``theseus`` fits, per side, the orthonormal map that best aligns the source
+model's activations with the target model's (orthogonal Procrustes): the
+polar factor ``u @ vt`` of the side's cross-covariance ``h_a.T @ h_b``, one
+orientation for every side. Where the source is no wider than its target
+the map has orthonormal rows, and conjugation keeps the update's Frobenius
+norm exactly; the apply asserts it. Where the source is wider the map has
+orthonormal columns, is reported ``*_swapped``, and can only shrink the
+norm; the apply asserts that it does not grow. The Gram solve fits each
+side's least-squares map instead (``baselines.gram_plan``).
 
-The solves and diagnostics read a layer's aligned rows only through
+The fits and diagnostics read a layer's aligned rows only through
 ``LayerStats``, its input and output ``SideStats``: feature-space statistics
 that ``SideStats``, the one builder, computes and checks once per side. They
 are taken on each model's own tokens, with an ``interp1d``/``interp2d`` token
 map folded in, so the aligned rows are never made.
 
-The calibration is a zero-argument callable that returns a new
-``(inputs_a, inputs_b)`` pair on every call, which transport owns: it is
-called once for layer 0's inputs, and again only by a firing input-side
-guard. A layer's input statistics are taken before its forward pass. A
-square layer's output is written over its input, a block of rows at a time,
-layer 0's over the calibration pair; a layer that changes width makes a new
-output and drops the input once it exists. So no calibration array
-outlives layer 0, one activation per model is alive through each layer's
-solve, and on square layers through its forward step too. Every weight is
-reached one layer at a time, through ``layer(idx)``, so an open
-``model.CheckpointReader`` stands in for a loaded checkpoint and reads each
-layer from its file when the loop reaches it. Transport takes the
-fine-tuned source itself: each layer's source update is formed from it
-(``model.layer_delta``, new arrays) when the loop reaches that layer and
-dropped once it is transported, and ``transport_layers`` yields the
-layer's result at once, so a consumer that writes it out holds one
-transported layer at a time.
-A fallback whose guard fires aligns its rows explicitly: the input side's
-are made again from a new calibration pair by the same forward steps, the
-output side's are the layer's live outputs.
+``transport_layers`` runs the layers in order and owns the calibration, a
+zero-argument callable it calls once for layer 0's inputs and again only for
+a firing input-side guard, which makes that side's rows again by the same
+forward steps (an output-side guard reads the layer's live outputs). A
+layer's input statistics are taken before its forward pass, which writes a
+square layer's output over its input, a block of rows at a time, so no
+calibration array outlives layer 0 and one activation per model is alive
+through each layer's fit. Every weight is reached through ``layer(idx)``, so
+an open ``model.CheckpointReader`` stands in for a loaded checkpoint; each
+layer's source update (``model.layer_delta``, new arrays) is formed once its
+plan is fitted, and each transported layer is yielded at once.
 """
 
 from __future__ import annotations
@@ -92,22 +84,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProcrustesMap:
-    """Orthonormal alignment maps for one layer, stored source -> target.
+    """One layer's plan, fitted from its statistics alone: the maps its
+    update is conjugated through, stored source -> target.
 
     ``in_map`` is (d_in_src, d_in_dst) and ``out_map`` is (d_out_src,
-    d_out_dst), the orientation conjugation applies. Each map is orthonormal
-    along its narrow side: rows when the source is no wider than the target,
-    columns otherwise. ``in_swapped``/``out_swapped`` report that the source
-    is wider on this side, read off the map's shape. The residuals are the
-    Frobenius misfits of the alignment at the optimum.
+    d_out_dst), the orientation conjugation applies. An ``orthonormal``
+    plan's maps are checked orthonormal along their narrow side: rows when
+    the source is no wider than the target, columns otherwise.
+    ``in_swapped``/``out_swapped`` report that the source is wider on this
+    side, read off the map's shape. The residuals are the Frobenius misfits
+    of a Procrustes alignment at the optimum. A Gram plan is not orthonormal:
+    ``baselines.gram_plan`` stores its maps unchecked, residuals None.
     """
 
     in_map: np.ndarray
     out_map: np.ndarray
-    in_residual: float = 0.0
-    out_residual: float = 0.0
+    in_residual: Optional[float] = 0.0
+    out_residual: Optional[float] = 0.0
+    orthonormal: bool = True
 
     def __post_init__(self):
+        if not self.orthonormal:  # a Gram plan holds its solves' own arrays
+            return
         for name, m in (("in_map", self.in_map), ("out_map", self.out_map)):
             m = as_matrix(m, name)
             narrow = m.T if m.shape[0] > m.shape[1] else m
@@ -299,7 +297,7 @@ def procrustes_align(side: SideStats) -> tuple[np.ndarray, float]:
 
 
 def procrustes_maps(stats: LayerStats) -> ProcrustesMap:
-    """Alignment maps for both sides of a layer."""
+    """``theseus``'s plan for a layer: the Procrustes map of each side."""
     in_map, in_residual = procrustes_align(stats.in_side)
     out_map, out_residual = procrustes_align(stats.out_side)
     return ProcrustesMap(in_map, out_map, in_residual, out_residual)
@@ -320,34 +318,36 @@ def _check_norm(side: str, before, after, swapped: bool) -> None:
         )
 
 
-def transport_update(update_src, pmap: ProcrustesMap) -> np.ndarray:
-    """Conjugate a (d_out_src, d_in_src) update into target coordinates.
+def transport_update(update_src, plan: ProcrustesMap) -> np.ndarray:
+    """Conjugate a (d_out_src, d_in_src) update into target coordinates through ``plan``.
 
-    The output is (d_out_dst, d_in_dst). Its Frobenius norm matches the source
-    update to 1e-10 relative per side when no source side is wider than its
-    target, and does not grow otherwise; the norm is checked after each side,
-    not assumed.
+    The output is (d_out_dst, d_in_dst). On an orthonormal plan its Frobenius
+    norm matches the source update to 1e-10 relative per side when no source
+    side is wider than its target, and does not grow otherwise; the norm is
+    checked after each side, not assumed.
     """
     update_src = as_matrix(update_src, "update")
-    in_map, out_map = pmap.in_map, pmap.out_map
+    in_map, out_map = plan.in_map, plan.out_map
     if update_src.shape != (out_map.shape[0], in_map.shape[0]):
         raise DimensionError(
             f"update shape {update_src.shape} does not match maps "
             f"({out_map.shape[0]} out, {in_map.shape[0]} in on the source side)"
         )
     left = out_map.T @ update_src
-    _check_norm("output", update_src, left, pmap.out_swapped)
     out = left @ in_map
-    _check_norm("input", left, out, pmap.in_swapped)
+    if plan.orthonormal:
+        _check_norm("output", update_src, left, plan.out_swapped)
+        _check_norm("input", left, out, plan.in_swapped)
     return out
 
 
-def transport_bias(bias_delta, pmap: ProcrustesMap) -> np.ndarray:
+def transport_bias(bias_delta, plan: ProcrustesMap) -> np.ndarray:
     """Bias deltas live in the output space only, so they ride the output map
     alone, under the output side's norm check."""
-    b = as_vector(bias_delta, pmap.out_map.shape[0], "bias delta")
-    out = pmap.out_map.T @ b
-    _check_norm("output", b, out, pmap.out_swapped)
+    b = as_vector(bias_delta, plan.out_map.shape[0], "bias delta")
+    out = plan.out_map.T @ b
+    if plan.orthonormal:
+        _check_norm("output", b, out, plan.out_swapped)
     return out
 
 
@@ -436,64 +436,48 @@ def depth_expand(ckpt: Checkpoint, target_depth: int) -> Checkpoint:
     )
 
 
-def _theseus(stats, delta, bias, spec_b, cfg, seed):
-    pmap = procrustes_maps(stats)
-    new_bias = None if bias is None else transport_bias(bias, pmap)
-    return transport_update(delta, pmap), new_bias, pmap
+def _procrustes_fit(stats, cfg):
+    return procrustes_maps(stats)
 
 
-def _norm_matched_random(d_out, d_in, delta, bias, seed):
-    """Seeded Gaussian update, and bias delta when one is given, with the source's norms."""
-    new = baselines.random_update(d_out, d_in, float(np.linalg.norm(delta)), seed)
+def _draw(shape, delta, bias, seed):
+    """Seeded Gaussian update of ``shape``, and bias delta when one is given, with the source's norms."""
+    new = baselines.random_update(*shape, float(np.linalg.norm(delta)), seed)
     if bias is None:
         return new, None
-    return new, baselines.random_update(d_out, 1, float(np.linalg.norm(bias)), seed + 7919).ravel()
+    return new, baselines.random_update(shape[0], 1, float(np.linalg.norm(bias)), seed + 7919).ravel()
 
 
-def _random_source(stats, delta, bias, spec_b, cfg, seed):
-    src, bias_src = _norm_matched_random(*delta.shape, delta, bias, seed)
-    return _theseus(stats, src, bias_src, spec_b, cfg, seed)
-
-
-def _random(stats, delta, bias, spec_b, cfg, seed):
-    return *_norm_matched_random(spec_b.d_out, spec_b.d_in, delta, bias, seed), None
-
-
-def _zero_pad(stats, delta, bias, spec_b, cfg, seed):
+def _zero_pad(delta, bias, spec_b, seed):
     new_delta = baselines.zero_pad_update(delta, spec_b.d_out, spec_b.d_in)
     new_bias = None
     if bias is not None:  # the update was checked not to shrink, so the bias fits
         new_bias = baselines.zero_pad_update(bias[:, None], spec_b.d_out, 1).ravel()
-    return new_delta, new_bias, None
+    return new_delta, new_bias
 
 
-def _pinv(stats, delta, bias, spec_b, cfg, seed):
-    return *baselines.gram_transport(stats, delta, bias, rcond=cfg.rcond), None
-
-
-def _pinv_tikhonov(stats, delta, bias, spec_b, cfg, seed):
-    return *baselines.gram_transport(stats, delta, bias, lam=cfg.lam), None
-
-
-# Per-layer transport by method name. Each entry maps (the layer's
-# LayerStats, update, bias delta or None, target layer spec, config, layer
-# seed) to (update, bias delta or None, the ProcrustesMap it used or None).
+# Per-layer transport by method name: (fit, make). ``fit`` maps (LayerStats,
+# config) to the layer's plan; ``make`` maps (update, bias delta or None,
+# target layer spec, layer seed) to the update and bias delta that take the
+# source's place, random_source's draw or, where no plan is fitted, the result.
 _LAYER_METHODS = {
-    "theseus": _theseus,
-    "pinv": _pinv,
-    "pinv_tikhonov": _pinv_tikhonov,
-    "zero_pad": _zero_pad,
-    "random": _random,
-    "random_source": _random_source,
+    "theseus": (_procrustes_fit, None),
+    "pinv": (lambda stats, cfg: baselines.gram_plan(stats, rcond=cfg.rcond), None),
+    "pinv_tikhonov": (lambda stats, cfg: baselines.gram_plan(stats, lam=cfg.lam), None),
+    "zero_pad": (None, _zero_pad),
+    "random": (None, lambda delta, bias, spec, seed: _draw((spec.d_out, spec.d_in), delta, bias, seed)),
+    "random_source": (_procrustes_fit, lambda delta, bias, spec, seed: _draw(delta.shape, delta, bias, seed)),
 }
 METHODS = tuple(_LAYER_METHODS)
 
 
-def _transport_layer(layer_index, spec_b, stats: LayerStats, delta, bias_delta, cfg: TransportConfig):
+def _transport_layer(layer_index, spec_b, stats: LayerStats, plan, delta, bias_delta, cfg: TransportConfig):
     bias = bias_delta if spec_b.has_bias else None
-    new_delta, new_bias, pmap = _LAYER_METHODS[cfg.method](
-        stats, delta, bias, spec_b, cfg, cfg.seed + layer_index
-    )
+    make = _LAYER_METHODS[cfg.method][1]
+    new_delta, new_bias = (delta, bias) if make is None else make(delta, bias, spec_b, cfg.seed + layer_index)
+    if plan is not None:
+        new_delta = transport_update(new_delta, plan)
+        new_bias = None if new_bias is None else transport_bias(new_bias, plan)
     shape = (spec_b.d_out, spec_b.d_in)
     if new_delta.shape != shape:
         raise TaskportError(f"transported update has shape {new_delta.shape}, expected {shape}")
@@ -503,7 +487,7 @@ def _transport_layer(layer_index, spec_b, stats: LayerStats, delta, bias_delta, 
 
     entry = {"layer_index": layer_index}
     for key in ("in_residual", "out_residual", "in_swapped", "out_swapped"):
-        entry[key] = None if pmap is None else getattr(pmap, key)
+        entry[key] = getattr(plan, key) if plan is not None and plan.orthonormal else None
     entry.update({
         "tau_norm_src": float(np.linalg.norm(delta)),
         "tau_norm_dst": float(np.linalg.norm(new_delta)),
@@ -558,8 +542,8 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
     ``layer(idx)``, so a reader reads each layer from its file when the
     loop reaches it, and again only for a firing input-side guard. Stacks
     whose specs differ are refused before any other check. A layer's
-    source update is ``layer_delta(theta_a, theta_a_ft, idx)``, formed when
-    the loop reaches that layer, in new arrays, and dropped once
+    source update is ``layer_delta(theta_a, theta_a_ft, idx)``, formed in
+    new arrays once that layer's plan is fitted, and dropped once
     transported; no input is written over.
 
     ``calibration`` is a zero-argument callable that returns a new
@@ -576,11 +560,12 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
 
     The two base models run on the pair one layer at a time: each layer's
     activations are reduced to its statistics (length-aligned per
-    cfg.strategy), which fit that layer's maps per cfg.method. A layer's input
+    cfg.strategy), which fit that layer's plan per cfg.method; the update
+    enters only when the plan is applied. A layer's input
     statistics are taken before its forward pass, which writes over its input
     where the layer is square, else drops it once its output exists, so no
     calibration array outlives layer 0, one activation per model is alive
-    through the solve and memory does not grow with depth. A firing guard on
+    through the fit and memory does not grow with depth. A firing guard on
     the input side makes its rows again from a new pair; one on the output
     side reads the live outputs.
     """
@@ -594,6 +579,7 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
     h_a, h_b = _calibration_inputs(thetas, calibration)
     shapes = (h_a.shape, h_b.shape)
 
+    fit = _LAYER_METHODS[cfg.method][0]
     # Each layer's output array replaces its input, or is written over it,
     # and is activated in place, as nothing else holds it once the layer's
     # statistics are dropped.
@@ -607,13 +593,14 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
+            plan = None if fit is None else fit(stats, cfg)
         delta, bias_delta = layer_delta(theta_a, theta_a_ft, idx)
         with prefixed(f"layer {idx}"):
-            layer = _transport_layer(idx, theta_b.layer_specs[idx], stats, delta, bias_delta, cfg)
+            layer = _transport_layer(idx, theta_b.layer_specs[idx], stats, plan, delta, bias_delta, cfg)
         # Else they outlive the next layer's input statistics, and the output
         # side's rows are the outputs that are activated in place next. The
         # source update of a transported layer is not read again.
-        del in_side, stats, delta, bias_delta
+        del in_side, stats, plan, delta, bias_delta
         h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
         h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
         yield layer

@@ -4,7 +4,7 @@ import pytest
 from helpers import calibration, full_rank_activations, layer_stats, rank_deficient_witness, small_checkpoint
 from taskport.baselines import gram_transport, pinv_transport, random_update, zero_pad_update
 from taskport.errors import DimensionError
-from taskport.linalg import DEFAULT_RCOND, random_orthonormal_rows
+from taskport.linalg import DEFAULT_RCOND, pseudo_inverse, random_orthonormal_rows, ridge_inverse
 from taskport.model import task_vector
 from taskport.transport import (
     ProcrustesMap,
@@ -120,6 +120,27 @@ def test_pinv_degrades_on_rank_deficient_target():
     assert res_pinv > 2.0 * res_aligned
     # Amplification of the inverted noise directions shows up in the norm.
     assert np.linalg.norm(solved) > 10.0 * np.linalg.norm(aligned)
+
+
+@pytest.mark.parametrize("route", ["rcond", "ridge"])
+def test_gram_transport_is_the_conjugation_through_the_least_squares_maps_bitwise(route):
+    # S = G_b^+ C_ab.T per side, built here by the same solve. At 24 -> 36
+    # wide a plan that held a contiguous copy of S.T, not the view, would
+    # hand BLAS another layout and move these bits.
+    rng = np.random.default_rng(np.random.SeedSequence((24, 36)))
+    stats = layer_stats(*(rng.standard_normal((120, d)) for d in (24, 24, 36, 36)))
+    update, bias = rng.standard_normal((24, 24)), rng.standard_normal(24)
+    solve = {"rcond": DEFAULT_RCOND} if route == "rcond" else {"lam": 0.5}
+
+    def least_squares_map(side):
+        if route == "rcond":
+            return pseudo_inverse(side.gram_b, DEFAULT_RCOND, side.cross.T)
+        return ridge_inverse(side.gram_b, 0.5, side.cross.T)
+
+    s_in, s_out = least_squares_map(stats.in_side), least_squares_map(stats.out_side)
+    new, new_bias = gram_transport(stats, update, bias, **solve)
+    assert new.tobytes() == ((s_out @ update) @ s_in.T).tobytes()
+    assert new_bias.tobytes() == (s_out @ bias).tobytes()
 
 
 def test_pinv_rejects_shape_mismatch():

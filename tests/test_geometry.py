@@ -18,7 +18,8 @@ cross-covariance has a zero singular value, which fixes the Procrustes map
 only up to the sign of one column). The ``mean`` strategy, whose rows are
 the sequences, is drawn only with more sequences than any width; ``mean``
 with fewer rows than dimensions is excluded, because its rank-deficient
-cross-covariances leave the maps undetermined.
+cross-covariances leave the maps undetermined. Linearity in the update needs
+none of this: a map that is not unique is still the same map on every call.
 """
 
 import numpy as np
@@ -193,3 +194,53 @@ def test_reordering_calibration_pairs_leaves_the_output(inst):
         theta_a, theta_a_ft, theta_b, calibration(calib_a[order], calib_b[order]), cfg
     )
     assert_updates_close(got, base)
+
+
+# The methods whose plan is fitted from the layer's statistics alone, so that
+# transport is linear in the update; random and random_source draw theirs.
+LINEAR_METHODS = ("theseus", "pinv", "pinv_tikhonov", "zero_pad")
+
+
+@st.composite
+def linear_instances(draw):
+    """Two depth-3 stacks of independently drawn widths (for zero_pad, a
+    target no narrower on any side, the only widths it accepts), paired
+    calibration inputs, two updates of the source's weights and biases, a
+    linear method and a strategy."""
+    method = draw(st.sampled_from(LINEAR_METHODS))
+    widths_a = draw(st.lists(st.integers(2, 8), min_size=4, max_size=4))
+    if method == "zero_pad":
+        widths_b = [w + draw(st.integers(0, 3)) for w in widths_a]
+    else:
+        widths_b = draw(st.lists(st.integers(2, 8), min_size=4, max_size=4))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    seqs = draw(st.integers(2, 12))
+    rng = np.random.default_rng(np.random.SeedSequence((draw(st.integers(0, 2**16)), 810)))
+    theta_a, theta_b = stack(widths_a, rng), stack(widths_b, rng)
+    calib_a = rng.standard_normal((seqs, TOKENS_A, widths_a[0]))
+    calib_b = rng.standard_normal((seqs, TOKENS_B, widths_b[0]))
+    taus = [[rng.standard_normal(a.shape) for a in (*theta_a.weights, *theta_a.biases)] for _ in range(2)]
+    return theta_a, theta_b, calib_a, calib_b, taus, TransportConfig(method=method, strategy=strategy)
+
+
+@settings(max_examples=60)
+@given(linear_instances())
+def test_transport_is_linear_in_the_update(inst):
+    # Task arithmetic commutes with transport: T(tau_1 + tau_2) = T(tau_1) +
+    # T(tau_2) and T(2.5 tau_1) = 2.5 T(tau_1), as each plan is fitted from
+    # the two base models and the calibration, and never reads the update.
+    theta_a, theta_b, calib_a, calib_b, (tau_1, tau_2), cfg = inst
+    depth = theta_a.depth
+
+    def moved(update):
+        """The transported weight and bias deltas of fine-tuned = base + update."""
+        tuned = [base + tau for base, tau in zip((*theta_a.weights, *theta_a.biases), update)]
+        finetuned = Checkpoint(layer_specs=list(theta_a.layer_specs), weights=tuned[:depth], biases=tuned[depth:])
+        out, _ = transport_task_vector(theta_a, finetuned, theta_b, calibration(calib_a, calib_b), cfg)
+        return [*out.deltas, *out.bias_deltas]
+
+    one, two = moved(tau_1), moved(tau_2)
+    both, scaled = moved([a + b for a, b in zip(tau_1, tau_2)]), moved([2.5 * a for a in tau_1])
+    for a, b, a_b, a_25 in zip(one, two, both, scaled):
+        assert np.linalg.norm(a_b - (a + b)) <= 1e-12 * np.linalg.norm(a + b)
+        assert np.linalg.norm(a_25 - 2.5 * a) <= 1e-12 * np.linalg.norm(2.5 * a)

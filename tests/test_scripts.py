@@ -158,6 +158,33 @@ def test_fingerprint_compare_summarizes_moved_entries_by_method(tmp_path, capsys
     assert capsys.readouterr().out.splitlines()[-1] == "6 of 6 entries bitwise"
 
 
+def test_fingerprint_compare_names_both_sides_blas_thread_settings_when_they_differ(tmp_path, capsys, monkeypatch):
+    # Hashes depend on the BLAS thread count, so a comparison across two
+    # thread counts says so before its entries.
+    module = load_script("fingerprint")
+    entries = {"a/array": module._array_entry([1.0, 2.0])}
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    paths = [tmp_path / name for name in ("one.json", "two.json", "one_again.json")]
+    for path, threads in zip(paths, ("1", "2", "1")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        module.write(entries, str(path))
+    assert json.loads(paths[0].read_text()) == entries
+    assert module.main(["--compare", str(paths[0]), str(paths[1])]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"BLAS thread settings differ: {paths[0]} OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+        f"MKL_NUM_THREADS=unset; {paths[1]} OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=unset MKL_NUM_THREADS=unset",
+        "a/array: bitwise", "1 of 1 entries bitwise"]
+    assert module.main(["--compare", str(paths[0]), str(paths[2])]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a/array: bitwise", "1 of 1 entries bitwise"]
+    # A fingerprint written before settings were recorded has none to name.
+    module.settings_path(paths[2]).unlink()
+    assert module.main(["--compare", str(paths[0]), str(paths[2])]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"BLAS thread settings differ: {paths[0]} OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+        f"MKL_NUM_THREADS=unset; {paths[2]} not recorded")
+
+
 def test_fingerprint_compare_runs_from_anywhere_without_pythonpath(tmp_path):
     # Comparing two fingerprints needs no taskport, so it runs from any
     # directory without PYTHONPATH.
