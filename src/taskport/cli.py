@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, TaskportError
+from .errors import ConfigError, FormatError, TaskportError, prefixed
 from .linalg import DEFAULT_RCOND
 from .model import (
     CheckpointReader,
@@ -185,13 +185,16 @@ def cmd_transport(args) -> int:
         # writes over what it reads.
         layers = transport_layers(source, finetuned, target, partial(load_calibration, args.calib), cfg)
         # Each layer of the output is written, and its delta dropped, as soon
-        # as the layer is transported, so the output is never whole in memory.
+        # as the layer is transported, so the output is never whole in memory;
+        # the target layer is read again for it, and the writer checks it.
         # (No enumerate: it would keep each layer until the next one is made.)
         report = {**cfg.echo(), "layers": [], "alpha": args.alpha}
         with _replacing(args.output) as f:
             writer = CheckpointWriter(f, target.layer_specs)
             for delta, bias_delta, entry in layers:
-                writer.layer(*apply_layer(target, entry["layer_index"], delta, bias_delta, args.alpha))
+                idx = entry["layer_index"]
+                writer.layer(*prefixed(f"layer {idx}")(apply_layer)(
+                    target.layer_specs[idx], *target.layer(idx), delta, bias_delta, args.alpha))
                 report["layers"].append(entry)
                 del delta, bias_delta
             writer.finish({**target.meta, **transport_meta(report)})

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, prefixed
 from .linalg import as_batch, as_matrix, as_vector, require_batch_shape, require_finite
 
 __all__ = [
@@ -133,14 +133,15 @@ class Checkpoint:
         )
 
 
-def _checked_update(idx: int, delta, bias_delta):
-    """Layer ``idx``'s (delta, bias delta or None) as finite float64 arrays, 2-D and 1-D."""
-    delta = as_matrix(delta, f"delta {idx}")
+def _checked_update(delta, bias_delta, name: str = "delta"):
+    """(delta, bias delta or None) as finite float64 arrays, 2-D and 1-D,
+    named ``name`` and ``bias {name}`` in errors."""
+    delta = as_matrix(delta, name)
     if bias_delta is not None:
         bias_delta = np.asarray(bias_delta, dtype=np.float64)
         if bias_delta.ndim != 1:
-            raise DimensionError(f"bias delta {idx} must be 1-D, got shape {bias_delta.shape}")
-        require_finite(bias_delta, f"bias delta {idx}")
+            raise DimensionError(f"bias {name} must be 1-D, got shape {bias_delta.shape}")
+        require_finite(bias_delta, f"bias {name}")
     return delta, bias_delta
 
 
@@ -157,7 +158,7 @@ class TaskVector:
                 f"{len(self.deltas)} weight deltas vs {len(self.bias_deltas)} bias slots"
             )
         for idx, layer in enumerate(zip(self.deltas, self.bias_deltas)):
-            self.deltas[idx], self.bias_deltas[idx] = _checked_update(idx, *layer)
+            self.deltas[idx], self.bias_deltas[idx] = _checked_update(*layer, f"delta {idx}")
 
     def norm(self) -> float:
         """Frobenius norm over all deltas, biases included."""
@@ -195,28 +196,26 @@ def forward_inputs(ckpt, inputs) -> np.ndarray:
 _FORWARD_BLOCK_ROWS = 256
 
 
-def forward_layer(ckpt, idx: int, h: np.ndarray, out=None) -> np.ndarray:
-    """Pre-activation output (N, L, d_out) of layer ``idx`` on its (N, L, d_in) input.
+def forward_layer(spec: LayerSpec, w, b, h: np.ndarray, out=None) -> np.ndarray:
+    """Pre-activation output (N, L, d_out) of a layer on its (N, L, d_in) input.
 
-    ``ckpt`` is a ``Checkpoint`` or an open ``CheckpointReader``: the
-    layer's weights are reached through ``ckpt.layer(idx)`` once the shapes
-    are checked, so a reader reads them from its file here. The output is
-    written into ``out``, a C-contiguous float64 (N, L, d_out) array, when
-    given, else into a new array, which is returned. ``out`` may be ``h`` itself on a square layer: there the rows
-    go block by block, and numpy copies each input block before its product
-    is written over it, so one block is the only temporary. The blocks keep the
-    single product's bits, which a test pins.
+    ``w`` and ``b`` are its weights and bias (None for none) and ``spec`` its
+    spec; errors do not name the layer, which a loop that walks a stack does
+    (``errors.prefixed``). The output is written into ``out``, a
+    C-contiguous float64 (N, L, d_out) array, when given, else into a new
+    array, which is returned. ``out`` may be ``h`` itself on a square layer:
+    there the rows go block by block, and numpy copies each input block
+    before its product is written over it, so one block is the only
+    temporary. The blocks keep the single product's bits, which a test pins.
     """
-    spec = ckpt.layer_specs[idx]
     n, l = h.shape[0], h.shape[1]
     if h.shape[2] != spec.d_in:
-        raise DimensionError(f"layer {idx}: got {h.shape[2]} input features, expected {spec.d_in}")
+        raise DimensionError(f"got {h.shape[2]} input features, expected {spec.d_in}")
     if out is None:
         out = np.empty((n, l, spec.d_out))
     elif out.shape != (n, l, spec.d_out) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise DimensionError(f"layer {idx}: out must be a C-contiguous float64 array of shape "
+        raise DimensionError(f"out must be a C-contiguous float64 array of shape "
                              f"{(n, l, spec.d_out)}, got {out.dtype} {out.shape}")
-    w, b = ckpt.layer(idx)
     rows = n * l
     x, z = h.reshape(rows, spec.d_in), out.reshape(rows, spec.d_out)
     # Blocks only over its own input, so numpy's overlap copy is one block,
@@ -249,7 +248,7 @@ def forward_collect(ckpt: Checkpoint, inputs) -> tuple[np.ndarray, list[Activati
     h = forward_inputs(ckpt, inputs)
     records = []
     for idx, spec in enumerate(ckpt.layer_specs):
-        z = forward_layer(ckpt, idx, h)
+        z = prefixed(f"layer {idx}")(forward_layer)(spec, *ckpt.layer(idx), h)
         records.append(ActivationRecord(h_in=h, h_out=z))
         h = activate(spec, z)
     return h, records
@@ -262,56 +261,42 @@ def require_same_specs(base, finetuned) -> None:
 
 
 def task_vector(base: Checkpoint, finetuned: Checkpoint) -> TaskVector:
-    """Difference finetuned - base, layer by layer."""
+    """Difference finetuned - base, layer by layer by ``layer_delta``."""
     require_same_specs(base, finetuned)
-    deltas = [wf - wb for wb, wf in zip(base.weights, finetuned.weights)]
-    bias_deltas = [None if bb is None else bf - bb for bb, bf in zip(base.biases, finetuned.biases)]
-    return TaskVector(deltas=deltas, bias_deltas=bias_deltas)
+    layers = [prefixed(f"layer {idx}")(layer_delta)(*base.layer(idx), *finetuned.layer(idx))
+              for idx in range(base.depth)]
+    return TaskVector(deltas=[d for d, _ in layers], bias_deltas=[b for _, b in layers])
 
 
-def layer_delta(base, finetuned, idx: int):
-    """Layer ``idx`` of the update ``finetuned - base``, (delta, bias delta
-    or None), in new arrays with ``task_vector``'s bits, checked as
-    ``TaskVector`` checks it. Each of ``base`` and ``finetuned`` is a
-    ``Checkpoint`` or an open ``CheckpointReader``, whose arrays it reads
-    through ``layer(idx)`` and leaves as they are. The caller checks that
-    the two stacks' specs agree (``require_same_specs``)."""
-    (w, b), (w_ft, b_ft) = base.layer(idx), finetuned.layer(idx)
+def layer_delta(w, b, w_ft, b_ft):
+    """A layer's update ``finetuned - base``, (delta, bias delta or None), in
+    new arrays, checked finite, from its weights and bias (None for none) in
+    each stack, which it leaves as they are. The caller checks that the two
+    stacks' specs agree (``require_same_specs``)."""
     with np.errstate(over="ignore", invalid="ignore"):  # the checks reject overflow
-        return _checked_update(idx, w_ft - w, None if b is None else b_ft - b)
+        return _checked_update(w_ft - w, None if b is None else b_ft - b)
 
 
-def apply_layer(base, idx: int, delta, bias_delta, alpha: float):
-    """Layer ``idx`` of ``base + alpha * update``, given its weight delta and
-    bias delta (None for none): the (weights, bias or None) pair. ``base``
-    is a ``Checkpoint`` or an open ``CheckpointReader``, whose layer is read
-    through ``base.layer(idx)`` once the shapes are checked.
-
-    alpha = 0 copies the base layer exactly, not a sum with zero, so a
-    ``-0.0`` weight stays ``-0.0``. A sum that overflows raises
-    ``NonFiniteError``, as the ``Checkpoint`` constructor would.
-    """
-    spec = base.layer_specs[idx]
+def apply_layer(spec: LayerSpec, w, b, delta, bias_delta, alpha: float):
+    """A layer of ``base + alpha * update``, (weights, bias or None), from
+    the base layer's weights ``w`` and bias ``b``, its ``spec``, its weight
+    delta and its bias delta (None for none). alpha = 0 copies the base
+    layer exactly, not a sum with zero, so a ``-0.0`` weight stays ``-0.0``.
+    The sum is checked where it enters a stack or a file: the ``Checkpoint``
+    constructor and ``CheckpointWriter`` refuse an overflow as
+    ``NonFiniteError``."""
     if delta.shape != (spec.d_out, spec.d_in):
-        raise DimensionError(
-            f"layer {idx}: delta shape {delta.shape} does not match ({spec.d_out}, {spec.d_in})"
-        )
+        raise DimensionError(f"delta shape {delta.shape} does not match ({spec.d_out}, {spec.d_in})")
     if bias_delta is not None and not spec.has_bias:
-        raise DimensionError(f"layer {idx}: bias delta given but the layer has no bias")
+        raise DimensionError("bias delta given but the layer has no bias")
     if bias_delta is not None and bias_delta.shape != (spec.d_out,):
-        raise DimensionError(
-            f"layer {idx}: bias delta shape {bias_delta.shape} does not match ({spec.d_out},)"
-        )
-    w, b = base.layer(idx)
+        raise DimensionError(f"bias delta shape {bias_delta.shape} does not match ({spec.d_out},)")
     if alpha == 0.0:
-        w, b = w.copy(), None if b is None else b.copy()
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # the checks below reject overflow
-            step = alpha * delta
-            w = np.add(w, step, out=step)  # into the product's array: one temporary fewer
-            b = None if b is None else (b.copy() if bias_delta is None else b + alpha * bias_delta)
-    w = as_matrix(w, f"layer {idx} weights")
-    return w, None if b is None else as_vector(b, spec.d_out, f"layer {idx} bias")
+        return w.copy(), None if b is None else b.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks where it enters reject overflow
+        step = alpha * delta
+        w = np.add(w, step, out=step)  # into the product's array: one temporary fewer
+        return w, None if b is None else (b.copy() if bias_delta is None else b + alpha * bias_delta)
 
 
 def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoint:
@@ -324,8 +309,8 @@ def apply_update(base: Checkpoint, update: TaskVector, alpha: float) -> Checkpoi
         raise DimensionError(
             f"update has {len(update.deltas)} layers, checkpoint has {base.depth}"
         )
-    layers = [apply_layer(base, idx, d, bd, alpha)
-              for idx, (d, bd) in enumerate(zip(update.deltas, update.bias_deltas))]
+    layers = [prefixed(f"layer {idx}")(apply_layer)(spec, *base.layer(idx), d, bd, alpha)
+              for idx, (spec, d, bd) in enumerate(zip(base.layer_specs, update.deltas, update.bias_deltas))]
     return Checkpoint(list(base.layer_specs), [w for w, _ in layers], [b for _, b in layers],
                       {**base.meta, "alpha": repr(alpha)})
 
@@ -456,7 +441,8 @@ class CheckpointWriter:
         f.write(b"".join(head))
 
     def layer(self, weights: np.ndarray, bias: np.ndarray | None) -> None:
-        """Write the next layer's weights and bias (None where it has none)."""
+        """Write the next layer's weights and bias (None where it has none),
+        refused, before any byte is written, unless they fit its spec and are finite."""
         idx = self.written
         if idx == len(self.specs):
             raise DimensionError(f"the header declares {idx} layers, got one more")
@@ -465,6 +451,9 @@ class CheckpointWriter:
                 bias is not None and bias.shape != (spec.d_out,)):
             raise DimensionError(f"layer {idx}: arrays of shapes {weights.shape} and "
                                  f"{None if bias is None else bias.shape} do not fit its spec {spec}")
+        require_finite(weights, f"layer {idx} weights")
+        if bias is not None:
+            require_finite(bias, f"layer {idx} bias")
         self.f.write(_f64(weights))
         if bias is not None:
             self.f.write(_f64(bias))
@@ -500,11 +489,12 @@ class CheckpointReader:
     against the file's size, the meta tail, and that no bytes trail it.
     ``layer(idx)`` then reads that layer's weights and bias straight into
     new arrays, checked as ``Checkpoint`` checks them, so a reader stands
-    in for a loaded checkpoint wherever weights are reached through
-    ``layer``: ``forward_layer``, ``apply_layer``, ``layer_delta`` and
-    ``transport_layers``, which takes a reader for any of its three
-    checkpoints. Nothing writes over what ``layer`` returns, and each call
-    reads the file again. ``load`` reads every layer into a ``Checkpoint``.
+    in for a loaded checkpoint wherever a loop walks a stack. Nothing writes
+    over them, and each call reads the file again: ``taskport transport``
+    reads each source and target layer twice, each fine-tuned layer once,
+    and the earlier layers again per firing input-side guard, as holding a
+    layer through its solve raised a one-shot op's peak by 3–12 MB
+    (ROADMAP item 11). ``load`` reads every layer into a ``Checkpoint``.
     """
 
     def __init__(self, path):

@@ -32,10 +32,16 @@ forward steps (an output-side guard reads the layer's live outputs). A
 layer's input statistics are taken before its forward pass, which writes a
 square layer's output over its input, a block of rows at a time, so no
 calibration array outlives layer 0 and one activation per model is alive
-through each layer's fit. Every weight is reached through ``layer(idx)``, so
-an open ``model.CheckpointReader`` stands in for a loaded checkpoint; each
-layer's source update (``model.layer_delta``, new arrays) is formed once its
-plan is fitted, and each transported layer is yielded at once.
+through each layer's fit. Only the loops that walk a stack read a layer,
+through ``layer(idx)``, so an open ``model.CheckpointReader`` stands in for
+a loaded checkpoint: the source and target layers just before their forward
+steps, the source and fine-tuned layers again for the update
+(``model.layer_delta``, new arrays) once the plan is fitted, and, in the
+CLI, the target layer again to write it. So ``taskport transport`` reads
+each source and target layer twice, each fine-tuned layer once, and the
+earlier layers again per firing input-side guard: holding a layer through
+its solve instead raised a one-shot op's peak by 3–12 MB at the benchmark's
+size (ROADMAP item 11). Each transported layer is yielded at once.
 """
 
 from __future__ import annotations
@@ -515,21 +521,18 @@ def _pair_again(thetas, calibration, shapes, idx: int) -> tuple[np.ndarray, np.n
     if got != shapes:
         raise DimensionError(f"the calibration read again has shapes {got[0]} and {got[1]}, "
                              f"the first read {shapes[0]} and {shapes[1]}")
-    for i, ckpt in enumerate(thetas):
-        for k in range(idx):
-            z = _forward_over(ckpt, k, pair[i])
-            pair[i] = activate(ckpt.layer_specs[k], z, out=z)
+    for i, theta in enumerate(thetas):
+        for k, spec in enumerate(theta.layer_specs[:idx]):
+            z = _forward_over(spec, *theta.layer(k), pair[i])
+            pair[i] = activate(spec, z, out=z)
     return tuple(pair)
 
 
-def _forward_over(ckpt, idx: int, h: np.ndarray) -> np.ndarray:
-    """Layer ``idx``'s pre-activation output on ``h``, written over ``h``
-    where the layer is square: every input a layer steps is transport's own,
-    layer 0's the pair the calibration callable returned."""
-    spec = ckpt.layer_specs[idx]
-    if spec.d_in == spec.d_out:
-        return forward_layer(ckpt, idx, h, h)
-    return forward_layer(ckpt, idx, h)
+def _forward_over(spec, w, b, h: np.ndarray) -> np.ndarray:
+    """``forward_layer``, written over ``h`` where the layer is square: every
+    input a layer steps is transport's own, layer 0's the pair the
+    calibration callable returned."""
+    return forward_layer(spec, w, b, h, h if spec.d_in == spec.d_out else None)
 
 
 def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportConfig):
@@ -538,12 +541,11 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
     report entry)`` as soon as that layer is transported.
 
     ``theta_a``, ``theta_a_ft`` and ``theta_b`` are each a ``Checkpoint``
-    or an open ``CheckpointReader``: every weight is reached through
-    ``layer(idx)``, so a reader reads each layer from its file when the
-    loop reaches it, and again only for a firing input-side guard. Stacks
-    whose specs differ are refused before any other check. A layer's
-    source update is ``layer_delta(theta_a, theta_a_ft, idx)``, formed in
-    new arrays once that layer's plan is fitted, and dropped once
+    or an open ``CheckpointReader``, whose layers the loop reads just
+    before the step that uses them, as often as the module notes say, and
+    drops once that step returns. Stacks whose specs differ are refused
+    before any other check. A layer's source update, ``layer_delta``, is
+    formed in new arrays once that layer's plan is fitted and dropped once
     transported; no input is written over.
 
     ``calibration`` is a zero-argument callable that returns a new
@@ -582,27 +584,29 @@ def transport_layers(theta_a, theta_a_ft, theta_b, calibration, cfg: TransportCo
     fit = _LAYER_METHODS[cfg.method][0]
     # Each layer's output array replaces its input, or is written over it,
     # and is activated in place, as nothing else holds it once the layer's
-    # statistics are dropped.
+    # statistics are dropped. ``named(step)(...)`` runs a step in the layer's
+    # prefix, its arguments outside it: a read there keeps the reader's own
+    # error, which names the layer, and is dropped once the step returns.
     for idx in range(theta_a.depth):
-        with prefixed(f"layer {idx}"):
-            in_side = SideStats(h_a, h_b, cfg.strategy, "hin",
-                                partial(_pair_again, thetas, calibration, shapes, idx))
-        z_a = _forward_over(theta_a, idx, h_a)
+        named = prefixed(f"layer {idx}")
+        spec_a, spec_b = theta_a.layer_specs[idx], theta_b.layer_specs[idx]
+        in_side = named(SideStats)(h_a, h_b, cfg.strategy, "hin",
+                                   partial(_pair_again, thetas, calibration, shapes, idx))
+        z_a = named(_forward_over)(spec_a, *theta_a.layer(idx), h_a)
         del h_a
-        z_b = _forward_over(theta_b, idx, h_b)
+        z_b = named(_forward_over)(spec_b, *theta_b.layer(idx), h_b)
         del h_b
         with prefixed(f"layer {idx}"):
             stats = LayerStats(in_side, SideStats(z_a, z_b, cfg.strategy, "hout"))
             plan = None if fit is None else fit(stats, cfg)
-        delta, bias_delta = layer_delta(theta_a, theta_a_ft, idx)
-        with prefixed(f"layer {idx}"):
-            layer = _transport_layer(idx, theta_b.layer_specs[idx], stats, plan, delta, bias_delta, cfg)
+        delta, bias_delta = named(layer_delta)(*theta_a.layer(idx), *theta_a_ft.layer(idx))
+        layer = named(_transport_layer)(idx, spec_b, stats, plan, delta, bias_delta, cfg)
         # Else they outlive the next layer's input statistics, and the output
         # side's rows are the outputs that are activated in place next. The
         # source update of a transported layer is not read again.
         del in_side, stats, plan, delta, bias_delta
-        h_a = activate(theta_a.layer_specs[idx], z_a, out=z_a)
-        h_b = activate(theta_b.layer_specs[idx], z_b, out=z_b)
+        h_a = activate(spec_a, z_a, out=z_a)
+        h_b = activate(spec_b, z_b, out=z_b)
         yield layer
         del layer  # else the layer outlives the consumer's copy, through the next solve
 

@@ -501,9 +501,10 @@ def test_streamed_output_is_the_librarys_checkpoint(fixtures_dir, tmp_path, caps
 def test_transport_holds_one_checkpoint_of_the_update(fixtures_dir, tmp_path, monkeypatch):
     # The three checkpoints are read a layer at a time: nothing of the
     # fine-tuned model is alive when the calibration is read; what was read
-    # from any of the three files for a layer, its transported delta and the
-    # weights written from it are dropped before the next layer's solve; and
-    # every file is closed at the end.
+    # from any of the three files for a layer is dropped before that layer's
+    # update is transported, and its transported delta and the weights
+    # written from it before the next layer's solve; and every file is
+    # closed at the end.
     read, written, transported, opened, closed, layer_now = [], [], [], [], [], [0]
     reader = model.CheckpointReader
     real_init, real_layer, real_close = reader.__init__, reader.layer, reader.close
@@ -538,7 +539,7 @@ def test_transport_holds_one_checkpoint_of_the_update(fixtures_dir, tmp_path, mo
     def transport_layer(idx, *args):
         layer_now[0] = idx
         assert all(ref() is None for ref in transported + written)
-        assert all(ref() is None for _, k, ref in read if k < idx)
+        assert all(ref() is None for _, k, ref in read if k <= idx)
         layer = real_transport_layer(idx, *args)
         transported.extend(weakref.ref(a) for a in layer[:2] if a is not None)
         return layer

@@ -100,12 +100,13 @@ def test_forward_steps_have_the_single_products_bits(blocks, extra, has_bias):
             want += ckpt.biases[0]
         want = want.tobytes()
         before = h.tobytes()
-        assert forward_layer(ckpt, 0, h).tobytes() == want
+        spec, (w, b) = ckpt.layer_specs[0], ckpt.layer(0)
+        assert forward_layer(spec, w, b, h).tobytes() == want
         assert h.tobytes() == before
         out = np.full_like(h, np.nan)
-        assert forward_layer(ckpt, 0, h, out) is out
+        assert forward_layer(spec, w, b, h, out) is out
         assert out.tobytes() == want
-        assert forward_layer(ckpt, 0, h, h) is h
+        assert forward_layer(spec, w, b, h, h) is h
         assert h.tobytes() == want
 
 
@@ -114,9 +115,10 @@ def test_forward_over_its_input_copies_one_block():
     # not of the whole input (1,000 rows go as four blocks of 250).
     ckpt = init_checkpoint([LayerSpec(64, 64)], seed=40)
     h = np.random.default_rng(41).standard_normal((1000, 1, 64))
+    spec, (w, b) = ckpt.layer_specs[0], ckpt.layer(0)
     tracemalloc.start()
     try:
-        forward_layer(ckpt, 0, h, h)
+        forward_layer(spec, w, b, h, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -127,8 +129,8 @@ def test_forward_over_its_input_copies_one_block():
 def test_forward_into_refuses_an_output_of_another_shape():
     ckpt = init_checkpoint([LayerSpec(4, 3)], seed=39)
     h = np.zeros((2, 5, 4))
-    with pytest.raises(DimensionError, match="layer 0: out must be"):
-        forward_layer(ckpt, 0, h, h)
+    with pytest.raises(DimensionError, match="^out must be"):
+        forward_layer(ckpt.layer_specs[0], *ckpt.layer(0), h, h)
 
 
 def test_forward_rejects_wrong_feature_count():

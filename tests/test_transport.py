@@ -921,10 +921,11 @@ def test_calibration_pair_is_dropped_at_layer_0_and_read_again_per_input_side_gu
     alive_at_layer_1 = []
     step = transport.forward_layer
 
-    def forward(ckpt, idx, *args):
-        if idx == 1 and len(alive_at_layer_1) < 2:
+    def forward(spec, w, *args):
+        # Checkpoint.layer returns the arrays held, so the weights name the layer.
+        if any(w is theta.weights[1] for theta in (theta_a, theta_b)) and len(alive_at_layer_1) < 2:
             alive_at_layer_1.append([ref() is not None for refs in returned for ref in refs])
-        return step(ckpt, idx, *args)
+        return step(spec, w, *args)
 
     monkeypatch.setattr(transport, "forward_layer", forward)
     transport_task_vector(theta_a, theta_a_ft, theta_b, read, TransportConfig(method=method, strategy="interp2d"))
